@@ -36,22 +36,15 @@ from .adapters import (
     VariantCostModel,
     VariantGrads,
     apply_layer,
-    lora_backward,
     lora_forward,
-    lors_backward,
     lors_forward,
     make_layer,
-    mask_matrix,
     merge,
     merged_weight,
     predict_cost,
-    spp_backward,
     spp_forward,
-    spp_gc_backward,
     spp_gc_forward,
-    sqft_backward,
     sqft_forward,
-    sqft_gc_backward,
     sqft_gc_forward,
     variant_backward,
     variant_forward,

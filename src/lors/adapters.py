@@ -18,18 +18,26 @@ lors      RCL + rRC + RC      RCL + 2rRL + 2rCL + rRC + RC       CL
 - lora: Y = WX + alpha * A(BX); saves X and BX.
 - sqft: Y = (W + alpha * (AB) . M) X with mask M = (W != 0); saves X, M, and
   the merged weight.
-- sqft_gc: same numerics as sqft but saves only X; the merged weight is
-  rebuilt in backward (+rRC + RC backward MACs).
+- sqft_gc and lors: one forward function under two names. It is sqft's
+  forward, but only X is kept; the backward pass rebuilds the mask and merged
+  weight (+rRC + RC backward MACs) with the same helper the forward used.
+- sqft_gc then runs sqft's backward schedule.
 - spp: Y = WX + (W . tile(A) . tile(B)) X; backward is derived by the tape
   from this expression, not hand-written.
 - spp_gc: the same function in merged form Y = (W + W . (A @ Bhat)) X with
-  Bhat the block-diagonal expansion of B; saves only X and replays the whole
-  forward inside backward (checkpoint-style full recompute).
-- lors: sqft's forward expression, but the merged weight is discarded after
-  use and rebuilt in backward, and the adapter gradients are reordered into
-  rank-r products: dA = alpha * dY (X^T B^T), dB = alpha * (A^T dY) X^T.
-  The mask is dropped from dA/dB (straight-through estimator); dX uses the
-  full masked merged weight.
+  Bhat the block-diagonal expansion of B. One tape builder records this
+  graph: the forward evaluates it and keeps only X, and the backward replays
+  and differentiates it (checkpoint-style full recompute).
+- lors: the adapter gradients are reordered into rank-r products:
+  dA = alpha * dY (X^T B^T), dB = alpha * (A^T dY) X^T. The mask is dropped
+  from dA/dB (straight-through estimator); dX uses the full masked merged
+  weight.
+
+Every forward returns a ``_Context`` whose ``saved`` list is exactly the
+counted saved set. Every backward goes through ``variant_backward``: it
+consumes the context once, checks dY, switches the counters to the backward
+phase, runs the variant's private body (dA, dB, dX), and adds dbias as the row
+sum of dY.
 
 Sparsity is preserved because every masked variant updates only through
 A, B and re-applies the mask on merge. ``merge`` uses the mask captured at
@@ -39,6 +47,7 @@ the pattern.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -112,8 +121,7 @@ class AdaptedLayer:
     """A frozen SparseWeight plus a trainable adapter, one of six variants."""
 
     def __init__(self, base: SparseWeight, adapter, variant: str,
-                 bias: Optional[DenseMatrix] = None, dropout: float = 0.0,
-                 name: str = ""):
+                 bias: Optional[DenseMatrix] = None, name: str = ""):
         if variant not in VARIANTS:
             raise ArgumentError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
         spp_family = variant in ("spp", "spp_gc")
@@ -133,13 +141,10 @@ class AdaptedLayer:
             raise ShapeError(
                 f"bias must be {base.rows}x1, got {bias.rows}x{bias.cols}"
             )
-        if not (0.0 <= dropout < 1.0):
-            raise ArgumentError(f"dropout must be in [0, 1), got {dropout}")
         self.base = base
         self.adapter = adapter
         self.variant = variant
         self.bias = bias
-        self.dropout = dropout
         self.name = name
         # Captured once; merge() reuses this even if a kept weight later
         # happens to land on exact zero.
@@ -184,31 +189,24 @@ class VariantGrads:
     dbias: Optional[DenseMatrix] = None
 
 
+@dataclass(eq=False)
 class _Context:
-    """Saved-for-backward state shared by the hand-written variants."""
+    """What a layer pass keeps between forward and backward.
 
-    __slots__ = ("layer", "consumed", "tensors")
+    ``saved`` is exactly the counted saved-for-backward set; ``graph`` holds
+    spp's recorded tape and its (x, a, b, y) node ids, and is None elsewhere.
+    """
 
-    def __init__(self, layer: AdaptedLayer, **tensors):
-        self.layer = layer
-        self.consumed = False
-        self.tensors = tensors
+    layer: AdaptedLayer
+    x: DenseMatrix
+    saved: list
+    graph: Optional[tuple] = None
+    consumed: bool = False
 
     def consume(self):
         if self.consumed:
             raise GraphError("backward context already consumed")
         self.consumed = True
-
-    def __getattr__(self, key):
-        try:
-            return self.tensors[key]
-        except KeyError:
-            raise AttributeError(key)
-
-
-def mask_matrix(base: SparseWeight) -> DenseMatrix:
-    """Materialize M = (W != 0) as a float 0/1 matrix (RC extra elements)."""
-    return DenseMatrix._wrap((base.values.data != 0.0).astype(np.float64))
 
 
 def merged_weight(w: DenseMatrix, a: DenseMatrix, b: DenseMatrix, alpha: float,
@@ -224,6 +222,13 @@ def merged_weight(w: DenseMatrix, a: DenseMatrix, b: DenseMatrix, alpha: float,
     return mx.add_scaled(w, masked, alpha, counters)
 
 
+def _mask_and_merge(layer: AdaptedLayer, counters):
+    """The mask M = (W != 0) and merged weight of the masked forward (rRC + RC MACs)."""
+    pair = layer.adapter
+    mask = layer.base.mask()
+    return mask, merged_weight(layer.base.values, pair.a, pair.b, pair.alpha, mask, counters)
+
+
 def _check_x(layer: AdaptedLayer, x: DenseMatrix) -> None:
     if x.rows != layer.in_features:
         raise ShapeError(
@@ -231,15 +236,12 @@ def _check_x(layer: AdaptedLayer, x: DenseMatrix) -> None:
         )
 
 
-def _check_dy(layer: AdaptedLayer, dy: DenseMatrix, l_cols: int) -> None:
-    if dy.rows != layer.out_features or dy.cols != l_cols:
-        raise ShapeError(
-            f"gradient must be {layer.out_features}x{l_cols}, got {dy.rows}x{dy.cols}"
-        )
+def _add_bias(layer: AdaptedLayer, y: DenseMatrix, counters) -> DenseMatrix:
+    return y if layer.bias is None else mx.add_bias(y, layer.bias, counters)
 
 
 # ---------------------------------------------------------------------------
-# lora
+# forward passes
 # ---------------------------------------------------------------------------
 
 def lora_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
@@ -251,173 +253,29 @@ def lora_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
     bx = mx.matmul(pair.b, x, counters)             # rCL
     abx = mx.matmul(pair.a, bx, counters)           # rRL
     y = mx.add_scaled(base_out, abx, pair.alpha, counters)
-    if layer.bias is not None:
-        y = mx.add_bias(y, layer.bias, counters)
-    ctx = _Context(layer, x=x, bx=bx)
-    return y, ctx
+    return _add_bias(layer, y, counters), _Context(layer, x, [x, bx])
 
-
-def lora_backward(grad_y: DenseMatrix, ctx: _Context, counters=None) -> VariantGrads:
-    """dA = alpha dY (BX)^T; dB = alpha (A^T dY) X^T; dX = W^T dY + alpha B^T (A^T dY)."""
-    ctx.consume()
-    layer = ctx.layer
-    _check_dy(layer, grad_y, ctx.x.cols)
-    w = layer.base.values
-    pair = layer.adapter
-    prior = None
-    if counters is not None:
-        prior, counters.phase = counters.phase, "backward"
-    try:
-        da = mx.scale(mx.matmul(grad_y, mx.transpose(ctx.bx), counters), pair.alpha, counters)  # rRL
-        at_dy = mx.matmul(mx.transpose(pair.a), grad_y, counters)                               # rRL
-        db = mx.scale(mx.matmul(at_dy, mx.transpose(ctx.x), counters), pair.alpha, counters)    # rCL
-        dx = mx.add_scaled(
-            mx.matmul(mx.transpose(w), grad_y, counters),       # RCL
-            mx.matmul(mx.transpose(pair.b), at_dy, counters),   # rCL
-            pair.alpha, counters,
-        )
-        dbias = mx.reduce_sum_rows(grad_y, counters) if layer.bias is not None else None
-    finally:
-        if counters is not None:
-            counters.phase = prior
-    return VariantGrads(da=da, db=db, dx=dx, dbias=dbias)
-
-
-# ---------------------------------------------------------------------------
-# sqft and sqft_gc
-# ---------------------------------------------------------------------------
 
 def sqft_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
     """Y = (W + alpha (AB) . M) X; saves X, M, and the merged weight."""
     _check_x(layer, x)
-    pair = layer.adapter
-    mask = mask_matrix(layer.base)
-    merged = merged_weight(layer.base.values, pair.a, pair.b, pair.alpha, mask, counters)
+    mask, merged = _mask_and_merge(layer, counters)
     y = mx.matmul(merged, x, counters)              # RCL
-    if layer.bias is not None:
-        y = mx.add_bias(y, layer.bias, counters)
-    ctx = _Context(layer, x=x, mask=mask, merged=merged)
-    return y, ctx
+    return _add_bias(layer, y, counters), _Context(layer, x, [x, mask, merged])
 
-
-def _sqft_grads(layer: AdaptedLayer, grad_y: DenseMatrix, x: DenseMatrix,
-                mask: DenseMatrix, merged: DenseMatrix, counters) -> VariantGrads:
-    pair = layer.adapter
-    dx = mx.matmul(mx.transpose(merged), grad_y, counters)       # RCL
-    dy_xt = mx.matmul(grad_y, mx.transpose(x), counters)         # RCL
-    masked = mx.hadamard(dy_xt, mask, counters)                  # RC
-    da = mx.scale(mx.matmul(masked, mx.transpose(pair.b), counters), pair.alpha, counters)  # rRC
-    db = mx.scale(mx.matmul(mx.transpose(pair.a), masked, counters), pair.alpha, counters)  # rRC
-    dbias = mx.reduce_sum_rows(grad_y, counters) if layer.bias is not None else None
-    return VariantGrads(da=da, db=db, dx=dx, dbias=dbias)
-
-
-def sqft_backward(grad_y: DenseMatrix, ctx: _Context, counters=None) -> VariantGrads:
-    """dX = merged^T dY; dA/dB from (dY X^T) . M, scaled by alpha."""
-    ctx.consume()
-    layer = ctx.layer
-    _check_dy(layer, grad_y, ctx.x.cols)
-    prior = None
-    if counters is not None:
-        prior, counters.phase = counters.phase, "backward"
-    try:
-        return _sqft_grads(layer, grad_y, ctx.x, ctx.mask, ctx.merged, counters)
-    finally:
-        if counters is not None:
-            counters.phase = prior
-
-
-def sqft_gc_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
-    """Numerically identical to sqft_forward, but saves only X."""
-    y, full_ctx = sqft_forward(layer, x, counters)
-    ctx = _Context(layer, x=full_ctx.tensors["x"])
-    return y, ctx
-
-
-def sqft_gc_backward(grad_y: DenseMatrix, ctx: _Context, counters=None) -> VariantGrads:
-    """Rebuild mask and merged weight (rRC + RC), then run the sqft schedule."""
-    ctx.consume()
-    layer = ctx.layer
-    _check_dy(layer, grad_y, ctx.x.cols)
-    pair = layer.adapter
-    prior = None
-    if counters is not None:
-        prior, counters.phase = counters.phase, "backward"
-    try:
-        mask = mask_matrix(layer.base)
-        merged = merged_weight(layer.base.values, pair.a, pair.b, pair.alpha, mask, counters)
-        return _sqft_grads(layer, grad_y, ctx.x, mask, merged, counters)
-    finally:
-        if counters is not None:
-            counters.phase = prior
-
-
-# ---------------------------------------------------------------------------
-# lors
-# ---------------------------------------------------------------------------
 
 def lors_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
-    """sqft's forward expression, discarding mask and merged weight after use.
+    """sqft's forward, keeping only X (CL elements).
 
-    Only X is saved (CL elements). Bitwise-equal to sqft_forward because both
-    route through merged_weight with identical operand order.
+    The mask and merged weight are dropped after use and rebuilt in backward.
+    sqft_gc is the same forward under another name.
     """
-    _check_x(layer, x)
-    pair = layer.adapter
-    mask = mask_matrix(layer.base)
-    merged = merged_weight(layer.base.values, pair.a, pair.b, pair.alpha, mask, counters)
-    y = mx.matmul(merged, x, counters)              # RCL
-    if layer.bias is not None:
-        y = mx.add_bias(y, layer.bias, counters)
-    ctx = _Context(layer, x=x)
+    y, ctx = sqft_forward(layer, x, counters)
+    ctx.saved = [x]
     return y, ctx
 
 
-def lors_backward(grad_y: DenseMatrix, ctx: _Context, counters=None) -> VariantGrads:
-    """Recompute the merged weight, then rank-r reordered adapter gradients.
-
-    dX = merged^T dY (full masked weight); dA = alpha * dY (X^T B^T) and
-    dB = alpha * (A^T dY) X^T carry no mask: the straight-through estimator
-    drops it from the adapter-gradient path. Costs RCL + 2rRL + 2rCL MACs for
-    the products plus rRC + RC for the recompute.
-    """
-    ctx.consume()
-    layer = ctx.layer
-    _check_dy(layer, grad_y, ctx.x.cols)
-    pair = layer.adapter
-    x = ctx.x
-    prior = None
-    if counters is not None:
-        prior, counters.phase = counters.phase, "backward"
-    try:
-        mask = mask_matrix(layer.base)
-        merged = merged_weight(layer.base.values, pair.a, pair.b, pair.alpha, mask, counters)
-        dx = mx.matmul(mx.transpose(merged), grad_y, counters)                  # RCL
-        xt_bt = mx.matmul(mx.transpose(x), mx.transpose(pair.b), counters)      # rCL
-        at_dy = mx.matmul(mx.transpose(pair.a), grad_y, counters)               # rRL
-        da = mx.scale(mx.matmul(grad_y, xt_bt, counters), pair.alpha, counters)  # rRL
-        db = mx.scale(mx.matmul(at_dy, mx.transpose(x), counters), pair.alpha, counters)  # rCL
-        if FAULT_INJECTION["lors_backward_sign_flip"]:
-            da = mx.scale(da, -1.0)
-        dbias = mx.reduce_sum_rows(grad_y, counters) if layer.bias is not None else None
-    finally:
-        if counters is not None:
-            counters.phase = prior
-    return VariantGrads(da=da, db=db, dx=dx, dbias=dbias)
-
-
-# ---------------------------------------------------------------------------
-# spp and spp_gc
-# ---------------------------------------------------------------------------
-
-def _spp_dropout_mask(layer: AdaptedLayer, x: DenseMatrix) -> Optional[DenseMatrix]:
-    if layer.dropout <= 0.0:
-        return None
-    rng = getattr(layer, "dropout_rng", None)
-    if rng is None:
-        raise ArgumentError("spp dropout > 0 requires layer.dropout_rng to be set")
-    keep = (rng.uniforms(x.rows * x.cols) >= layer.dropout).astype(np.float64)
-    return DenseMatrix._wrap(keep.reshape(x.rows, x.cols) / (1.0 - layer.dropout))
+sqft_gc_forward = lors_forward
 
 
 def spp_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
@@ -425,129 +283,138 @@ def spp_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
 
     tile(A, n) lays n copies of A side by side, so column q of the tiled
     matrix is A[:, q mod r]. The backward pass is whatever reverse-mode
-    differentiation of this graph yields; nothing is hand-scheduled.
+    differentiation of this graph yields; nothing is hand-scheduled. The
+    saved set is what the graph's nodes saved (3RC + CL).
     """
     _check_x(layer, x)
     adapter = layer.adapter
-    r = adapter.rank
     tape = Tape(counters=counters, track_saved=False)
     w_id = tape.leaf(layer.base.values, requires_grad=False, is_param=True, name="base")
     a_id = tape.leaf(adapter.a, requires_grad=True, is_param=True, name="a")
     b_id = tape.leaf(adapter.b, requires_grad=True, is_param=True, name="b")
     x_id = tape.leaf(x, requires_grad=True, name="x")
-
-    branch_x = x_id
-    drop = _spp_dropout_mask(layer, x)
-    if drop is not None:
-        drop_id = tape.leaf(drop, requires_grad=False, name="dropout_mask")
-        branch_x = tape.hadamard(x_id, drop_id)
-
-    rep_a = tape.repeat_cols(a_id, layer.in_features // r)
+    rep_a = tape.repeat_cols(a_id, layer.in_features // adapter.rank)
     t1 = tape.hadamard(w_id, rep_a)
     rep_b = tape.repeat_rows(b_id, layer.out_features)
     t2 = tape.hadamard(t1, rep_b)
-    adapted = tape.matmul(t2, branch_x)
+    adapted = tape.matmul(t2, x_id)
     base_out = tape.matmul(w_id, x_id)
     y_id = tape.add(base_out, adapted)
-    bias_id = None
-    if layer.bias is not None:
-        bias_id = tape.leaf(layer.bias, requires_grad=True, is_param=True, name="bias")
-        y_id = tape.add_bias(y_id, bias_id)
-
-    ctx = _Context(layer, x=x)
-    ctx.tensors["tape"] = tape
-    ctx.tensors["ids"] = {"x": x_id, "a": a_id, "b": b_id, "bias": bias_id, "y": y_id}
-    return tape.value(y_id), ctx
+    saved = [t for node in tape.nodes for t in node.saved]
+    ctx = _Context(layer, x, saved, graph=(tape, (x_id, a_id, b_id, y_id)))
+    return _add_bias(layer, tape.value(y_id), counters), ctx
 
 
-def spp_backward(grad_y: DenseMatrix, ctx: _Context, counters=None) -> VariantGrads:
-    """Reverse pass of the recorded Repeat-expression graph.
-
-    Tallies land in the counters bound when the graph was recorded (the ones
-    passed to spp_forward); the ``counters`` argument exists for signature
-    uniformity only.
-    """
-    ctx.consume()
-    layer = ctx.layer
-    tape: Tape = ctx.tensors["tape"]
-    ids = ctx.tensors["ids"]
-    _check_dy(layer, grad_y, ctx.x.cols)
-    grads = tape.backward(ids["y"], seed=grad_y)
-    dbias = grads.get(ids["bias"]) if ids["bias"] is not None else None
-    return VariantGrads(da=grads[ids["a"]], db=grads[ids["b"]], dx=grads[ids["x"]], dbias=dbias)
-
-
-def spp_counted_saved(ctx: _Context) -> list[DenseMatrix]:
-    """Tensors the Repeat-expression graph saved for backward (3RC + CL)."""
-    tape: Tape = ctx.tensors["tape"]
-    return [t for node in tape.nodes for t in node.saved]
-
-
-def _block_diag_expand(b: DenseMatrix, r: int) -> DenseMatrix:
-    """Scatter a 1 x C row into r x C with entry (q mod r, q) = b[q]."""
-    cols = b.cols
-    out = np.zeros((r, cols))
-    idx = np.arange(cols)
-    out[idx % r, idx] = b.data[0]
-    return DenseMatrix._wrap(out)
-
-
-def spp_gc_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
-    """The spp function in merged form: Y = (W + W . (A @ Bhat)) X; saves only X.
+def _record_spp_gc(layer: AdaptedLayer, x: DenseMatrix, counters):
+    """Record the spp function in merged form, Y = (W + W . (A @ Bhat)) X.
 
     Bhat is the block-diagonal expansion of B, which makes the merged form
     equal (up to rounding) to the Repeat form while exposing the rank-r
     matmul A @ Bhat (rRC MACs) instead of a tiled Hadamard chain.
     """
-    _check_x(layer, x)
     adapter = layer.adapter
-    if layer.dropout > 0.0:
-        raise ArgumentError("spp_gc does not support dropout > 0")
-    bhat = _block_diag_expand(adapter.b, adapter.rank)
-    product = mx.matmul(adapter.a, bhat, counters)       # rRC
-    scaled_w = mx.hadamard(layer.base.values, product, counters)  # RC
-    merged = mx.add(layer.base.values, scaled_w, counters)
-    y = mx.matmul(merged, x, counters)                   # RCL
-    if layer.bias is not None:
-        y = mx.add_bias(y, layer.bias, counters)
-    ctx = _Context(layer, x=x)
-    return y, ctx
+    tape = Tape(counters=counters, track_saved=False)
+    w_id = tape.leaf(layer.base.values, requires_grad=False, is_param=True)
+    a_id = tape.leaf(adapter.a, requires_grad=True, is_param=True)
+    b_id = tape.leaf(adapter.b, requires_grad=True, is_param=True)
+    x_id = tape.leaf(x, requires_grad=True)
+    bhat_id = tape.block_diag_rows(b_id, adapter.rank)
+    product = tape.matmul(a_id, bhat_id)          # rRC
+    scaled_w = tape.hadamard(w_id, product)       # RC
+    merged = tape.add(w_id, scaled_w)
+    y_id = tape.matmul(merged, x_id)              # RCL
+    return tape, (x_id, a_id, b_id, y_id)
 
 
-def spp_gc_backward(grad_y: DenseMatrix, ctx: _Context, counters=None) -> VariantGrads:
-    """Replay the full merged-form forward on a scratch tape, then differentiate.
+def spp_gc_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
+    """The merged-form spp graph, evaluated and dropped; saves only X."""
+    _check_x(layer, x)
+    tape, ids = _record_spp_gc(layer, x, counters)
+    return _add_bias(layer, tape.value(ids[-1]), counters), _Context(layer, x, [x])
+
+
+# ---------------------------------------------------------------------------
+# backward bodies: (ctx, dY, counters) -> (dA, dB, dX), run by variant_backward
+# in the backward phase after the shared preamble
+# ---------------------------------------------------------------------------
+
+def _lora_backward(ctx: _Context, grad_y: DenseMatrix, counters):
+    """dA = alpha dY (BX)^T; dB = alpha (A^T dY) X^T; dX = W^T dY + alpha B^T (A^T dY)."""
+    pair = ctx.layer.adapter
+    x, bx = ctx.saved
+    da = mx.scale(mx.matmul(grad_y, mx.transpose(bx), counters), pair.alpha, counters)  # rRL
+    at_dy = mx.matmul(mx.transpose(pair.a), grad_y, counters)                           # rRL
+    db = mx.scale(mx.matmul(at_dy, mx.transpose(x), counters), pair.alpha, counters)    # rCL
+    dx = mx.add_scaled(
+        mx.matmul(mx.transpose(ctx.layer.base.values), grad_y, counters),  # RCL
+        mx.matmul(mx.transpose(pair.b), at_dy, counters),                  # rCL
+        pair.alpha, counters,
+    )
+    return da, db, dx
+
+
+def _sqft_grads(ctx: _Context, grad_y: DenseMatrix, mask: DenseMatrix,
+                merged: DenseMatrix, counters):
+    """dX = merged^T dY; dA/dB from (dY X^T) . M, scaled by alpha."""
+    pair = ctx.layer.adapter
+    dx = mx.matmul(mx.transpose(merged), grad_y, counters)       # RCL
+    dy_xt = mx.matmul(grad_y, mx.transpose(ctx.x), counters)     # RCL
+    masked = mx.hadamard(dy_xt, mask, counters)                  # RC
+    da = mx.scale(mx.matmul(masked, mx.transpose(pair.b), counters), pair.alpha, counters)  # rRC
+    db = mx.scale(mx.matmul(mx.transpose(pair.a), masked, counters), pair.alpha, counters)  # rRC
+    return da, db, dx
+
+
+def _sqft_backward(ctx: _Context, grad_y: DenseMatrix, counters):
+    _, mask, merged = ctx.saved
+    return _sqft_grads(ctx, grad_y, mask, merged, counters)
+
+
+def _sqft_gc_backward(ctx: _Context, grad_y: DenseMatrix, counters):
+    """Rebuild mask and merged weight (rRC + RC), then run the sqft schedule."""
+    return _sqft_grads(ctx, grad_y, *_mask_and_merge(ctx.layer, counters), counters)
+
+
+def _lors_backward(ctx: _Context, grad_y: DenseMatrix, counters):
+    """Recompute the merged weight, then rank-r reordered adapter gradients.
+
+    dX = merged^T dY (full masked weight); dA = alpha * dY (X^T B^T) and
+    dB = alpha * (A^T dY) X^T carry no mask: the straight-through estimator
+    drops it from the adapter-gradient path. Costs RCL + 2rRL + 2rCL MACs for
+    the products plus rRC + RC for the recompute.
+    """
+    pair = ctx.layer.adapter
+    x = ctx.x
+    _, merged = _mask_and_merge(ctx.layer, counters)
+    dx = mx.matmul(mx.transpose(merged), grad_y, counters)                  # RCL
+    xt_bt = mx.matmul(mx.transpose(x), mx.transpose(pair.b), counters)      # rCL
+    at_dy = mx.matmul(mx.transpose(pair.a), grad_y, counters)               # rRL
+    da = mx.scale(mx.matmul(grad_y, xt_bt, counters), pair.alpha, counters)  # rRL
+    db = mx.scale(mx.matmul(at_dy, mx.transpose(x), counters), pair.alpha, counters)  # rCL
+    if FAULT_INJECTION["lors_backward_sign_flip"]:
+        da = mx.scale(da, -1.0)
+    return da, db, dx
+
+
+def _graph_grads(tape: Tape, ids: tuple, grad_y: DenseMatrix):
+    x_id, a_id, b_id, y_id = ids
+    grads = tape.backward(y_id, seed=grad_y)
+    return grads[a_id], grads[b_id], grads[x_id]
+
+
+def _spp_backward(ctx: _Context, grad_y: DenseMatrix, counters):
+    """Reverse pass of the recorded Repeat-expression graph; tallies land in
+    the counters bound when the graph was recorded."""
+    return _graph_grads(*ctx.graph, grad_y)
+
+
+def _spp_gc_backward(ctx: _Context, grad_y: DenseMatrix, counters):
+    """Replay the merged-form graph on a scratch tape, then differentiate.
 
     The replay (rRC + RC + RCL) plus the derived reverse pass
     (2RCL + RC + 2rRC) lands on 3RCL + 3rRC + 2RC backward MACs.
     """
-    ctx.consume()
-    layer = ctx.layer
-    adapter = layer.adapter
-    _check_dy(layer, grad_y, ctx.x.cols)
-    prior = None
-    if counters is not None:
-        prior, counters.phase = counters.phase, "backward"
-    try:
-        tape = Tape(counters=counters, track_saved=False)
-        w_id = tape.leaf(layer.base.values, requires_grad=False, is_param=True)
-        a_id = tape.leaf(adapter.a, requires_grad=True, is_param=True)
-        b_id = tape.leaf(adapter.b, requires_grad=True, is_param=True)
-        x_id = tape.leaf(ctx.x, requires_grad=True)
-        bhat_id = tape.block_diag_rows(b_id, adapter.rank)
-        product = tape.matmul(a_id, bhat_id)          # rRC
-        scaled_w = tape.hadamard(w_id, product)       # RC
-        merged = tape.add(w_id, scaled_w)
-        y_id = tape.matmul(merged, x_id)              # RCL
-        bias_id = None
-        if layer.bias is not None:
-            bias_id = tape.leaf(layer.bias, requires_grad=True, is_param=True)
-            y_id = tape.add_bias(y_id, bias_id)
-        grads = tape.backward(y_id, seed=grad_y)
-        dbias = grads.get(bias_id) if bias_id is not None else None
-        return VariantGrads(da=grads[a_id], db=grads[b_id], dx=grads[x_id], dbias=dbias)
-    finally:
-        if counters is not None:
-            counters.phase = prior
+    return _graph_grads(*_record_spp_gc(ctx.layer, ctx.x, counters), grad_y)
 
 
 # ---------------------------------------------------------------------------
@@ -564,12 +431,12 @@ _FORWARD = {
 }
 
 _BACKWARD = {
-    "lora": lora_backward,
-    "sqft": sqft_backward,
-    "sqft_gc": sqft_gc_backward,
-    "spp": spp_backward,
-    "spp_gc": spp_gc_backward,
-    "lors": lors_backward,
+    "lora": _lora_backward,
+    "sqft": _sqft_backward,
+    "sqft_gc": _sqft_gc_backward,
+    "spp": _spp_backward,
+    "spp_gc": _spp_gc_backward,
+    "lors": _lors_backward,
 }
 
 
@@ -578,18 +445,21 @@ def variant_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
 
 
 def variant_backward(layer: AdaptedLayer, grad_y: DenseMatrix, ctx, counters=None) -> VariantGrads:
-    return _BACKWARD[layer.variant](grad_y, ctx, counters)
+    """Consume ctx once, check dY, and run the variant's backward body with
+    the counters in the backward phase; dbias is the row sum of dY."""
+    ctx.consume()
+    rows, cols = ctx.layer.out_features, ctx.x.cols
+    if grad_y.shape != (rows, cols):
+        raise ShapeError(f"gradient must be {rows}x{cols}, got {grad_y.rows}x{grad_y.cols}")
+    with counters.backward_phase() if counters is not None else nullcontext():
+        da, db, dx = _BACKWARD[layer.variant](ctx, grad_y, counters)
+        dbias = mx.reduce_sum_rows(grad_y, counters) if ctx.layer.bias is not None else None
+    return VariantGrads(da=da, db=db, dx=dx, dbias=dbias)
 
 
 def counted_saved(layer: AdaptedLayer, ctx: _Context) -> list[DenseMatrix]:
     """The tensors a layer keeps alive between forward and backward."""
-    if layer.variant == "lora":
-        return [ctx.x, ctx.bx]
-    if layer.variant == "sqft":
-        return [ctx.x, ctx.mask, ctx.merged]
-    if layer.variant == "spp":
-        return spp_counted_saved(ctx)
-    return [ctx.x]  # sqft_gc, spp_gc, lors
+    return ctx.saved
 
 
 def apply_layer(tape: Tape, layer: AdaptedLayer, x_id: int) -> int:

@@ -53,6 +53,11 @@ def save_checkpoint(path, tensors: Dict[str, DenseMatrix]) -> None:
             fh.write(chunk)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; bool is an int subclass, so ``true`` must be refused."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_checkpoint(path) -> Dict[str, DenseMatrix]:
     try:
         with open(path, "rb") as fh:
@@ -92,13 +97,13 @@ def load_checkpoint(path) -> Dict[str, DenseMatrix]:
                 f"tensor {name!r} has dtype {entry['dtype']!r}, only f64 is supported"
             )
         if (not isinstance(shape, list) or len(shape) != 2
-                or not all(isinstance(d, int) and d > 0 for d in shape)):
+                or not all(_is_int(d) and d > 0 for d in shape)):
             raise CheckpointFormatError(f"tensor {name!r} has invalid shape {shape!r}")
         if name in tensors:
             raise CheckpointFormatError(f"duplicate tensor name {name!r}")
         offset = entry["offset"]
         nbytes = shape[0] * shape[1] * 8
-        if not isinstance(offset, int) or offset < 0 or offset + nbytes > len(payload):
+        if not _is_int(offset) or offset < 0 or offset + nbytes > len(payload):
             raise CheckpointFormatError(
                 f"tensor {name!r} extent [{offset}, {offset + nbytes}) falls outside "
                 f"the {len(payload)}-byte payload"

@@ -156,15 +156,15 @@ def cmd_prune(args) -> int:
 
 
 def cmd_train(args) -> int:
+    init = InitSpec(strategy=args.init, seed=args.seed, std=args.std)
+    config = TrainConfig(steps=args.steps, batch_size=args.batch_size,
+                         lr=args.lr, optimizer=args.optimizer,
+                         variant=args.variant, init=init, seed=args.seed)
     tensors = load_checkpoint(args.ckpt)
     head = "classification" if args.task == "clusters" else "regression"
     model = _model_from_checkpoint(tensors, args.variant, args.rank, args.alpha,
                                    head=head)
     dataset = _task_dataset(args.task, model, args.seed, args.samples)
-    init = InitSpec(strategy=args.init, seed=args.seed, std=args.std)
-    config = TrainConfig(steps=args.steps, batch_size=args.batch_size,
-                         lr=args.lr, optimizer=args.optimizer,
-                         variant=args.variant, init=init, seed=args.seed)
     _, trace = finetune(model, dataset, config)
 
     merged_tensors = {}

@@ -9,6 +9,13 @@ released before the next is formed, so at most one dense R x C gradient is
 alive on top of the recorded activations; ``MemoryGauge`` instruments that
 claim.
 
+dW is the raw output gradient: it has rank at most L (the probe width),
+whereas dW . M would not be low rank.
+
+``record_loss`` is the one loss in the package: training, evaluation, the
+gradient-SVD probe, and ``first_step_update_check`` all record it on a tape,
+and dLoss/dY comes from the tape's reverse pass.
+
 ``first_step_update_check`` verifies the motivating identity empirically:
 with A = 0, one gradient step of rate lr moves the merged weight by
 -lr * alpha^2 * dW B^T B (mask effects disregarded, exact when the base has
@@ -99,23 +106,34 @@ class ProbeBatch:
         return self.inputs.cols
 
 
+def record_loss(tape: Tape, y_id: int, probe: ProbeBatch) -> int:
+    """Record the probe's loss of output node y_id; returns the 1x1 loss node.
+
+    Regression: 0.5 * sum of squared errors / L, so dY = (Y - T) / L.
+    Classification: mean softmax cross-entropy over columns,
+    dY = (softmax(Y) - onehot) / L.
+    """
+    if probe.loss == "regression":
+        t_id = tape.leaf(probe.targets, name="targets")
+        sq = tape.square(tape.sub(y_id, t_id))
+        return tape.scale(tape.sum_all(sq), 0.5 / probe.size, name="loss")
+    return tape.softmax_cross_entropy(y_id, probe.targets, name="loss")
+
+
 class MemoryGauge:
     """Tracks extra dense allocations (in elements) during initialization."""
 
     def __init__(self):
         self.current = 0
         self.peak = 0
-        self.events: list[tuple[str, int]] = []
 
     def alloc(self, n: int) -> None:
         self.current += n
-        self.events.append(("alloc", n))
         if self.current > self.peak:
             self.peak = self.current
 
     def free(self, n: int) -> None:
         self.current -= n
-        self.events.append(("free", n))
 
 
 def fit_rank_r_rows(dw: DenseMatrix, r: int, scale: float = 1.0) -> DenseMatrix:
@@ -168,18 +186,16 @@ def init_zero_random(layer: AdaptedLayer, seed: int, std: float):
     return adapter
 
 
-def init_gradient_svd(model, probe: ProbeBatch, r: int, scale: float = 1.0,
-                      masked_gradient: bool = False,
+def init_gradient_svd(model, probe: ProbeBatch, r: int, scale: float = 1.0, *,
                       gauge: Optional[MemoryGauge] = None,
                       diagnostics: Optional[list] = None) -> list[AdapterPair]:
     """Set every layer's B from the SVD of its first-step gradient; A = 0.
 
     Runs one probe forward/backward with all adapters zeroed, then walks the
     layers in order: form dW = dY X^T, take the top-r right singular vectors
-    as B, and drop dW before touching the next layer. dW is the raw output
-    gradient by default; ``masked_gradient`` restricts it to the sparsity
-    pattern first. When a ``diagnostics`` list is supplied, one dict per layer
-    records the projection residual and singular tail.
+    as B, and drop dW before touching the next layer. When a ``diagnostics``
+    list is supplied, one dict per layer records the projection residual and
+    singular tail.
     """
     layers = list(model.layers)
     for layer in layers:
@@ -207,8 +223,6 @@ def init_gradient_svd(model, probe: ProbeBatch, r: int, scale: float = 1.0,
         if gauge is not None:
             gauge.alloc(n_elems)
         dw = mx.matmul(dy, mx.transpose(x))
-        if masked_gradient:
-            dw = mx.hadamard(dw, DenseMatrix(layer.original_mask.astype(np.float64)))
         b = fit_rank_r_rows(dw, r)
         if diagnostics is not None:
             diagnostics.append({
@@ -245,36 +259,6 @@ def apply_init(model, spec: InitSpec, probe: Optional[ProbeBatch] = None):
     if len(ranks) != 1:
         raise ArgumentError(f"layers disagree on rank: {sorted(ranks)}")
     return init_gradient_svd(model, probe, r=ranks.pop(), scale=spec.scale)
-
-
-def probe_loss_grad(y: DenseMatrix, probe: ProbeBatch):
-    """Loss value and dLoss/dY for a single output, without a tape.
-
-    Regression: 0.5 * sum of squared errors / L, so dY = (Y - T) / L.
-    Classification: mean softmax cross-entropy over columns,
-    dY = (softmax(Y) - onehot) / L.
-    """
-    if probe.loss == "regression":
-        t = probe.targets
-        if t.rows != y.rows or t.cols != y.cols:
-            raise ShapeError(
-                f"targets are {t.rows}x{t.cols}, output is {y.rows}x{y.cols}"
-            )
-        diff = mx.sub(y, t)
-        n = y.cols
-        loss = 0.5 * float(np.sum(diff.data ** 2)) / n
-        return loss, mx.scale(diff, 1.0 / n)
-    labels = probe.targets
-    shifted = y.data - y.data.max(axis=0, keepdims=True)
-    ez = np.exp(shifted)
-    probs = ez / ez.sum(axis=0, keepdims=True)
-    n = y.cols
-    picked = probs[labels, np.arange(n)]
-    loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
-    g = probs.copy()
-    g[labels, np.arange(n)] -= 1.0
-    g /= n
-    return loss, DenseMatrix._wrap(g)
 
 
 @dataclass
@@ -314,7 +298,11 @@ def first_step_update_check(layer: AdaptedLayer, probe: ProbeBatch,
 
     w0 = merge(work).values
     y, ctx = variant_forward(work, x)
-    loss, dy = probe_loss_grad(y, probe)
+    tape = Tape()
+    y_id = tape.leaf(y, requires_grad=True)
+    loss_id = record_loss(tape, y_id, probe)
+    loss = float(tape.value(loss_id).data[0, 0])
+    dy = tape.backward(loss_id)[y_id]
     grads = variant_backward(work, dy, ctx)
 
     work.adapter.a.data[:] -= lr * grads.da.data

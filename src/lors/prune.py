@@ -62,8 +62,8 @@ class SparseWeight:
         return self.values.data != 0.0
 
     def mask(self) -> DenseMatrix:
-        """The 0/1 float mask M = (values != 0)."""
-        return DenseMatrix(self.mask_bool().astype(np.float64))
+        """The 0/1 float mask M = (values != 0), RC extra elements."""
+        return DenseMatrix._wrap(self.mask_bool().astype(np.float64))
 
     def nonzeros(self) -> int:
         return int(np.count_nonzero(self.values.data))
@@ -115,9 +115,9 @@ def prune_activation_scaled(w: DenseMatrix, calib: CalibrationBatch, ratio: floa
     out = w.data.copy()
     n_remove = int(ratio * w.cols)
     if n_remove:
-        for i in range(w.rows):
-            order = np.lexsort((np.arange(w.cols), scores[i]))
-            out[i, order[:n_remove]] = 0.0
+        # a stable sort keeps equal scores in column order: smaller index first
+        order = np.argsort(scores, axis=1, kind="stable")
+        np.put_along_axis(out, order[:, :n_remove], 0.0, axis=1)
     return SparseWeight(DenseMatrix(out), pattern="unstructured", ratio=ratio)
 
 
@@ -138,15 +138,13 @@ def prune_two_four(w: DenseMatrix, score: str = "magnitude",
         scores = np.abs(w.data) * calib.feature_norms()[np.newaxis, :]
     else:
         raise ArgumentError(f"unknown score {score!r}")
-    out = w.data.copy()
-    for i in range(w.rows):
-        for g in range(w.cols // 4):
-            sl = slice(4 * g, 4 * g + 4)
-            group = scores[i, sl]
-            # Remove the two lowest; ties resolved by smaller index first.
-            order = np.lexsort((np.arange(4), group))
-            out[i, sl][order[:2]] = 0.0
-    return SparseWeight(DenseMatrix(out), pattern="two_four")
+    groups = (w.rows, w.cols // 4, 4)
+    out = w.data.copy().reshape(groups)
+    # Remove the two lowest of each group; the stable sort resolves ties by
+    # smaller index first.
+    order = np.argsort(scores.reshape(groups), axis=2, kind="stable")
+    np.put_along_axis(out, order[:, :, :2], 0.0, axis=2)
+    return SparseWeight(DenseMatrix(out.reshape(w.rows, w.cols)), pattern="two_four")
 
 
 def sparsity(sw: SparseWeight) -> float:

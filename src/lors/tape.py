@@ -25,7 +25,8 @@ cost tallies respect what a given graph actually needs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -60,6 +61,16 @@ class CostCounters:
 
     def add_saved(self, n: int) -> None:
         self.saved_elements += n
+
+    @contextmanager
+    def backward_phase(self):
+        """Tally into the backward buckets inside the block, then restore the
+        prior phase (also when the block raises)."""
+        prior, self.phase = self.phase, "backward"
+        try:
+            yield self
+        finally:
+            self.phase = prior
 
 
 def reset_counters(counters: CostCounters) -> None:
@@ -120,7 +131,6 @@ class Tape:
         self.nodes: list[TapeNode] = []
         self.saved_ctx = SavedContext()
         self.consumed = False
-        self.backward_invocations = 0
 
     # -- construction -------------------------------------------------------
 
@@ -157,9 +167,6 @@ class Tape:
     def value(self, node_id: int) -> DenseMatrix:
         return self.nodes[node_id].value
 
-    def node(self, node_id: int) -> TapeNode:
-        return self.nodes[node_id]
-
     # -- differentiation ----------------------------------------------------
 
     def backward(self, loss_id: int, seed: Optional[DenseMatrix] = None) -> dict[int, DenseMatrix]:
@@ -186,14 +193,11 @@ class Tape:
                 f"node shape {loss.value.rows}x{loss.value.cols}"
             )
         self.consumed = True
-        prior_phase = self.counters.phase
-        self.counters.phase = "backward"
         grads: dict[int, DenseMatrix] = {loss_id: seed}
-        try:
+        with self.counters.backward_phase():
             for node in reversed(self.nodes[: loss_id + 1]):
                 if node.id not in grads or node.backward_fn is None:
                     continue
-                self.backward_invocations += 1
                 input_grads = node.backward_fn(grads[node.id])
                 for inp_id, g in zip(node.inputs, input_grads):
                     if g is None:
@@ -203,8 +207,6 @@ class Tape:
                     else:
                         grads[inp_id] = g
                 self.saved_ctx.on_release(node.id)
-        finally:
-            self.counters.phase = prior_phase
         return grads
 
     # -- primitive differentiable ops ----------------------------------------

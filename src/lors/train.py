@@ -25,7 +25,7 @@ from .matrix import DenseMatrix, Rng
 from .prune import SparseWeight, prune_magnitude
 from .tape import CostCounters, Tape
 from .adapters import VARIANTS, AdaptedLayer, apply_layer, make_layer
-from .initialization import InitSpec, ProbeBatch, apply_init
+from .initialization import InitSpec, ProbeBatch, apply_init, record_loss
 
 OPTIMIZERS = ("sgd", "adaptive")
 
@@ -69,13 +69,7 @@ class ToyModel:
     def forward_loss(self, tape: Tape, probe: ProbeBatch) -> int:
         """Record the forward pass plus the probe's loss; returns the loss node."""
         x_id = tape.leaf(probe.inputs, name="input")
-        y_id = self.forward(tape, x_id)
-        if probe.loss == "regression":
-            t_id = tape.leaf(probe.targets, name="targets")
-            diff = tape.sub(y_id, t_id)
-            sq = tape.square(diff)
-            return tape.scale(tape.sum_all(sq), 0.5 / probe.size, name="loss")
-        return tape.softmax_cross_entropy(y_id, probe.targets, name="loss")
+        return record_loss(tape, self.forward(tape, x_id), probe)
 
     def predict(self, x: DenseMatrix) -> DenseMatrix:
         tape = Tape()
@@ -124,8 +118,8 @@ class OptimState:
     def __post_init__(self):
         if self.kind not in OPTIMIZERS:
             raise ArgumentError(f"unknown optimizer {self.kind!r}, expected one of {OPTIMIZERS}")
-        if self.lr < 0:
-            raise ArgumentError(f"lr must be nonnegative, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ArgumentError(f"lr must be finite and nonnegative, got {self.lr}")
 
     def _buffer(self, store: dict, name: str, shape) -> np.ndarray:
         buf = store.get(name)
@@ -169,8 +163,7 @@ class TrainConfig:
             raise ArgumentError(f"steps must be nonnegative, got {self.steps}")
         if self.batch_size < 1:
             raise ArgumentError(f"batch_size must be positive, got {self.batch_size}")
-        if self.optimizer not in OPTIMIZERS:
-            raise ArgumentError(f"unknown optimizer {self.optimizer!r}")
+        make_optimizer(self)  # rejects a bad optimizer kind or lr up front
         if self.variant not in VARIANTS:
             raise ArgumentError(f"unknown variant {self.variant!r}")
 
@@ -284,16 +277,11 @@ def evaluate(model: ToyModel, dataset: Dataset) -> dict:
     if dataset.size < 1:
         raise ArgumentError("dataset must be nonempty")
     probe = dataset.full()
-    y = model.predict(probe.inputs)
+    tape = Tape()
+    loss = float(tape.value(model.forward_loss(tape, probe)).data[0, 0])
     if probe.loss == "regression":
-        diff = y.data - probe.targets.data
-        loss = 0.5 * float(np.sum(diff * diff)) / probe.size
         return {"loss": loss, "accuracy": None}
-    shifted = y.data - y.data.max(axis=0, keepdims=True)
-    ez = np.exp(shifted)
-    probs = ez / ez.sum(axis=0, keepdims=True)
-    picked = probs[probe.targets, np.arange(probe.size)]
-    loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+    y = tape.value(model.layers[-1].last_nodes["out"])
     accuracy = float(np.mean(np.argmax(y.data, axis=0) == probe.targets))
     return {"loss": loss, "accuracy": accuracy}
 

@@ -297,9 +297,6 @@ def test_adapter_validation():
     with pytest.raises(ShapeError):
         make_layer(base, rank=2, variant="lora",
                    bias=DenseMatrix(np.ones((3, 1))))
-    with pytest.raises(ArgumentError):
-        AdaptedLayer(base, AdapterPair(mx.zeros(4, 2), mx.zeros(2, 6)),
-                     "lora", dropout=1.0)
 
 
 def test_merge_stays_inside_original_mask():
@@ -416,15 +413,31 @@ def test_lors_costs_dominate_at_realistic_shapes():
         assert preds["lors"].macs_backward < preds["spp_gc"].macs_backward
 
 
-def test_spp_dropout_needs_rng():
-    layer = random_layer(31, "spp", R=4, C=8, r=2)
-    layer.dropout = 0.5
-    x = DenseMatrix(np.ones((8, 3)))
-    with pytest.raises(ArgumentError):
-        variant_forward(layer, x)
-    layer.dropout_rng = Rng(5)
-    y, _ = variant_forward(layer, x)
-    assert y.shape == (4, 3)
+def test_direct_passes_tally_predicted_macs_and_restore_phase():
+    """variant_forward then variant_backward, counters but no tape."""
+    for i, variant in enumerate(VARIANTS):
+        r = 3 if variant in ("spp", "spp_gc") else 2
+        layer = random_layer(40 + i, variant, R=5, C=6, r=r, bias=True)
+        x = DenseMatrix(np.random.default_rng(40 + i).normal(size=(6, 4)))
+        c = CostCounters()
+        _, ctx = variant_forward(layer, x, c)
+        variant_backward(layer, DenseMatrix(np.ones((5, 4))), ctx, c)
+        pred = predict_cost(variant, 5, 6, 4, r)
+        assert (c.macs_forward, c.macs_backward) == (pred.macs_forward,
+                                                     pred.macs_backward), variant
+        assert c.phase == "forward", variant
+    # the phase comes back also when the backward body raises
+    layer = random_layer(47, "lora", R=5, C=6, r=2)
+    _, ctx = variant_forward(layer, x, c)
+    layer.adapter.a = DenseMatrix(np.ones((4, 2)))
+    with pytest.raises(ShapeError):
+        variant_backward(layer, DenseMatrix(np.ones((5, 4))), ctx, c)
+    assert c.phase == "forward"
+    with pytest.raises(RuntimeError):
+        with c.backward_phase():
+            assert c.phase == "backward"
+            raise RuntimeError("body failed")
+    assert c.phase == "forward"
 
 
 def test_apply_layer_exposes_named_nodes_and_grads():

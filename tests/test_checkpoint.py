@@ -124,6 +124,8 @@ def test_manifest_entry_validation(tmp_path):
         [{"name": "x", "shape": [2, 2], "dtype": "f64", "offset": 8}],  # runs past end
         [{"name": "x", "shape": [1, 2], "dtype": "f64", "offset": 0},
          {"name": "x", "shape": [1, 2], "dtype": "f64", "offset": 16}],  # duplicate
+        [{"name": "x", "shape": [True, 2], "dtype": "f64", "offset": 0}],  # bool dim
+        [{"name": "x", "shape": [1, 2], "dtype": "f64", "offset": False}],  # bool offset
     ]
     for i, manifest in enumerate(cases):
         p = write_with_manifest(tmp_path / f"bad{i}.lors", manifest, payload)

@@ -104,6 +104,17 @@ def test_train_end_to_end(tmp_path, capsys):
     assert len(lines) == 1 + 5
 
 
+def test_train_rejects_nonfinite_lr(tmp_path, capsys):
+    src = make_ckpt(tmp_path / "base.lors", dims=(4, 4))
+    for lr in ("nan", "inf"):
+        out = tmp_path / f"tuned-{lr}.lors"
+        code = main(["train", "--ckpt", str(src), "--out", str(out),
+                     "--steps", "2", "--rank", "1", "--lr", lr])
+        assert code == EXIT_IO, lr
+        assert "lr must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_train_metrics_default_path(tmp_path, capsys):
     src = make_ckpt(tmp_path / "b.lors", dims=(4, 4))
     sparse = tmp_path / "s.lors"

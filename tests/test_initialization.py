@@ -14,12 +14,13 @@ from lors.initialization import (
     init_gradient_svd,
     init_zero_random,
     init_zero_zero,
-    probe_loss_grad,
     projection_residual,
+    record_loss,
     singular_tail,
 )
 from lors.matrix import DenseMatrix, Rng
 from lors.prune import SparseWeight
+from lors.tape import Tape
 from lors.train import ToyModel, model_from_weights, random_dense_weights
 
 
@@ -180,30 +181,38 @@ def test_probe_batch_validation():
     assert p.size == 4
 
 
-def test_probe_loss_grad_regression():
+def loss_and_grad(y, probe):
+    """Loss value and dLoss/dY of the shared recorder for a raw output y."""
+    tape = Tape()
+    y_id = tape.leaf(DenseMatrix(y), requires_grad=True)
+    loss_id = record_loss(tape, y_id, probe)
+    return float(tape.value(loss_id).data[0, 0]), tape.backward(loss_id)[y_id]
+
+
+def test_record_loss_regression():
     rng = np.random.default_rng(5)
     y = rng.normal(size=(3, 6))
     t = rng.normal(size=(3, 6))
     probe = ProbeBatch(inputs=DenseMatrix(np.ones((2, 6))), targets=DenseMatrix(t))
-    loss, g = probe_loss_grad(DenseMatrix(y), probe)
+    loss, g = loss_and_grad(y, probe)
     assert abs(loss - 0.5 * np.sum((y - t) ** 2) / 6) < 1e-12
     assert np.allclose(g.data, (y - t) / 6, atol=1e-15)
 
 
-def test_probe_loss_grad_classification_matches_fd():
+def test_record_loss_classification_matches_fd():
     rng = np.random.default_rng(6)
     y0 = rng.normal(size=(4, 5))
     labels = rng.integers(0, 4, size=5)
     probe = ProbeBatch(inputs=DenseMatrix(np.ones((2, 5))), targets=labels,
                        loss="classification")
-    loss, g = probe_loss_grad(DenseMatrix(y0), probe)
+    loss, g = loss_and_grad(y0, probe)
     h = 1e-6
     for i in range(4):
         for j in range(5):
             yp = y0.copy(); yp[i, j] += h
             ym = y0.copy(); ym[i, j] -= h
-            lp, _ = probe_loss_grad(DenseMatrix(yp), probe)
-            lm, _ = probe_loss_grad(DenseMatrix(ym), probe)
+            lp, _ = loss_and_grad(yp, probe)
+            lm, _ = loss_and_grad(ym, probe)
             assert abs((lp - lm) / (2 * h) - g.data[i, j]) < 1e-6
 
 

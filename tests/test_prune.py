@@ -120,6 +120,30 @@ def test_two_four_activation_scoring():
     assert np.array_equal(sw.values.data != 0.0, np.array([[True, True, False, False]]))
 
 
+def test_vectorized_pruners_match_loop_reference():
+    """Per-row and per-group lexsort loops, on values with many ties."""
+    rng = np.random.default_rng(8)
+    for trial in range(10):
+        rows, cols = int(rng.integers(1, 7)), 4 * int(rng.integers(1, 5))
+        w = np.round(rng.normal(size=(rows, cols)), 0)
+        norms = np.round(rng.random(cols) * 3.0, 0) + 1.0
+        calib = CalibrationBatch(DenseMatrix(np.diag(norms)))
+        scores = np.abs(w) * norms
+        want = w.copy()
+        n_remove = int(0.5 * cols)
+        for i in range(rows):
+            want[i, np.lexsort((np.arange(cols), scores[i]))[:n_remove]] = 0.0
+        got = prune_activation_scaled(DenseMatrix(w), calib, 0.5).values.data
+        assert np.array_equal(got, want)
+        want = w.copy()
+        for i in range(rows):
+            for g in range(0, cols, 4):
+                order = np.lexsort((np.arange(4), scores[i, g:g + 4]))
+                want[i, g + order[:2]] = 0.0
+        got = prune_two_four(DenseMatrix(w), "activation", calib).values.data
+        assert np.array_equal(got, want)
+
+
 def test_two_four_validation():
     with pytest.raises(ArgumentError):
         prune_two_four(DenseMatrix(np.ones((2, 6))))
