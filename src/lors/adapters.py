@@ -170,14 +170,18 @@ class AdaptedLayer:
         return params
 
 
+def zero_adapter(variant: str, rows: int, cols: int, rank: int, alpha: float = 2.0):
+    """Zeroed factors (A = 0, B = 0) for a rows x cols layer of ``variant``:
+    an SppAdapter for spp and spp_gc (which have no alpha), else an AdapterPair."""
+    if variant in ("spp", "spp_gc"):
+        return SppAdapter(a=mx.zeros(rows, rank), b=mx.zeros(1, cols))
+    return AdapterPair(a=mx.zeros(rows, rank), b=mx.zeros(rank, cols), alpha=alpha)
+
+
 def make_layer(base: SparseWeight, rank: int, variant: str, alpha: float = 2.0,
                bias: Optional[DenseMatrix] = None, name: str = "") -> AdaptedLayer:
     """Build a layer with zeroed adapter factors (A = 0, B = 0)."""
-    r_dim, c_dim = base.rows, base.cols
-    if variant in ("spp", "spp_gc"):
-        adapter = SppAdapter(a=mx.zeros(r_dim, rank), b=mx.zeros(1, c_dim))
-    else:
-        adapter = AdapterPair(a=mx.zeros(r_dim, rank), b=mx.zeros(rank, c_dim), alpha=alpha)
+    adapter = zero_adapter(variant, base.rows, base.cols, rank, alpha)
     return AdaptedLayer(base, adapter, variant, bias=bias, name=name)
 
 

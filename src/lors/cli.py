@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 verification failure, 2 I/O or format problem,
 3 numeric failure, 4 counter-vs-formula mismatch. The default seed is 0,
 overridable by the LORS_SEED environment variable; every subcommand also
-accepts --config pointing at a JSON file of flag defaults (explicit flags
-win).
+accepts --config pointing at a JSON file of flag defaults, checked like typed
+flags (explicit flags win).
 """
 
 from __future__ import annotations
@@ -339,42 +339,53 @@ def build_parser():
     return parser, submap
 
 
+def _with_config(argv: list, submap) -> list:
+    """argv with the --config file's entries inserted as flags after the
+    subcommand, so argparse checks them like typed flags and explicit ones win."""
+    if not argv or argv[0] not in submap:
+        return argv
+    pre = argparse.ArgumentParser(prog=f"lors {argv[0]}", add_help=False)
+    pre.add_argument("--config", default=None)
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ArgumentError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ArgumentError("config file must hold a JSON object")
+    actions = {a.dest: a for a in submap[argv[0]]._actions
+               if a.dest not in ("help", "config")}
+    unknown = sorted(set(cfg) - set(actions))
+    if unknown:
+        raise ArgumentError(f"config keys not recognized: {unknown}")
+    tokens = []
+    for key, value in cfg.items():
+        # store_true flags take JSON true/false; every other flag a string or number
+        is_switch = actions[key].nargs == 0
+        if isinstance(value, bool) != is_switch or not isinstance(value, (str, int, float)):
+            raise ArgumentError(f"config key {key!r} cannot take {value!r}")
+        flag = actions[key].option_strings[-1]
+        tokens += ([flag] if value else []) if is_switch else [f"{flag}={value}"]
+    return argv[:1] + tokens + argv[1:]
+
+
 def main(argv=None) -> int:
     try:
         parser, submap = build_parser()
+        args = parser.parse_args(
+            _with_config(sys.argv[1:] if argv is None else list(argv), submap))
     except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_IO
 
     if args.command is None:
         parser.print_help()
         return EXIT_IO
-
-    if getattr(args, "config", None):
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
-            return EXIT_IO
-        if not isinstance(cfg, dict):
-            print("error: config file must hold a JSON object", file=sys.stderr)
-            return EXIT_IO
-        sub = submap[args.command]
-        valid = {a.dest for a in sub._actions}
-        unknown = sorted(set(cfg) - valid)
-        if unknown:
-            print(f"error: config keys not recognized: {unknown}", file=sys.stderr)
-            return EXIT_IO
-        sub.set_defaults(**cfg)
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else EXIT_IO
 
     try:
         return args.handler(args)

@@ -12,13 +12,11 @@ class ArgumentError(ValueError):
 class NumericError(ArithmeticError):
     """Raised when a computation fails numerically (non-convergence, non-finite).
 
-    Carries an optional ``residual`` describing how far from convergence the
-    computation stopped, and an optional ``step`` for failures inside loops.
+    Carries an optional ``step`` for failures inside loops.
     """
 
-    def __init__(self, message, residual=None, step=None):
+    def __init__(self, message, step=None):
         super().__init__(message)
-        self.residual = residual
         self.step = step
 
 

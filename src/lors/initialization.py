@@ -34,15 +34,15 @@ import numpy as np
 from .errors import ArgumentError, ShapeError
 from . import matrix as mx
 from .matrix import DenseMatrix, Rng
-from .svd import svd
+from .svd import SvdResult, svd
 from .tape import Tape
 from .adapters import (
     AdaptedLayer,
     AdapterPair,
-    SppAdapter,
     merge,
     variant_backward,
     variant_forward,
+    zero_adapter,
 )
 
 STRATEGIES = ("zero_A_zero_B", "zero_A_random_B", "gradient_svd")
@@ -136,17 +136,17 @@ class MemoryGauge:
         self.current -= n
 
 
-def fit_rank_r_rows(dw: DenseMatrix, r: int, scale: float = 1.0) -> DenseMatrix:
+def fit_rank_r_rows(dw: DenseMatrix, r: int) -> DenseMatrix:
     """Best rank-r row basis for dw: the top-r right singular vectors as rows."""
     if r < 1 or r > min(dw.rows, dw.cols):
         raise ArgumentError(
             f"rank {r} must satisfy 1 <= r <= min({dw.rows}, {dw.cols})"
         )
-    result = svd(dw)
-    b = DenseMatrix(result.v.data[:, :r].T)
-    if scale != 1.0:
-        b = mx.scale(b, scale)
-    return b
+    return _top_rows(svd(dw), r)
+
+
+def _top_rows(result: SvdResult, r: int) -> DenseMatrix:
+    return DenseMatrix(result.v.data[:, :r].T)
 
 
 def projection_residual(dw: DenseMatrix, b: DenseMatrix) -> float:
@@ -158,31 +158,24 @@ def projection_residual(dw: DenseMatrix, b: DenseMatrix) -> float:
 
 def singular_tail(dw: DenseMatrix, r: int) -> float:
     """sqrt(sum of squared singular values past the first r)."""
-    s = svd(dw).s
+    return _tail(svd(dw).s, r)
+
+
+def _tail(s: np.ndarray, r: int) -> float:
     return float(math.sqrt(float(np.sum(s[r:] ** 2))))
-
-
-def _fresh_zero_adapter(layer: AdaptedLayer):
-    if isinstance(layer.adapter, SppAdapter):
-        return SppAdapter(a=mx.zeros(layer.out_features, layer.rank),
-                          b=mx.zeros(1, layer.in_features))
-    return AdapterPair(a=mx.zeros(layer.out_features, layer.rank),
-                       b=mx.zeros(layer.rank, layer.in_features),
-                       alpha=layer.adapter.alpha)
 
 
 def init_zero_zero(layer: AdaptedLayer):
     """A = 0, B = 0; the adapter branch is exactly absent."""
-    layer.adapter = _fresh_zero_adapter(layer)
+    layer.adapter = zero_adapter(layer.variant, layer.out_features, layer.in_features,
+                                 layer.rank, alpha=getattr(layer.adapter, "alpha", 2.0))
     return layer.adapter
 
 
 def init_zero_random(layer: AdaptedLayer, seed: int, std: float):
     """A = 0, B ~ Normal(0, std) from a seeded generator."""
-    adapter = _fresh_zero_adapter(layer)
-    rng = Rng(seed)
-    mx.fill_random_normal(adapter.b, rng, mean=0.0, std=std)
-    layer.adapter = adapter
+    adapter = init_zero_zero(layer)
+    mx.fill_random_normal(adapter.b, Rng(seed), mean=0.0, std=std)
     return adapter
 
 
@@ -195,7 +188,7 @@ def init_gradient_svd(model, probe: ProbeBatch, r: int, scale: float = 1.0, *,
     layers in order: form dW = dY X^T, take the top-r right singular vectors
     as B, and drop dW before touching the next layer. When a ``diagnostics``
     list is supplied, one dict per layer records the projection residual and
-    singular tail.
+    the singular tail, read off the same SVD that gave B.
     """
     layers = list(model.layers)
     for layer in layers:
@@ -223,7 +216,8 @@ def init_gradient_svd(model, probe: ProbeBatch, r: int, scale: float = 1.0, *,
         if gauge is not None:
             gauge.alloc(n_elems)
         dw = mx.matmul(dy, mx.transpose(x))
-        b = fit_rank_r_rows(dw, r)
+        result = svd(dw)
+        b = _top_rows(result, r)
         if diagnostics is not None:
             diagnostics.append({
                 "layer": layer.name,
@@ -232,11 +226,11 @@ def init_gradient_svd(model, probe: ProbeBatch, r: int, scale: float = 1.0, *,
                 "rank": r,
                 "grad_norm": mx.frobenius_norm(dw),
                 "projection_residual": projection_residual(dw, b),
-                "singular_tail": singular_tail(dw, r),
+                "singular_tail": _tail(result.s, r),
             })
         if scale != 1.0:
             b = mx.scale(b, scale)
-        dw = None
+        dw = result = None
         if gauge is not None:
             gauge.free(n_elems)
         pair = AdapterPair(a=mx.zeros(layer.out_features, r), b=b,

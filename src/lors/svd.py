@@ -1,19 +1,13 @@
-"""Singular value decomposition by one-sided Jacobi rotations.
+"""Thin singular value decomposition over LAPACK (``np.linalg.svd``).
 
-The algorithm orthogonalizes columns of the (tall) working matrix by plane
-rotations until every column pair is orthogonal relative to the tolerance;
-singular values are then the column norms. It is slow compared to blocked
-LAPACK drivers but simple, accurate for small matrices, and fully
-deterministic: sweeps visit pairs (i, j) in a fixed lexicographic order.
-
-Conventions:
-- full convergence tolerance 1e-12 on |a_i . a_j| / (|a_i| |a_j|)
-- columns below eps * m of the largest column norm count as zero, so
-  rank-deficient inputs converge instead of chasing rounding noise
-- at most 60 sweeps, then NumericError carrying the worst remaining ratio
+Conventions on top of LAPACK's output:
 - singular values sorted nonincreasing
+- values at or below eps * max(rows, cols) * s[0] (numpy's matrix_rank
+  tolerance) are set to exactly 0.0, so rank-deficient inputs have exact
+  zero tails; the matching u and v columns stay an orthonormal basis
 - sign fixed so the first nonzero entry of each right-singular vector is
   nonnegative (the U column flips with it, keeping u s v^T unchanged)
+- LAPACK non-convergence is raised as NumericError
 """
 
 from __future__ import annotations
@@ -24,9 +18,6 @@ import numpy as np
 
 from .errors import NumericError
 from .matrix import DenseMatrix
-
-DEFAULT_TOL = 1e-12
-MAX_SWEEPS = 60
 
 
 @dataclass
@@ -39,125 +30,15 @@ class SvdResult:
         return DenseMatrix(self.u.data @ np.diag(self.s) @ self.v.data.T)
 
 
-def _jacobi_columns(a: np.ndarray, tol: float, max_sweeps: int):
-    """Orthogonalize the columns of a (m >= n). Returns (w, v, sweeps).
-
-    Columns whose squared norm falls below the zero floor (eps * m relative
-    to the largest column) are treated as exact zeros: rotations against the
-    dominant columns re-seed them with rounding noise every sweep, so pairs
-    of such columns never pass a relative orthogonality test. They are zeroed
-    on return and the caller completes the basis.
-    """
-    w = a.copy()
-    n = w.shape[1]
-    v = np.eye(n)
-    worst = 0.0
-    rel_floor = (np.finfo(float).eps * max(w.shape[0], 1)) ** 2
-    floor = 0.0
-    for sweep in range(max_sweeps):
-        worst = 0.0
-        col_sq = np.einsum("ij,ij->j", w, w)
-        floor = rel_floor * float(col_sq.max(initial=0.0))
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                aii = float(w[:, i] @ w[:, i])
-                ajj = float(w[:, j] @ w[:, j])
-                aij = float(w[:, i] @ w[:, j])
-                # aij == 0 means already orthogonal; sqrt before multiplying
-                # keeps the denominator nonzero when aii * ajj would underflow.
-                if aii <= floor or ajj <= floor or aij == 0.0:
-                    continue
-                ratio = abs(aij) / (np.sqrt(aii) * np.sqrt(ajj))
-                worst = max(worst, ratio)
-                if ratio <= tol:
-                    continue
-                # Plane rotation zeroing the (i, j) Gram entry.
-                tau = (ajj - aii) / (2.0 * aij)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0.0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = c * t
-                wi = w[:, i].copy()
-                wj = w[:, j].copy()
-                w[:, i] = c * wi - s * wj
-                w[:, j] = s * wi + c * wj
-                vi = v[:, i].copy()
-                vj = v[:, j].copy()
-                v[:, i] = c * vi - s * vj
-                v[:, j] = s * vi + c * vj
-        if worst <= tol:
-            w[:, np.einsum("ij,ij->j", w, w) <= floor] = 0.0
-            return w, v, sweep + 1
-    raise NumericError(
-        f"jacobi svd did not converge in {max_sweeps} sweeps", residual=worst
-    )
-
-
-def _complete_orthonormal(u: np.ndarray, start: int) -> None:
-    """Fill columns start.. of u with an orthonormal complement (in place).
-
-    Needed for rank-deficient inputs, where columns for zero singular values
-    come out as zero vectors. Each new column is the canonical basis vector
-    with the largest residual against the span built so far (orthogonalized
-    twice for stability). The residual of the best unused candidate is at
-    least sqrt((m - col) / m), so the completion always succeeds, and argmax
-    with first-index tie-breaking keeps it deterministic.
-    """
-    m, k = u.shape
-    used = np.zeros(m, dtype=bool)
-    for col in range(start, k):
-        best = -1
-        best_norm = -1.0
-        best_vec = None
-        for cand in range(m):
-            if used[cand]:
-                continue
-            e = np.zeros(m)
-            e[cand] = 1.0
-            for _ in range(2):
-                e = e - u[:, :col] @ (u[:, :col].T @ e)
-            norm = float(np.linalg.norm(e))
-            if norm > best_norm:
-                best, best_norm, best_vec = cand, norm, e
-        if best < 0 or best_norm <= 1e-8:
-            raise NumericError("failed to complete orthonormal basis")
-        used[best] = True
-        u[:, col] = best_vec / best_norm
-
-
-def svd(m: DenseMatrix, tol: float = DEFAULT_TOL, max_sweeps: int = MAX_SWEEPS) -> SvdResult:
+def svd(m: DenseMatrix) -> SvdResult:
     """Thin SVD: m = u diag(s) v^T with k = min(rows, cols)."""
-    a = m.data
-    flipped = a.shape[0] < a.shape[1]
-    work = a.T.copy() if flipped else a.copy()
+    try:
+        u, s, vt = np.linalg.svd(m.data, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"svd failed: {exc}") from exc
+    s[s <= np.finfo(float).eps * max(m.shape) * s[0]] = 0.0
 
-    w, v, _ = _jacobi_columns(work, tol, max_sweeps)
-    norms = np.linalg.norm(w, axis=0)
-
-    # Sort nonincreasing; ties keep original column order.
-    order = np.argsort(-norms, kind="stable")
-    s = norms[order]
-    w = w[:, order]
-    v = v[:, order]
-
-    k = w.shape[1]
-    u = np.zeros_like(w)
-    rank = 0
-    for idx in range(k):
-        if s[idx] > 0.0:
-            u[:, idx] = w[:, idx] / s[idx]
-            rank = idx + 1
-    if rank < k:
-        _complete_orthonormal(u, rank)
-
-    if flipped:
-        u, v = v, u
-
-    # Sign convention on right singular vectors.
-    for idx in range(k):
-        col = v[:, idx]
-        nz = np.nonzero(col)[0]
-        if nz.size and col[nz[0]] < 0.0:
-            v[:, idx] = -col
-            u[:, idx] = -u[:, idx]
-
-    return SvdResult(u=DenseMatrix._wrap(u), s=s, v=DenseMatrix._wrap(v))
+    v = vt.T
+    first = v[np.argmax(v != 0.0, axis=0), np.arange(v.shape[1])]
+    flip = np.where(first < 0.0, -1.0, 1.0)
+    return SvdResult(u=DenseMatrix._wrap(u * flip), s=s, v=DenseMatrix._wrap(v * flip))

@@ -228,6 +228,39 @@ def test_config_must_be_object(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_supplies_required_flags(tmp_path, capsys):
+    src = make_ckpt(tmp_path / "b.lors", dims=(4, 4))
+    out = tmp_path / "t.lors"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ckpt": str(src), "out": str(out), "steps": 2,
+                               "samples": 32, "rank": 1}))
+    assert main(["train", "--config", str(cfg)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["steps"] == 2
+    assert out.exists()
+
+    cfg.write_text(json.dumps({"shapes": "4,4,4,1", "predict_only": True}))
+    assert main(["bench", "--config", str(cfg)]) == EXIT_OK
+    assert main(["bench", "--config", str(cfg), "--shapes", "4,4,4"]) == EXIT_IO
+    capsys.readouterr()
+
+
+def test_config_values_pass_argparse_checks(tmp_path, capsys):
+    src = make_ckpt(tmp_path / "b.lors", dims=(4, 4))
+    out = tmp_path / "t.lors"
+    cfg = tmp_path / "cfg.json"
+    for bad in ({"steps": 1.5}, {"variant": "nope"}, {"seed": True},
+                {"metrics": None}, {"rank": [1]}):
+        cfg.write_text(json.dumps(bad))
+        code = main(["train", "--config", str(cfg), "--ckpt", str(src),
+                     "--out", str(out), "--rank", "1"])
+        assert code == EXIT_IO, bad
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+    cfg.write_text(json.dumps({"predict_only": "yes"}))
+    assert main(["bench", "--config", str(cfg)]) == EXIT_IO
+    capsys.readouterr()
+
+
 def test_env_seed_matches_explicit_flag(tmp_path, capsys, monkeypatch):
     src = make_ckpt(tmp_path / "b.lors", dims=(4, 4))
     sparse = tmp_path / "s.lors"

@@ -20,6 +20,7 @@ from lors.initialization import (
 )
 from lors.matrix import DenseMatrix, Rng
 from lors.prune import SparseWeight
+from lors.svd import svd
 from lors.tape import Tape
 from lors.train import ToyModel, model_from_weights, random_dense_weights
 
@@ -45,10 +46,18 @@ def test_fit_rank_r_rows_is_orthonormal_and_optimal():
 
 
 def test_fit_rank_r_scale():
-    dw = DenseMatrix(np.random.default_rng(1).normal(size=(4, 5)))
-    b1 = fit_rank_r_rows(dw, 2)
-    b3 = fit_rank_r_rows(dw, 2, scale=3.0)
-    assert np.allclose(b3.data, 3.0 * b1.data, atol=1e-15)
+    # init_gradient_svd scales the fitted rows of each layer's dW itself
+    model = make_model(seed=1)
+    probe = make_probe(model, seed=2)
+    tape = Tape()
+    grads = tape.backward(model.forward_loss(tape, probe))
+    dws = [mx.matmul(grads[layer.last_nodes["out"]],
+                     mx.transpose(tape.value(layer.last_nodes["in"])))
+           for layer in model.layers]
+    init_gradient_svd(model, probe, r=2, scale=3.0)
+    for layer, dw in zip(model.layers, dws):
+        b1 = fit_rank_r_rows(dw, 2)
+        assert np.allclose(layer.adapter.b.data, 3.0 * b1.data, atol=1e-15)
 
 
 def test_fit_rank_r_bounds():
@@ -115,6 +124,21 @@ def test_gradient_svd_sets_b_from_first_gradient():
         assert abs(diag["projection_residual"] - diag["singular_tail"]) <= 1e-8
         assert diag["rank"] == 2
         assert diag["grad_norm"] > 0.0
+
+
+def test_gradient_svd_diagnostics_take_one_svd_per_layer(monkeypatch):
+    calls = []
+
+    def counting_svd(m):
+        calls.append(m.shape)
+        return svd(m)
+
+    monkeypatch.setattr("lors.initialization.svd", counting_svd)
+    model = make_model(dims=(6, 5, 4))
+    diagnostics = []
+    init_gradient_svd(model, make_probe(model), r=2, diagnostics=diagnostics)
+    assert calls == [(5, 6), (4, 5)]
+    assert len(diagnostics) == 2
 
 
 def test_gradient_svd_memory_gauge_peaks_at_largest_layer():

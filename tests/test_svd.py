@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lors.errors import NumericError
 from lors.matrix import DenseMatrix
@@ -119,13 +120,34 @@ def test_huge_dynamic_range():
     check_factorization(a, res, tol=1e-9)
 
 
-def test_nonconvergence_raises_numeric_error():
-    a = np.random.default_rng(9).normal(size=(6, 6))
+def test_nonconvergence_raises_numeric_error(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    a = DenseMatrix(np.random.default_rng(9).normal(size=(6, 6)))
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
     with pytest.raises(NumericError):
-        svd(DenseMatrix(a), max_sweeps=1)
+        svd(a)
 
 
 def test_reconstruct_helper():
     a = np.random.default_rng(10).normal(size=(4, 5))
     res = svd(DenseMatrix(a))
     assert np.max(np.abs(res.reconstruct().data - a)) < 1e-10
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_property_shapes_and_ranks(data):
+    m = data.draw(st.integers(1, 12), label="rows")
+    n = data.draw(st.integers(1, 12), label="cols")
+    k = data.draw(st.integers(0, min(m, n)), label="rank")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    a = rng.normal(size=(m, k)) @ rng.normal(size=(k, n))
+    res = svd(DenseMatrix(a))
+    check_factorization(a, res, tol=1e-9)
+    assert np.all(res.s[:k] > 0.0)
+    assert np.all(res.s[k:] == 0.0)
+    for j in range(res.v.cols):
+        col = res.v.data[:, j]
+        assert col[np.nonzero(col)[0][0]] >= 0.0
