@@ -19,8 +19,12 @@ lors      RCL + rRC + RC      RCL + 2rRL + 2rCL + rRC + RC       CL
 - sqft: Y = (W + alpha * (AB) . M) X with mask M = (W != 0); saves X, M, and
   the merged weight.
 - sqft_gc and lors: one forward function under two names. It is sqft's
-  forward, but only X is kept; the backward pass rebuilds the mask and merged
-  weight (+rRC + RC backward MACs) with the same helper the forward used.
+  forward, but only X is kept; the backward pass rebuilds the merged weight
+  (+rRC + RC backward MACs) with the same helper the forward used.
+- The masked variants merge through ``merged_weight`` over the layer's bool
+  ``original_mask``: one RC buffer holds A @ B, then the mask, alpha and W are
+  applied in place, and the result is scanned for finiteness once. Only sqft
+  builds the RC float mask, once per forward, because it saves it.
 - sqft_gc then runs sqft's backward schedule.
 - spp: Y = WX + (W . tile(A) . tile(B)) X; backward is derived by the tape
   from this expression, not hand-written.
@@ -214,23 +218,39 @@ class _Context:
 
 
 def merged_weight(w: DenseMatrix, a: DenseMatrix, b: DenseMatrix, alpha: float,
-                  mask: DenseMatrix, counters=None) -> DenseMatrix:
+                  mask: np.ndarray, counters=None) -> DenseMatrix:
     """W + alpha * ((A @ B) . M), in the one evaluation order used everywhere.
+
+    ``mask`` is an R x C bool array (a 0/1 float array gives the same bits,
+    signs of zero included). The merge lives in one RC buffer: the product
+    A @ B (scanned by matmul), then, in place, the mask, the scaling by alpha
+    and the addition of W, and one finiteness scan of the result. That scan
+    raises exactly when a scan after each step would: inf * 0 gives NaN,
+    overflow gives inf, and NaN propagates.
 
     sqft saves this matrix, sqft_gc and lors rebuild it in backward, and
     merge() finalizes with it; sharing the helper keeps all of those bitwise
     identical. Costs rRC + RC MACs plus one elementwise pass.
     """
-    product = mx.matmul(a, b, counters)          # rRC
-    masked = mx.hadamard(product, mask, counters)  # RC
-    return mx.add_scaled(w, masked, alpha, counters)
+    if mask.shape != w.shape or (a.rows, b.cols) != w.shape:
+        raise ShapeError(f"merged_weight: W is {w.rows}x{w.cols}, A @ B is "
+                         f"{a.rows}x{b.cols}, mask is {mask.shape}")
+    out = mx.matmul(a, b, counters).data         # rRC
+    out *= mask                                  # RC
+    out *= alpha
+    out += w.data
+    if counters is not None:
+        counters.add_macs(out.size)
+        counters.add_elementwise(out.size)
+    return DenseMatrix._wrap(out)
 
 
-def _mask_and_merge(layer: AdaptedLayer, counters):
-    """The mask M = (W != 0) and merged weight of the masked forward (rRC + RC MACs)."""
+def _merge(layer: AdaptedLayer, counters) -> DenseMatrix:
+    """The merged weight of the masked forward over the layer's bool
+    ``original_mask`` (rRC + RC MACs)."""
     pair = layer.adapter
-    mask = layer.base.mask()
-    return mask, merged_weight(layer.base.values, pair.a, pair.b, pair.alpha, mask, counters)
+    return merged_weight(layer.base.values, pair.a, pair.b, pair.alpha,
+                         layer.original_mask, counters)
 
 
 def _check_x(layer: AdaptedLayer, x: DenseMatrix) -> None:
@@ -260,23 +280,32 @@ def lora_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
     return _add_bias(layer, y, counters), _Context(layer, x, [x, bx])
 
 
-def sqft_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
-    """Y = (W + alpha (AB) . M) X; saves X, M, and the merged weight."""
+def _masked_forward(layer: AdaptedLayer, x: DenseMatrix, counters):
+    """Y = (W + alpha (AB) . M) X; returns Y and the merged weight."""
     _check_x(layer, x)
-    mask, merged = _mask_and_merge(layer, counters)
+    merged = _merge(layer, counters)
     y = mx.matmul(merged, x, counters)              # RCL
-    return _add_bias(layer, y, counters), _Context(layer, x, [x, mask, merged])
+    return _add_bias(layer, y, counters), merged
+
+
+def sqft_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
+    """Y = (W + alpha (AB) . M) X; saves X, the float mask M, and the merged weight.
+
+    sqft is the one variant that builds the RC float mask, because its cost
+    model counts it as saved for backward.
+    """
+    y, merged = _masked_forward(layer, x, counters)
+    return y, _Context(layer, x, [x, layer.base.mask(), merged])
 
 
 def lors_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
     """sqft's forward, keeping only X (CL elements).
 
-    The mask and merged weight are dropped after use and rebuilt in backward.
-    sqft_gc is the same forward under another name.
+    The merged weight is dropped after use and rebuilt in backward. sqft_gc
+    is the same forward under another name.
     """
-    y, ctx = sqft_forward(layer, x, counters)
-    ctx.saved = [x]
-    return y, ctx
+    y, _ = _masked_forward(layer, x, counters)
+    return y, _Context(layer, x, [x])
 
 
 sqft_gc_forward = lors_forward
@@ -357,13 +386,13 @@ def _lora_backward(ctx: _Context, grad_y: DenseMatrix, counters):
     return da, db, dx
 
 
-def _sqft_grads(ctx: _Context, grad_y: DenseMatrix, mask: DenseMatrix,
+def _sqft_grads(ctx: _Context, grad_y: DenseMatrix, mask: np.ndarray,
                 merged: DenseMatrix, counters):
     """dX = merged^T dY; dA/dB from (dY X^T) . M, scaled by alpha."""
     pair = ctx.layer.adapter
     dx = mx.matmul(mx.transpose(merged), grad_y, counters)       # RCL
     dy_xt = mx.matmul(grad_y, mx.transpose(ctx.x), counters)     # RCL
-    masked = mx.hadamard(dy_xt, mask, counters)                  # RC
+    masked = mx.hadamard_mask(dy_xt, mask, counters)             # RC
     da = mx.scale(mx.matmul(masked, mx.transpose(pair.b), counters), pair.alpha, counters)  # rRC
     db = mx.scale(mx.matmul(mx.transpose(pair.a), masked, counters), pair.alpha, counters)  # rRC
     return da, db, dx
@@ -371,12 +400,14 @@ def _sqft_grads(ctx: _Context, grad_y: DenseMatrix, mask: DenseMatrix,
 
 def _sqft_backward(ctx: _Context, grad_y: DenseMatrix, counters):
     _, mask, merged = ctx.saved
-    return _sqft_grads(ctx, grad_y, mask, merged, counters)
+    return _sqft_grads(ctx, grad_y, mask.data, merged, counters)
 
 
 def _sqft_gc_backward(ctx: _Context, grad_y: DenseMatrix, counters):
-    """Rebuild mask and merged weight (rRC + RC), then run the sqft schedule."""
-    return _sqft_grads(ctx, grad_y, *_mask_and_merge(ctx.layer, counters), counters)
+    """Rebuild the merged weight (rRC + RC), then run the sqft schedule over
+    the layer's bool mask."""
+    return _sqft_grads(ctx, grad_y, ctx.layer.original_mask,
+                       _merge(ctx.layer, counters), counters)
 
 
 def _lors_backward(ctx: _Context, grad_y: DenseMatrix, counters):
@@ -389,7 +420,7 @@ def _lors_backward(ctx: _Context, grad_y: DenseMatrix, counters):
     """
     pair = ctx.layer.adapter
     x = ctx.x
-    _, merged = _mask_and_merge(ctx.layer, counters)
+    merged = _merge(ctx.layer, counters)
     dx = mx.matmul(mx.transpose(merged), grad_y, counters)                  # RCL
     xt_bt = mx.matmul(mx.transpose(x), mx.transpose(pair.b), counters)      # rCL
     at_dy = mx.matmul(mx.transpose(pair.a), grad_y, counters)               # rRL
@@ -594,8 +625,6 @@ def merge(layer: AdaptedLayer) -> SparseWeight:
         rep_b = np.tile(adapter.b.data, (layer.out_features, 1))
         merged = DenseMatrix(w.data + w.data * rep_a * rep_b)
     else:
-        mask = DenseMatrix(layer.original_mask.astype(np.float64))
-        merged = merged_weight(w, layer.adapter.a, layer.adapter.b,
-                               layer.adapter.alpha, mask)
+        merged = _merge(layer, None)
     merged.data[~layer.original_mask] = 0.0
     return SparseWeight(merged, pattern=layer.base.pattern, ratio=layer.base.ratio)

@@ -1,9 +1,10 @@
 """Dense float64 matrices, deterministic RNG, and instrumented elementary ops.
 
-All numeric state in this package is a ``DenseMatrix``: a 2-D row-major
-float64 array. Operations are free functions so that every multiply-accumulate
-can be tallied into a cost counter at the call site. The counting convention,
-used consistently by every caller:
+All numeric state in this package is a ``DenseMatrix``: a 2-D float64
+array, row-major except for the views that ``transpose`` returns. Operations
+are free functions so that every multiply-accumulate can be tallied into a
+cost counter at the call site. The counting convention, used consistently
+by every caller:
 
 - matmul of (m x k) @ (k x n)    -> m*k*n MACs
 - hadamard of (m x n) * (m x n)  -> m*n MACs
@@ -28,7 +29,8 @@ class DenseMatrix:
 
     Values are treated as immutable by every public operation; the sanctioned
     exceptions are ``fill_random_normal`` and the optimizer/initializer code
-    that assigns into ``data`` directly.
+    that assigns into ``data`` directly. ``transpose`` returns a view of
+    its operand's data, so an in-place write shows through every transpose.
     """
 
     __slots__ = ("data",)
@@ -111,6 +113,19 @@ def hadamard(a: DenseMatrix, b: DenseMatrix, counters=None) -> DenseMatrix:
     return DenseMatrix._wrap(a.data * b.data)
 
 
+def hadamard_mask(a: DenseMatrix, mask: np.ndarray, counters=None) -> DenseMatrix:
+    """a . M for a 0/1 mask array M, bool or float. Tallies m*n MACs, as hadamard.
+
+    A bool mask gives the same bits as its 0/1 float form, signs of zero
+    included, without building that RC float matrix.
+    """
+    if mask.shape != a.shape:
+        raise ShapeError(f"hadamard_mask: shapes differ, {a.rows}x{a.cols} vs mask {mask.shape}")
+    if counters is not None:
+        counters.add_macs(a.rows * a.cols)
+    return DenseMatrix._wrap(a.data * mask)
+
+
 def add(a: DenseMatrix, b: DenseMatrix, counters=None) -> DenseMatrix:
     """Elementwise sum. Additions cost 0 MACs; tallied as elementwise ops."""
     _check_same_shape("add", a, b)
@@ -127,11 +142,13 @@ def sub(a: DenseMatrix, b: DenseMatrix, counters=None) -> DenseMatrix:
 
 
 def add_scaled(a: DenseMatrix, b: DenseMatrix, alpha: float, counters=None) -> DenseMatrix:
-    """a + alpha * b, as one elementwise pass (0 MACs)."""
+    """a + alpha * b, as one elementwise pass (0 MACs) and one temporary."""
     _check_same_shape("add_scaled", a, b)
     if counters is not None:
         counters.add_elementwise(a.rows * a.cols)
-    return DenseMatrix._wrap(a.data + alpha * b.data)
+    out = b.data * alpha
+    out += a.data
+    return DenseMatrix._wrap(out)
 
 
 def scale(a: DenseMatrix, alpha: float, counters=None) -> DenseMatrix:
@@ -141,8 +158,8 @@ def scale(a: DenseMatrix, alpha: float, counters=None) -> DenseMatrix:
 
 
 def transpose(a: DenseMatrix) -> DenseMatrix:
-    """Transpose. Pure data movement: no MACs, no elementwise tally."""
-    return DenseMatrix._wrap(a.data.T.copy())
+    """Transpose as a view of a's data: no copy, no MACs, no elementwise tally."""
+    return DenseMatrix._wrap(a.data.T)
 
 
 def add_bias(a: DenseMatrix, bias: DenseMatrix, counters=None) -> DenseMatrix:

@@ -19,7 +19,7 @@ from lors.adapters import (
     variant_backward,
     variant_forward,
 )
-from lors.errors import ArgumentError, GraphError, ShapeError
+from lors.errors import ArgumentError, GraphError, NumericError, ShapeError
 from lors.matrix import DenseMatrix, Rng
 from lors.prune import SparseWeight, prune_magnitude, prune_two_four
 from lors.tape import CostCounters, Tape
@@ -343,9 +343,9 @@ def test_merged_weight_helper_matches_formula():
     w = DenseMatrix(rng.normal(size=(4, 5)))
     a = DenseMatrix(rng.normal(size=(4, 2)))
     b = DenseMatrix(rng.normal(size=(2, 5)))
-    m = DenseMatrix((rng.random(size=(4, 5)) > 0.5).astype(float))
+    m = rng.random(size=(4, 5)) > 0.5
     got = merged_weight(w, a, b, 1.5, m)
-    want = w.data + 1.5 * ((a.data @ b.data) * m.data)
+    want = w.data + 1.5 * ((a.data @ b.data) * m.astype(float))
     assert np.allclose(got.data, want, rtol=1e-15, atol=1e-15)
 
 
@@ -457,3 +457,60 @@ def test_apply_layer_exposes_named_nodes_and_grads():
     assert mx.bitwise_equal(grads[nodes["b"]], direct.db)
     assert mx.bitwise_equal(grads[nodes["bias"]], direct.dbias)
     assert mx.bitwise_equal(grads[x_id], direct.dx)
+
+
+def _overflow_layer(w, a, b, alpha):
+    base = SparseWeight(DenseMatrix(w))
+    pair = AdapterPair(DenseMatrix(a), DenseMatrix(b), alpha=alpha)
+    return AdaptedLayer(base, pair, "lors")
+
+
+@pytest.mark.parametrize("w00, a0, b, alpha", [
+    (1.0, 1e200, [[1e200, 0.0]], 2.0),     # A @ B overflows at a kept entry
+    (1.0, 1e200, [[0.0, 1e200]], 2.0),     # ... at a pruned entry (inf * 0 = NaN)
+    (1.0, 1e150, [[1e150, 0.0]], 1e10),    # alpha * masked overflows
+    (1.7e308, 1e154, [[1e154, 0.0]], 1.0),  # W + alpha * masked overflows
+])
+def test_fused_merge_keeps_finiteness_checks(w00, a0, b, alpha):
+    """The one-buffer merge raises wherever the per-op scans did."""
+    w = np.array([[w00, 0.0], [0.0, 1.0]])
+    a = np.array([[a0], [0.0]])
+    layer = _overflow_layer(w, a, np.array(b), alpha)
+    pair = layer.adapter
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericError):
+            merged_weight(layer.base.values, pair.a, pair.b, alpha, layer.original_mask)
+        with pytest.raises(NumericError):
+            variant_forward(layer, DenseMatrix(np.ones((2, 1))))
+
+
+def test_merged_weight_tallies_and_bool_mask_bits():
+    R, C, r, alpha = 5, 7, 3, 1.5
+    rng = np.random.default_rng(48)
+    mask = rng.random(size=(R, C)) > 0.5
+    # -0.0 at pruned entries keeps the sign of zero visible in the result
+    w = DenseMatrix(np.where(mask, rng.normal(size=(R, C)), -0.0))
+    a = DenseMatrix(rng.normal(size=(R, r)))
+    b = DenseMatrix(rng.normal(size=(r, C)))
+    fmask = mask.astype(np.float64)
+    want = (w.data + alpha * ((a.data @ b.data) * fmask)).tobytes()
+    old = mx.add_scaled(w, mx.hadamard(mx.matmul(a, b), DenseMatrix(fmask)), alpha)
+    assert old.data.tobytes() == want
+    assert merged_weight(w, a, b, alpha, mask).data.tobytes() == want
+    assert merged_weight(w, a, b, alpha, fmask).data.tobytes() == want
+    product = mx.matmul(a, b)
+    assert (mx.hadamard_mask(product, mask).data.tobytes()
+            == mx.hadamard(product, DenseMatrix(fmask)).data.tobytes())
+    for backward in (False, True):
+        c = CostCounters()
+        if backward:
+            with c.backward_phase():
+                got = merged_weight(w, a, b, alpha, mask, c)
+        else:
+            got = merged_weight(w, a, b, alpha, mask, c)
+        assert got.data.tobytes() == want
+        tallies = (r * R * C + R * C, R * C)
+        assert (c.macs_backward, c.elementwise_backward) == (tallies if backward else (0, 0))
+        assert (c.macs_forward, c.elementwise_forward) == ((0, 0) if backward else tallies)
+    with pytest.raises(ShapeError):
+        merged_weight(w, a, b, alpha, mask[:, :1])

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from lors.adapters import VARIANTS, make_layer
+from lors.adapters import VARIANTS, make_layer, variant_backward, variant_forward
 from lors.errors import ArgumentError, ShapeError
-from lors.initialization import InitSpec, ProbeBatch
+from lors.initialization import InitSpec, ProbeBatch, apply_init
 from lors.matrix import DenseMatrix, Rng
-from lors.prune import SparseWeight
+from lors.prune import SparseWeight, prune_magnitude
 from lors.tape import CostCounters, Tape
 from lors.train import (
     CSV_HEADER,
@@ -289,3 +289,48 @@ def test_recovery_single_seed_closes_gap():
     assert res.val_pruned > res.val_final
     assert res.closure >= 0.6  # full criterion (500 steps, 5 seeds) lives in acceptance
     assert res.variant == "lors" and res.seed == 0
+
+
+def _biased_model(variant, seed=0, dims=(8, 6, 4), rank=2):
+    layers = []
+    for i, w in enumerate(random_dense_weights(seed, dims)):
+        bias = DenseMatrix(np.random.default_rng(seed + i).normal(size=(w.rows, 1)))
+        layers.append(make_layer(prune_magnitude(w, 0.5), rank=rank, variant=variant,
+                                 bias=bias, name=f"layers.{i}"))
+    model = ToyModel(layers)
+    apply_init(model, InitSpec("zero_A_random_B", seed=seed + 7, std=0.1))
+    return model
+
+
+def test_float_mask_built_only_by_sqft(monkeypatch):
+    """One train_step builds the RC float mask once per layer for sqft (which
+    saves it) and never for sqft_gc or lors (which merge over the bool mask)."""
+    calls = []
+    original = SparseWeight.mask
+    monkeypatch.setattr(SparseWeight, "mask", lambda self: calls.append(1) or original(self))
+    for variant, per_layer in (("lors", 0), ("sqft_gc", 0), ("sqft", 1)):
+        model = _biased_model(variant)
+        data = small_data(model)
+        calls.clear()
+        train_step(model, data.head(8), OptimState(kind="adaptive", lr=1e-3))
+        assert len(calls) == per_layer * len(model.layers), variant
+
+
+def test_gradients_share_no_memory_with_parameters():
+    """transpose returns a view, so guard the in-place optimizer against a
+    gradient that aliases a parameter or a frozen base weight."""
+    for variant in VARIANTS:
+        model = _biased_model(variant)
+        params = list(model.named_trainable().values())
+        params += [layer.base.values for layer in model.layers]
+        data = small_data(model)
+        tape = Tape()
+        grads = tape.backward(model.forward_loss(tape, data.head(8)))
+        for g in grads.values():
+            assert not any(np.shares_memory(g.data, p.data) for p in params), variant
+        layer = model.layers[0]
+        x = DenseMatrix(np.random.default_rng(1).normal(size=(layer.in_features, 3)))
+        _, ctx = variant_forward(layer, x)
+        vg = variant_backward(layer, DenseMatrix(np.ones((layer.out_features, 3))), ctx)
+        for g in (vg.da, vg.db, vg.dx, vg.dbias):
+            assert not any(np.shares_memory(g.data, p.data) for p in params), variant
