@@ -33,7 +33,6 @@ from .adapters import (
     AdapterPair,
     CostPrediction,
     SppAdapter,
-    VariantCostModel,
     VariantGrads,
     apply_layer,
     lora_forward,

@@ -26,8 +26,9 @@ lors      RCL + rRC + RC      RCL + 2rRL + 2rCL + rRC + RC       CL
   applied in place, and the result is scanned for finiteness once. Only sqft
   builds the RC float mask, once per forward, because it saves it.
 - sqft_gc then runs sqft's backward schedule.
-- spp: Y = WX + (W . tile(A) . tile(B)) X; backward is derived by the tape
-  from this expression, not hand-written.
+- spp: Y = WX + (W . tile(A, 1, C/r) . tile(B, R, 1)) X; backward is derived
+  by the tape from this expression, not hand-written. ``_record_spp_delta``
+  records the Repeat expression once, for the forward and for merge().
 - spp_gc: the same function in merged form Y = (W + W . (A @ Bhat)) X with
   Bhat the block-diagonal expansion of B. One tape builder records this
   graph: the forward evaluates it and keeps only X, and the backward replays
@@ -51,6 +52,7 @@ the pattern.
 
 from __future__ import annotations
 
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -73,6 +75,12 @@ FAULT_INJECTION = {
 }
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject an adapter scaling that is not finite and positive."""
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ArgumentError(f"alpha must be finite and positive, got {alpha}")
+
+
 @dataclass
 class AdapterPair:
     """Low-rank factors a (R x r) and b (r x C) with a scaling factor."""
@@ -92,8 +100,7 @@ class AdapterPair:
             raise ArgumentError(
                 f"rank {r} must satisfy 1 <= r <= min({self.a.rows}, {self.b.cols})"
             )
-        if not self.alpha > 0:
-            raise ArgumentError(f"alpha must be positive, got {self.alpha}")
+        check_alpha(self.alpha)
 
     @property
     def rank(self) -> int:
@@ -311,26 +318,35 @@ def lors_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
 sqft_gc_forward = lors_forward
 
 
-def spp_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
-    """Y = WX + (W . tile(A, C/r) . tile(B, R)) X, recorded on a private tape.
+def _record_spp_delta(tape: Tape, layer: AdaptedLayer):
+    """Record the leaves W, A, B and the Repeat expression
+    delta = W . tile(A, 1, C/r) . tile(B, R, 1); returns (w, a, b, delta) ids.
 
-    tile(A, n) lays n copies of A side by side, so column q of the tiled
-    matrix is A[:, q mod r]. The backward pass is whatever reverse-mode
-    differentiation of this graph yields; nothing is hand-scheduled. The
-    saved set is what the graph's nodes saved (3RC + CL).
+    Column q of tile(A, 1, C/r) is A[:, q mod r] and every row of
+    tile(B, R, 1) is B. spp_forward and merge() both evaluate delta here.
     """
-    _check_x(layer, x)
     adapter = layer.adapter
-    tape = Tape(counters=counters, track_saved=False)
     w_id = tape.leaf(layer.base.values, requires_grad=False, is_param=True, name="base")
     a_id = tape.leaf(adapter.a, requires_grad=True, is_param=True, name="a")
     b_id = tape.leaf(adapter.b, requires_grad=True, is_param=True, name="b")
+    t1 = tape.hadamard(w_id, tape.tile(a_id, 1, layer.in_features // adapter.rank))
+    delta = tape.hadamard(t1, tape.tile(b_id, layer.out_features, 1))
+    return w_id, a_id, b_id, delta
+
+
+def spp_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
+    """Y = delta X + W X with delta the Repeat expression of
+    ``_record_spp_delta``, recorded on a private tape.
+
+    The backward pass is whatever reverse-mode differentiation of this graph
+    yields; nothing is hand-scheduled. The saved set is what the graph's
+    nodes saved (3RC + CL).
+    """
+    _check_x(layer, x)
+    tape = Tape(counters=counters, track_saved=False)
+    w_id, a_id, b_id, delta = _record_spp_delta(tape, layer)
     x_id = tape.leaf(x, requires_grad=True, name="x")
-    rep_a = tape.repeat_cols(a_id, layer.in_features // adapter.rank)
-    t1 = tape.hadamard(w_id, rep_a)
-    rep_b = tape.repeat_rows(b_id, layer.out_features)
-    t2 = tape.hadamard(t1, rep_b)
-    adapted = tape.matmul(t2, x_id)
+    adapted = tape.matmul(delta, x_id)
     base_out = tape.matmul(w_id, x_id)
     y_id = tape.add(base_out, adapted)
     saved = [t for node in tape.nodes for t in node.saved]
@@ -530,68 +546,42 @@ def apply_layer(tape: Tape, layer: AdaptedLayer, x_id: int) -> int:
     return y_id
 
 
-@dataclass(frozen=True)
-class VariantCostModel:
-    """Closed-form cost functions of (R, C, L, r) for one layer pass.
-
-    The functions predict exactly what the instrumented counters report for a
-    forward and backward with X requiring a gradient (the general mid-network
-    setting: every schedule computes dX).
-    """
-
-    variant: str
-    macs_forward: Callable[[int, int, int, int], int]
-    macs_backward: Callable[[int, int, int, int], int]
-    saved_elements: Callable[[int, int, int, int], int]
-
-
-COST_MODELS = {
-    "lora": VariantCostModel(
-        "lora",
-        macs_forward=lambda R, C, L, r: R * C * L + r * C * L + r * R * L,
-        macs_backward=lambda R, C, L, r: R * C * L + 2 * r * R * L + 2 * r * C * L,
-        saved_elements=lambda R, C, L, r: r * L + C * L,
-    ),
-    "sqft": VariantCostModel(
-        "sqft",
-        macs_forward=lambda R, C, L, r: R * C * L + R * C + r * R * C,
-        macs_backward=lambda R, C, L, r: 2 * R * C * L + 2 * r * R * C + R * C,
-        saved_elements=lambda R, C, L, r: 2 * R * C + C * L,
-    ),
-    "sqft_gc": VariantCostModel(
-        "sqft_gc",
-        macs_forward=lambda R, C, L, r: R * C * L + R * C + r * R * C,
-        macs_backward=lambda R, C, L, r: 2 * R * C * L + 3 * r * R * C + 2 * R * C,
-        saved_elements=lambda R, C, L, r: C * L,
-    ),
-    "spp": VariantCostModel(
-        "spp",
-        macs_forward=lambda R, C, L, r: 2 * R * C * L + 2 * R * C,
-        macs_backward=lambda R, C, L, r: 3 * R * C * L + 3 * R * C,
-        saved_elements=lambda R, C, L, r: 3 * R * C + C * L,
-    ),
-    "spp_gc": VariantCostModel(
-        "spp_gc",
-        macs_forward=lambda R, C, L, r: R * C * L + r * R * C + R * C,
-        macs_backward=lambda R, C, L, r: 3 * R * C * L + 3 * r * R * C + 2 * R * C,
-        saved_elements=lambda R, C, L, r: C * L,
-    ),
-    "lors": VariantCostModel(
-        "lors",
-        macs_forward=lambda R, C, L, r: R * C * L + r * R * C + R * C,
-        macs_backward=lambda R, C, L, r: (
-            R * C * L + 2 * r * R * L + 2 * r * C * L + r * R * C + R * C
-        ),
-        saved_elements=lambda R, C, L, r: C * L,
-    ),
-}
-
-
 @dataclass
 class CostPrediction:
     macs_forward: int
     macs_backward: int
     saved_elements: int
+
+
+# Closed-form costs of one layer pass at (R, C, L, r): exactly what the
+# counters report for a forward and backward with X requiring a gradient (the
+# general mid-network setting: every schedule computes dX).
+COST_MODELS: dict[str, Callable[[int, int, int, int], CostPrediction]] = {
+    "lora": lambda R, C, L, r: CostPrediction(
+        R * C * L + r * C * L + r * R * L,
+        R * C * L + 2 * r * R * L + 2 * r * C * L,
+        r * L + C * L),
+    "sqft": lambda R, C, L, r: CostPrediction(
+        R * C * L + R * C + r * R * C,
+        2 * R * C * L + 2 * r * R * C + R * C,
+        2 * R * C + C * L),
+    "sqft_gc": lambda R, C, L, r: CostPrediction(
+        R * C * L + R * C + r * R * C,
+        2 * R * C * L + 3 * r * R * C + 2 * R * C,
+        C * L),
+    "spp": lambda R, C, L, r: CostPrediction(
+        2 * R * C * L + 2 * R * C,
+        3 * R * C * L + 3 * R * C,
+        3 * R * C + C * L),
+    "spp_gc": lambda R, C, L, r: CostPrediction(
+        R * C * L + r * R * C + R * C,
+        3 * R * C * L + 3 * r * R * C + 2 * R * C,
+        C * L),
+    "lors": lambda R, C, L, r: CostPrediction(
+        R * C * L + r * R * C + R * C,
+        R * C * L + 2 * r * R * L + 2 * r * C * L + r * R * C + R * C,
+        C * L),
+}
 
 
 def predict_cost(variant: str, R: int, C: int, L: int, r: int) -> CostPrediction:
@@ -600,12 +590,7 @@ def predict_cost(variant: str, R: int, C: int, L: int, r: int) -> CostPrediction
         raise ArgumentError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     if min(R, C, L, r) < 1:
         raise ArgumentError(f"dimensions must be positive, got {(R, C, L, r)}")
-    model = COST_MODELS[variant]
-    pred = CostPrediction(
-        macs_forward=model.macs_forward(R, C, L, r),
-        macs_backward=model.macs_backward(R, C, L, r),
-        saved_elements=model.saved_elements(R, C, L, r),
-    )
+    pred = COST_MODELS[variant](R, C, L, r)
     if FAULT_INJECTION["cost_model_off_by_one"]:
         pred.macs_backward += 1
     return pred
@@ -615,15 +600,14 @@ def merge(layer: AdaptedLayer) -> SparseWeight:
     """Finalize the layer into a plain sparse weight.
 
     Pair variants produce W + alpha * (AB) . M with the mask captured at
-    construction; spp variants produce W + W . tile(A) . tile(B), which is
-    masked by W itself. The result's pattern is a subset of the original.
+    construction; spp variants produce W + delta with delta the Repeat
+    expression spp_forward records, which is masked by W itself. The result's
+    pattern is a subset of the original.
     """
-    w = layer.base.values
     if isinstance(layer.adapter, SppAdapter):
-        adapter = layer.adapter
-        rep_a = np.tile(adapter.a.data, (1, layer.in_features // adapter.rank))
-        rep_b = np.tile(adapter.b.data, (layer.out_features, 1))
-        merged = DenseMatrix(w.data + w.data * rep_a * rep_b)
+        tape = Tape()
+        delta = _record_spp_delta(tape, layer)[-1]
+        merged = mx.add(layer.base.values, tape.value(delta))
     else:
         merged = _merge(layer, None)
     merged.data[~layer.original_mask] = 0.0

@@ -13,7 +13,7 @@ can run and tabulate.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -137,12 +137,9 @@ class BenchRow:
 
     def mismatches(self) -> list[str]:
         cells = []
-        pairs = (
-            ("macs_fwd", self.macs_fwd_measured, self.macs_fwd_predicted),
-            ("macs_bwd", self.macs_bwd_measured, self.macs_bwd_predicted),
-            ("saved", self.saved_measured, self.saved_predicted),
-        )
-        for label, measured, predicted in pairs:
+        for label in ("macs_fwd", "macs_bwd", "saved"):
+            measured = getattr(self, f"{label}_measured")
+            predicted = getattr(self, f"{label}_predicted")
             if measured is not None and measured != predicted:
                 cells.append(
                     f"{self.variant} R={self.R} C={self.C} L={self.L} r={self.r} "
@@ -151,9 +148,7 @@ class BenchRow:
         return cells
 
 
-BENCH_CSV_HEADER = ("variant,R,C,L,r,macs_fwd_measured,macs_fwd_predicted,"
-                    "macs_bwd_measured,macs_bwd_predicted,"
-                    "saved_measured,saved_predicted,wall_time_s")
+BENCH_CSV_HEADER = ",".join(f.name for f in fields(BenchRow))
 
 
 @dataclass
@@ -171,26 +166,11 @@ class BenchReport:
             return "" if v is None else (repr(v) if isinstance(v, float) else str(v))
 
         lines = [BENCH_CSV_HEADER]
-        for w in self.rows:
-            lines.append(",".join(cell(v) for v in (
-                w.variant, w.R, w.C, w.L, w.r,
-                w.macs_fwd_measured, w.macs_fwd_predicted,
-                w.macs_bwd_measured, w.macs_bwd_predicted,
-                w.saved_measured, w.saved_predicted, w.wall_time_s,
-            )))
+        lines.extend(",".join(cell(v) for v in astuple(w)) for w in self.rows)
         return "\n".join(lines) + "\n"
 
     def json_obj(self) -> list:
-        return [{
-            "variant": w.variant, "R": w.R, "C": w.C, "L": w.L, "r": w.r,
-            "macs_fwd_measured": w.macs_fwd_measured,
-            "macs_fwd_predicted": w.macs_fwd_predicted,
-            "macs_bwd_measured": w.macs_bwd_measured,
-            "macs_bwd_predicted": w.macs_bwd_predicted,
-            "saved_measured": w.saved_measured,
-            "saved_predicted": w.saved_predicted,
-            "wall_time_s": w.wall_time_s,
-        } for w in self.rows]
+        return [asdict(w) for w in self.rows]
 
 
 def run_variant_bench(variant: str, R: int, C: int, L: int, r: int,
@@ -199,7 +179,7 @@ def run_variant_bench(variant: str, R: int, C: int, L: int, r: int,
     invariant, wall time is the median over repeats."""
     if repeats < 1:
         raise ArgumentError(f"repeats must be positive, got {repeats}")
-    pred = predict_cost(variant, R, C, L, r)
+    row = predict_only_row(variant, R, C, L, r)
     rng = Rng(seed)
     layer = random_layer(rng, variant, R, C, r)
     x = rng.normal_matrix(C, L)
@@ -223,17 +203,12 @@ def run_variant_bench(variant: str, R: int, C: int, L: int, r: int,
             raise ArgumentError(
                 f"nondeterministic counters for {variant}: {measured} vs {snapshot}"
             )
-    wall = float(np.median(times))
-    return BenchRow(
-        variant=variant, R=R, C=C, L=L, r=r,
-        macs_fwd_measured=measured[0], macs_fwd_predicted=pred.macs_forward,
-        macs_bwd_measured=measured[1], macs_bwd_predicted=pred.macs_backward,
-        saved_measured=measured[2], saved_predicted=pred.saved_elements,
-        wall_time_s=wall,
-    )
+    return replace(row, macs_fwd_measured=measured[0], macs_bwd_measured=measured[1],
+                   saved_measured=measured[2], wall_time_s=float(np.median(times)))
 
 
 def predict_only_row(variant: str, R: int, C: int, L: int, r: int) -> BenchRow:
+    """The predicted cells of a row; the measured ones are None."""
     pred = predict_cost(variant, R, C, L, r)
     return BenchRow(
         variant=variant, R=R, C=C, L=L, r=r,

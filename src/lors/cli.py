@@ -28,7 +28,7 @@ from .prune import (
     prune_two_four,
     sparsity,
 )
-from .adapters import FAULT_INJECTION, VARIANTS, make_layer, merge
+from .adapters import FAULT_INJECTION, VARIANTS, check_alpha, make_layer, merge
 from .initialization import (
     InitSpec,
     MemoryGauge,
@@ -89,8 +89,12 @@ def _parse_shapes(text: str):
     return shapes
 
 
-def _model_from_checkpoint(tensors, variant: str, rank: int, alpha: float,
-                           head: str = "regression") -> ToyModel:
+def _load_model(path, variant: str, rank: int, alpha: float,
+                head: str = "regression") -> ToyModel:
+    """Zeroed adapters over a checkpoint's weights; alpha is checked before
+    the file is read."""
+    check_alpha(alpha)
+    tensors = load_checkpoint(path)
     names = model_weight_names(tensors)
     layers = []
     for i, name in enumerate(names):
@@ -160,10 +164,8 @@ def cmd_train(args) -> int:
     config = TrainConfig(steps=args.steps, batch_size=args.batch_size,
                          lr=args.lr, optimizer=args.optimizer,
                          variant=args.variant, init=init, seed=args.seed)
-    tensors = load_checkpoint(args.ckpt)
     head = "classification" if args.task == "clusters" else "regression"
-    model = _model_from_checkpoint(tensors, args.variant, args.rank, args.alpha,
-                                   head=head)
+    model = _load_model(args.ckpt, args.variant, args.rank, args.alpha, head=head)
     dataset = _task_dataset(args.task, model, args.seed, args.samples)
     _, trace = finetune(model, dataset, config)
 
@@ -241,8 +243,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_init_inspect(args) -> int:
-    tensors = load_checkpoint(args.ckpt)
-    model = _model_from_checkpoint(tensors, "lors", args.rank, args.alpha)
+    model = _load_model(args.ckpt, "lors", args.rank, args.alpha)
     dataset = _task_dataset(args.task, model, args.seed, max(args.samples, 32))
     probe = dataset.head(32)
     gauge = MemoryGauge()

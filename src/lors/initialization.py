@@ -64,8 +64,10 @@ class InitSpec:
             raise ArgumentError(
                 f"unknown init strategy {self.strategy!r}, expected one of {STRATEGIES}"
             )
-        if self.std < 0:
-            raise ArgumentError(f"std must be nonnegative, got {self.std}")
+        if not (math.isfinite(self.std) and self.std >= 0):
+            raise ArgumentError(f"std must be finite and nonnegative, got {self.std}")
+        if not math.isfinite(self.scale):
+            raise ArgumentError(f"scale must be finite, got {self.scale}")
 
 
 @dataclass

@@ -119,10 +119,6 @@ class TapeNode:
     is_param: bool = False
     name: str = ""
 
-    @property
-    def saved_element_count(self) -> int:
-        return sum(t.rows * t.cols for t in self.saved)
-
 
 class Tape:
     def __init__(self, counters: Optional[CostCounters] = None, track_saved: bool = True):
@@ -157,7 +153,7 @@ class Tape:
             requires_grad=requires_grad, name=name,
         )
         self.nodes.append(node)
-        count = node.saved_element_count
+        count = sum(t.rows * t.cols for t in node.saved)
         if count:
             self.saved_ctx.on_save(node.id, count)
             if self.track_saved:
@@ -273,18 +269,6 @@ class Tape:
 
         return self.record("sub", (a_id, b_id), out, bwd, name=name)
 
-    def add_scaled(self, a_id: int, b_id: int, alpha: float, name: str = "") -> int:
-        a_node, b_node = self.nodes[a_id], self.nodes[b_id]
-        out = mx.add_scaled(a_node.value, b_node.value, alpha, self.counters)
-        c = self.counters
-
-        def bwd(dy):
-            da = dy if a_node.requires_grad else None
-            db = mx.scale(dy, alpha, c) if b_node.requires_grad else None
-            return (da, db)
-
-        return self.record("add_scaled", (a_id, b_id), out, bwd, name=name)
-
     def scale(self, a_id: int, alpha: float, name: str = "") -> int:
         a_node = self.nodes[a_id]
         out = mx.scale(a_node.value, alpha, self.counters)
@@ -325,54 +309,26 @@ class Tape:
 
         return self.record("relu", (a_id,), out, bwd, saved=saved, name=name)
 
-    def add_bias(self, a_id: int, bias_id: int, name: str = "") -> int:
-        a_node, bias_node = self.nodes[a_id], self.nodes[bias_id]
-        out = mx.add_bias(a_node.value, bias_node.value, self.counters)
-        c = self.counters
+    def tile(self, a_id: int, rows: int, cols: int, name: str = "") -> int:
+        """np.tile(a, (rows, cols)): out[i, j] = a[i mod m, j mod n] for m x n a.
 
-        def bwd(dy):
-            da = dy if a_node.requires_grad else None
-            db = mx.reduce_sum_rows(dy, c) if bias_node.requires_grad else None
-            return (da, db)
-
-        return self.record("add_bias", (a_id, bias_id), out, bwd, name=name)
-
-    def repeat_cols(self, a_id: int, times: int, name: str = "") -> int:
-        """Tile the column block: [A A ... A], so out[:, q] = A[:, q mod r]."""
+        The backward sums the rows x cols blocks of dY (dY-sized elementwise).
+        """
         a_node = self.nodes[a_id]
         a = a_node.value
-        if times < 1:
-            raise ArgumentError(f"repeat_cols: times must be positive, got {times}")
-        out = DenseMatrix._wrap(np.tile(a.data, (1, times)))
-        r = a.cols
+        if rows < 1 or cols < 1:
+            raise ArgumentError(f"tile: repeats must be positive, got ({rows}, {cols})")
+        out = DenseMatrix._wrap(np.tile(a.data, (rows, cols)))
         c = self.counters
 
         def bwd(dy):
             if not a_node.requires_grad:
                 return (None,)
             c.add_elementwise(dy.rows * dy.cols)
-            acc = dy.data.reshape(dy.rows, times, r).sum(axis=1)
+            acc = dy.data.reshape(rows, a.rows, cols, a.cols).sum(axis=(0, 2))
             return (DenseMatrix._wrap(acc),)
 
-        return self.record("repeat_cols", (a_id,), out, bwd, name=name)
-
-    def repeat_rows(self, a_id: int, times: int, name: str = "") -> int:
-        """Tile rows: stack `times` copies of a (1 x C) row vector."""
-        a_node = self.nodes[a_id]
-        a = a_node.value
-        if times < 1:
-            raise ArgumentError(f"repeat_rows: times must be positive, got {times}")
-        out = DenseMatrix._wrap(np.tile(a.data, (times, 1)))
-        c = self.counters
-
-        def bwd(dy):
-            if not a_node.requires_grad:
-                return (None,)
-            c.add_elementwise(dy.rows * dy.cols)
-            acc = dy.data.reshape(times, a.rows, a.cols).sum(axis=0)
-            return (DenseMatrix._wrap(acc),)
-
-        return self.record("repeat_rows", (a_id,), out, bwd, name=name)
+        return self.record("tile", (a_id,), out, bwd, name=name)
 
     def block_diag_rows(self, b_id: int, r: int, name: str = "") -> int:
         """Scatter a 1 x C row into an r x C matrix with out[q mod r, q] = b[q].

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lors import matrix as mx
 from lors.adapters import (
@@ -123,6 +124,35 @@ def test_counters_equal_cost_model_on_random_shapes():
         assert c.macs_forward == pred.macs_forward, tag
         assert c.macs_backward == pred.macs_backward, tag
         assert c.saved_elements == pred.saved_elements, tag
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_counters_equal_cost_model_on_edge_shapes(data):
+    """apply_layer tallies equal predict_cost at the edge shapes: L=1,
+    r=min(R, C) (r=C for spp), and R=1 or C=1; with and without a bias."""
+    variant = data.draw(st.sampled_from(VARIANTS), label="variant")
+    bias = data.draw(st.booleans(), label="bias")
+    edge = data.draw(st.sampled_from(("L=1", "full rank", "R=1", "C=1")), label="edge")
+    R = 1 if edge == "R=1" else data.draw(st.integers(1, 6), label="R")
+    C = 1 if edge == "C=1" else data.draw(st.integers(1, 6), label="C")
+    L = 1 if edge == "L=1" else data.draw(st.integers(1, 5), label="L")
+    spp = variant in ("spp", "spp_gc")
+    if edge == "full rank":
+        r = C if spp else min(R, C)
+    elif spp:
+        r = data.draw(st.sampled_from([d for d in range(1, C + 1) if C % d == 0]), label="r")
+    else:
+        r = data.draw(st.integers(1, min(R, C)), label="r")
+    layer = random_layer(R * 100 + C * 10 + L, variant, R=R, C=C, r=r, bias=bias)
+    x = DenseMatrix(np.random.default_rng(L).normal(size=(C, L)))
+    c = CostCounters()
+    tape = Tape(c)
+    x_id = tape.leaf(x, requires_grad=True)
+    tape.backward(tape.sum_all(apply_layer(tape, layer, x_id)))
+    pred = predict_cost(variant, R, C, L, r)
+    assert (c.macs_forward, c.macs_backward, c.saved_elements) == (
+        pred.macs_forward, pred.macs_backward, pred.saved_elements)
 
 
 def fd_wrt(loss_fn, m0, h=1e-5):
@@ -326,6 +356,17 @@ def test_merge_values_spp():
     tiled = w * np.tile(layer.adapter.a.data, (1, 4)) * np.tile(layer.adapter.b.data, (4, 1))
     merged = merge(layer)
     assert np.allclose(merged.values.data, w + tiled, rtol=1e-15, atol=1e-15)
+
+
+def test_merge_spp_is_bitwise_the_repeat_expression():
+    layer = random_layer(25, "spp", R=4, C=8, r=2)
+    w = layer.base.values.data
+    want = w + (w * np.tile(layer.adapter.a.data, (1, 4))) * np.tile(layer.adapter.b.data, (4, 1))
+    want[~layer.original_mask] = 0.0
+    got = merge(layer).values.data
+    assert (~layer.original_mask).any()
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got[~layer.original_mask]).any()
 
 
 def test_merge_preserves_two_four():

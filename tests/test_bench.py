@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,21 @@ def test_predict_only_rows():
     assert obj[0]["macs_fwd_measured"] is None
     assert obj[1]["variant"] == "lors"
     assert obj[1]["macs_fwd_predicted"] == 96
+
+
+def test_bench_schema_is_pinned_to_readme():
+    schema = ("variant,R,C,L,r,macs_fwd_measured,macs_fwd_predicted,"
+              "macs_bwd_measured,macs_bwd_predicted,saved_measured,saved_predicted,"
+              "wall_time_s")
+    assert BENCH_CSV_HEADER == schema
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## CSV schemas", 1)[1].split("\n## ", 1)[0]
+    assert f"\n{schema}\n" in section
+    report = run_bench([(4, 4, 4, 1)], ["lora", "spp"], predict_only=True)
+    columns = schema.split(",")
+    for obj, line in zip(report.json_obj(), report.csv_text().splitlines()[1:]):
+        assert list(obj) == columns
+        assert len(line.split(",")) == len(columns)
 
 
 def test_run_bench_rejects_unknown_variant():

@@ -115,6 +115,20 @@ def test_train_rejects_nonfinite_lr(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_train_rejects_nonfinite_alpha_and_std_up_front(tmp_path, capsys):
+    missing = tmp_path / "never-read.lors"
+    cases = [(["--alpha", v], "alpha must be finite") for v in ("inf", "nan", "0")]
+    cases += [(["--init", "zero_A_random_B", "--std", v], "std must be finite")
+              for v in ("nan", "inf")]
+    for flags, message in cases:
+        out = tmp_path / "tuned.lors"
+        code = main(["train", "--ckpt", str(missing), "--out", str(out),
+                     "--steps", "2", "--rank", "1"] + flags)
+        assert code == EXIT_IO, flags
+        assert message in capsys.readouterr().err, flags
+        assert not out.exists()
+
+
 def test_train_metrics_default_path(tmp_path, capsys):
     src = make_ckpt(tmp_path / "b.lors", dims=(4, 4))
     sparse = tmp_path / "s.lors"

@@ -193,6 +193,17 @@ def test_init_spec_validation():
         InitSpec("zero_A_random_B", std=-1.0)
 
 
+def test_init_spec_and_adapter_pair_reject_nonfinite_values():
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ArgumentError, match="std must be finite"):
+            InitSpec("zero_A_random_B", std=bad)
+        with pytest.raises(ArgumentError, match="scale must be finite"):
+            InitSpec("gradient_svd", scale=bad)
+        with pytest.raises(ArgumentError, match="alpha must be finite"):
+            AdapterPair(a=DenseMatrix(np.ones((2, 1))), b=DenseMatrix(np.ones((1, 2))),
+                        alpha=bad)
+
+
 def test_probe_batch_validation():
     x = DenseMatrix(np.ones((3, 4)))
     with pytest.raises(ShapeError):

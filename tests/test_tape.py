@@ -21,20 +21,17 @@ def test_composed_graph_matches_finite_differences():
     rng = np.random.default_rng(0)
     w = rng.normal(size=(4, 3))
     x0 = rng.normal(size=(3, 5))
-    b = rng.normal(size=(4, 1))
     m = (rng.random(size=(4, 5)) > 0.5).astype(float)
 
     def build(tape, xv):
         w_id = tape.leaf(DenseMatrix(w), requires_grad=True)
         x_id = tape.leaf(DenseMatrix(xv), requires_grad=True)
-        b_id = tape.leaf(DenseMatrix(b), requires_grad=True)
         m_id = tape.leaf(DenseMatrix(m))
         y = tape.matmul(w_id, x_id)
-        y = tape.add_bias(y, b_id)
         y = tape.relu(y)
         y = tape.hadamard(y, m_id)
         y = tape.square(y)
-        return (w_id, x_id, b_id), tape.sum_all(y)
+        return (w_id, x_id), tape.sum_all(y)
 
     tape = Tape()
     ids, loss_id = build(tape, x0)
@@ -48,22 +45,6 @@ def test_composed_graph_matches_finite_differences():
     want = fd(f, x0)
     got = grads[ids[1]].data
     assert np.allclose(got, want, rtol=1e-5, atol=1e-8)
-    # bias gradient is the row-sum of the upstream gradient; check against fd too
-    def f_b(bv):
-        t = Tape()
-        w_id = t.leaf(DenseMatrix(w))
-        x_id = t.leaf(DenseMatrix(x0))
-        b_id = t.leaf(DenseMatrix(bv), requires_grad=True)
-        m_id = t.leaf(DenseMatrix(m))
-        y = t.matmul(w_id, x_id)
-        y = t.add_bias(y, b_id)
-        y = t.relu(y)
-        y = t.hadamard(y, m_id)
-        y = t.square(y)
-        t_loss = t.sum_all(y)
-        return t.value(t_loss).data[0, 0]
-
-    assert np.allclose(grads[ids[2]].data, fd(f_b, b), rtol=1e-5, atol=1e-8)
 
 
 def test_every_primitive_against_finite_differences():
@@ -74,13 +55,10 @@ def test_every_primitive_against_finite_differences():
         "scale": lambda t, i: t.scale(i, -1.7),
         "square": lambda t, i: t.square(i),
         "relu": lambda t, i: t.relu(i),
-        "repeat_cols": lambda t, i: t.repeat_cols(i, 3),
-        "repeat_rows_via_row": None,  # handled separately below
+        "tile_cols": lambda t, i: t.tile(i, 1, 3),
+        "tile_rows_and_cols": lambda t, i: t.tile(i, 2, 3),
     }
     for name, op in cases.items():
-        if op is None:
-            continue
-
         def f(av, op=op):
             t = Tape()
             i = t.leaf(DenseMatrix(av), requires_grad=True)
@@ -99,15 +77,12 @@ def test_two_operand_primitives_against_finite_differences():
     rng = np.random.default_rng(2)
     a0 = rng.normal(size=(3, 4))
     b0 = rng.normal(size=(3, 4))
-    for opname in ("add", "sub", "hadamard", "add_scaled"):
+    for opname in ("add", "sub", "hadamard"):
         def run(av, bv):
             t = Tape()
             ia = t.leaf(DenseMatrix(av), requires_grad=True)
             ib = t.leaf(DenseMatrix(bv), requires_grad=True)
-            if opname == "add_scaled":
-                out = t.add_scaled(ia, ib, 2.5)
-            else:
-                out = getattr(t, opname)(ia, ib)
+            out = getattr(t, opname)(ia, ib)
             loss = t.sum_all(t.square(out))
             return t, ia, ib, loss
 
@@ -134,7 +109,7 @@ def test_fan_out_gradients_sum():
 def test_repeat_cols_forward_semantics():
     a = DenseMatrix(np.arange(6.0).reshape(2, 3))
     t = Tape()
-    out = t.value(t.repeat_cols(t.leaf(a), 4))
+    out = t.value(t.tile(t.leaf(a), 1, 4))
     assert out.shape == (2, 12)
     for q in range(12):
         assert np.array_equal(out.data[:, q], a.data[:, q % 3])
@@ -144,7 +119,7 @@ def test_repeat_rows_forward_and_backward():
     b0 = np.arange(4.0).reshape(1, 4)
     t = Tape()
     i = t.leaf(DenseMatrix(b0), requires_grad=True)
-    out_id = t.repeat_rows(i, 3)
+    out_id = t.tile(i, 3, 1)
     assert np.array_equal(t.value(out_id).data, np.tile(b0, (3, 1)))
     loss = t.sum_all(t.square(out_id))
     g = t.backward(loss)[i].data
@@ -152,9 +127,28 @@ def test_repeat_rows_forward_and_backward():
     def f(bv):
         t2 = Tape()
         i2 = t2.leaf(DenseMatrix(bv), requires_grad=True)
-        return t2.value(t2.sum_all(t2.square(t2.repeat_rows(i2, 3)))).data[0, 0]
+        return t2.value(t2.sum_all(t2.square(t2.tile(i2, 3, 1)))).data[0, 0]
 
     assert np.allclose(g, fd(f, b0), rtol=1e-5, atol=1e-8)
+
+
+def test_tile_backward_sums_blocks_and_rejects_nonpositive_repeats():
+    a0 = np.arange(6.0).reshape(2, 3)
+    dy0 = np.random.default_rng(7).normal(size=(6, 12))
+    c = CostCounters()
+    t = Tape(c)
+    i = t.leaf(DenseMatrix(a0), requires_grad=True)
+    out_id = t.tile(i, 3, 4)
+    assert np.array_equal(t.value(out_id).data, np.tile(a0, (3, 4)))
+    g = t.backward(out_id, seed=DenseMatrix(dy0))[i].data
+    want = sum(dy0[2 * p:2 * p + 2, 3 * q:3 * q + 3] for p in range(3) for q in range(4))
+    assert np.allclose(g, want, rtol=1e-12, atol=1e-12)
+    assert (c.macs_forward, c.macs_backward) == (0, 0)
+    assert c.elementwise_backward == dy0.size
+    assert c.saved_elements == 0
+    for rows, cols in ((0, 1), (1, 0), (-1, 2)):
+        with pytest.raises(ArgumentError):
+            t.tile(i, rows, cols)
 
 
 def test_block_diag_rows_scatter_and_gather():
@@ -250,7 +244,6 @@ def test_ops_that_save_nothing():
     t.add(a, b)
     t.sub(a, b)
     t.scale(a, 2.0)
-    t.add_scaled(a, b, 0.5)
     t.sum_all(a)
     assert t.counters.saved_elements == before
 
