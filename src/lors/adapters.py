@@ -23,7 +23,7 @@ lors      RCL + rRC + RC      RCL + 2rRL + 2rCL + rRC + RC       CL
   (+rRC + RC backward MACs) with the same helper the forward used.
 - The masked variants merge through ``merged_weight`` over the layer's bool
   ``original_mask``: one RC buffer holds A @ B, then the mask, alpha and W are
-  applied in place, and the result is scanned for finiteness once. Only sqft
+  applied in place, and the result is checked for finiteness once. Only sqft
   builds the RC float mask, once per forward, because it saves it.
 - sqft_gc then runs sqft's backward schedule.
 - spp: Y = WX + (W . tile(A, 1, C/r) . tile(B, R, 1)) X; backward is derived
@@ -59,7 +59,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ArgumentError, GraphError, ShapeError
+from .errors import ArgumentError, GraphError, ShapeError, located
 from . import matrix as mx
 from .matrix import DenseMatrix
 from .prune import SparseWeight
@@ -230,10 +230,10 @@ def merged_weight(w: DenseMatrix, a: DenseMatrix, b: DenseMatrix, alpha: float,
 
     ``mask`` is an R x C bool array (a 0/1 float array gives the same bits,
     signs of zero included). The merge lives in one RC buffer: the product
-    A @ B (scanned by matmul), then, in place, the mask, the scaling by alpha
-    and the addition of W, and one finiteness scan of the result. That scan
-    raises exactly when a scan after each step would: inf * 0 gives NaN,
-    overflow gives inf, and NaN propagates.
+    A @ B, then, in place, the mask, the scaling by alpha and the addition of
+    W. The result is checked for finiteness here, before merge() zeroes the
+    pruned entries: an overflow of A @ B at a pruned entry gives inf * 0 =
+    NaN, which that zeroing would hide from the checkpoint's own check.
 
     sqft saves this matrix, sqft_gc and lors rebuild it in backward, and
     merge() finalizes with it; sharing the helper keeps all of those bitwise
@@ -249,6 +249,7 @@ def merged_weight(w: DenseMatrix, a: DenseMatrix, b: DenseMatrix, alpha: float,
     if counters is not None:
         counters.add_macs(out.size)
         counters.add_elementwise(out.size)
+    mx.check_finite(out, "merged weight")
     return DenseMatrix._wrap(out)
 
 
@@ -530,7 +531,9 @@ def apply_layer(tape: Tape, layer: AdaptedLayer, x_id: int) -> int:
         bias_id = tape.leaf(layer.bias, requires_grad=True, is_param=True,
                             name=f"{layer.name}.bias")
         inputs.append(bias_id)
-    y, ctx = variant_forward(layer, x, tape.counters)
+    with located(layer=layer.name):
+        y, ctx = variant_forward(layer, x, tape.counters)
+        mx.check_finite(y.data, "output")
     c = tape.counters
 
     def bwd(dy):

@@ -73,8 +73,7 @@ def random_sparse_base(rng: Rng, rows: int, cols: int, zero_fraction: float = 0.
 
 
 def random_layer(rng: Rng, variant: str, R: int, C: int, r: int,
-                 alpha: float = 2.0, zero_fraction: float = 0.5,
-                 with_bias: bool = False) -> AdaptedLayer:
+                 alpha: float = 2.0, zero_fraction: float = 0.5) -> AdaptedLayer:
     """A layer with a random sparse base and random nonzero adapter factors."""
     base = random_sparse_base(rng, R, C, zero_fraction)
     if variant in ("spp", "spp_gc"):
@@ -85,8 +84,7 @@ def random_layer(rng: Rng, variant: str, R: int, C: int, r: int,
     else:
         adapter = AdapterPair(a=rng.normal_matrix(R, r, std=0.5),
                               b=rng.normal_matrix(r, C, std=0.5), alpha=alpha)
-    bias = rng.normal_matrix(R, 1, std=0.5) if with_bias else None
-    return AdaptedLayer(base, adapter, variant, bias=bias)
+    return AdaptedLayer(base, adapter, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +493,8 @@ SUITES: dict[str, Callable[[], list[CheckResult]]] = {
 
 
 def run_suites(names) -> list[CheckResult]:
+    if not names:
+        raise ArgumentError(f"no suite named, expected some of {sorted(SUITES)} or 'all'")
     results = []
     for name in names:
         if name not in SUITES:

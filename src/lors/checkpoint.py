@@ -7,7 +7,7 @@ then the payload of raw little-endian IEEE-754 doubles in row-major order.
 
 Loading validates magic, version, manifest structure, dtype, and that tensor
 extents stay inside the payload without overlapping. Round-trips are bitwise
-exact.
+exact. Saving refuses a non-finite tensor before it opens the file.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Dict
 import numpy as np
 
 from .errors import CheckpointFormatError
-from .matrix import DenseMatrix
+from .matrix import DenseMatrix, check_finite
 
 MAGIC = b"LORS"
 VERSION = 1
@@ -36,6 +36,7 @@ def save_checkpoint(path, tensors: Dict[str, DenseMatrix]) -> None:
     for name, m in tensors.items():
         if not isinstance(name, str) or not name:
             raise CheckpointFormatError(f"tensor name must be a nonempty string, got {name!r}")
+        check_finite(m.data, f"tensor {name!r}")
         raw = np.ascontiguousarray(m.data, dtype="<f8").tobytes()
         manifest.append({
             "name": name,

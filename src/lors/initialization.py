@@ -31,7 +31,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ArgumentError, ShapeError
+from .errors import ArgumentError, ShapeError, located
 from . import matrix as mx
 from .matrix import DenseMatrix, Rng
 from .svd import SvdResult, svd
@@ -218,7 +218,8 @@ def init_gradient_svd(model, probe: ProbeBatch, r: int, scale: float = 1.0, *,
         if gauge is not None:
             gauge.alloc(n_elems)
         dw = mx.matmul(dy, mx.transpose(x))
-        result = svd(dw)
+        with located(layer=layer.name):
+            result = svd(dw)
         b = _top_rows(result, r)
         if diagnostics is not None:
             diagnostics.append({

@@ -13,6 +13,8 @@ by every caller:
 
 Counters are duck-typed: anything with ``add_macs`` / ``add_elementwise``
 works, so this module does not depend on the tape.
+
+Ops do not scan their results; ``check_finite`` is the one finiteness check.
 """
 
 from __future__ import annotations
@@ -43,17 +45,14 @@ class DenseMatrix:
             raise ArgumentError(f"DenseMatrix requires 2-D data, got ndim={arr.ndim}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ArgumentError(f"DenseMatrix dimensions must be positive, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("DenseMatrix entries must be finite")
+        check_finite(arr, "DenseMatrix entries")
         self.data = arr
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "DenseMatrix":
-        # Internal fast path: trusted float64 2-D result of an op on finite
-        # inputs. Finiteness is still checked because overflow is possible.
+        # Internal fast path for a float64 2-D op result: no copy and no scan.
+        # A non-finite entry is caught by the next boundary's check_finite.
         m = object.__new__(cls)
-        if not np.all(np.isfinite(arr)):
-            raise NumericError("operation produced non-finite entries")
         m.data = arr
         return m
 
@@ -74,6 +73,12 @@ class DenseMatrix:
 
     def __repr__(self) -> str:
         return f"DenseMatrix({self.rows}x{self.cols})"
+
+
+def check_finite(arr: np.ndarray, what: str) -> None:
+    """Raise ``NumericError("non-finite <what>")`` unless every entry is finite."""
+    if not np.isfinite(arr).all():
+        raise NumericError(f"non-finite {what}")
 
 
 def zeros(rows: int, cols: int) -> DenseMatrix:

@@ -7,7 +7,7 @@ Conventions on top of LAPACK's output:
   zero tails; the matching u and v columns stay an orthonormal basis
 - sign fixed so the first nonzero entry of each right-singular vector is
   nonnegative (the U column flips with it, keeping u s v^T unchanged)
-- LAPACK non-convergence is raised as NumericError
+- a non-finite input and LAPACK non-convergence are raised as NumericError
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError
-from .matrix import DenseMatrix
+from .matrix import DenseMatrix, check_finite
 
 
 @dataclass
@@ -32,6 +32,7 @@ class SvdResult:
 
 def svd(m: DenseMatrix) -> SvdResult:
     """Thin SVD: m = u diag(s) v^T with k = min(rows, cols)."""
+    check_finite(m.data, "svd input")
     try:
         u, s, vt = np.linalg.svd(m.data, full_matrices=False)
     except np.linalg.LinAlgError as exc:

@@ -11,7 +11,7 @@ from lors.checkpoint import (
     model_weight_names,
     save_checkpoint,
 )
-from lors.errors import CheckpointFormatError
+from lors.errors import CheckpointFormatError, NumericError
 from lors.matrix import DenseMatrix
 
 _HEADER = struct.Struct("<4sIQ")
@@ -169,3 +169,15 @@ def test_model_weight_names():
 def test_nonempty_name_required(tmp_path):
     with pytest.raises(CheckpointFormatError):
         save_checkpoint(tmp_path / "x.lors", {"": DenseMatrix(np.ones((1, 1)))})
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_save_refuses_nonfinite_tensor_and_writes_nothing(tmp_path, bad):
+    """The loader rejects non-finite payloads, so the writer never makes one."""
+    w = DenseMatrix(np.ones((2, 3)))
+    w.data[1, 0] = bad
+    path = tmp_path / "bad.lors"
+    with pytest.raises(NumericError, match="non-finite tensor 'layers.0.weight'"):
+        save_checkpoint(path, {"layers.0.bias": DenseMatrix(np.ones((2, 1))),
+                               "layers.0.weight": w})
+    assert not path.exists()

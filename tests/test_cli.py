@@ -191,6 +191,12 @@ def test_verify_suite_subset(capsys):
                for line in out.strip().splitlines())
 
 
+@pytest.mark.parametrize("suite", ["", ","])
+def test_verify_rejects_empty_suite_list(suite, capsys):
+    assert main(["verify", "--suite", suite]) == EXIT_IO
+    assert "no suite named" in capsys.readouterr().err
+
+
 def test_init_inspect(tmp_path, capsys):
     src = make_ckpt(tmp_path / "b.lors", dims=(6, 8, 4))
     sparse = tmp_path / "s.lors"
@@ -320,6 +326,22 @@ def test_nonfinite_checkpoint_exit_numeric(tmp_path, capsys):
     code = main(["prune", "--input", str(p), "--output", str(tmp_path / "o.lors")])
     assert code == EXIT_NUMERIC
     assert "numeric error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("variant", ["lors", "lora", "spp"])
+def test_train_overflow_names_step_and_layer(variant, tmp_path, capsys):
+    """1e160 weights give finite outputs whose loss overflows at step 0:
+    exit 3, the message names the step and the layer, and nothing is written."""
+    ckpt = tmp_path / "big.lors"
+    save_checkpoint(ckpt, {"layers.0.weight": DenseMatrix(np.full((8, 8), 1e160))})
+    out = tmp_path / "o.lors"
+    with np.errstate(over="ignore"):
+        code = main(["train", "--ckpt", str(ckpt), "--out", str(out),
+                     "--variant", variant, "--steps", "3"])
+    assert code == EXIT_NUMERIC
+    assert ("numeric error: step 0: non-finite loss of layers.0"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_no_command_prints_help(capsys):

@@ -2,9 +2,13 @@ import numpy as np
 import pytest
 
 from lors import matrix as mx
+from lors.adapters import AdaptedLayer, AdapterPair
 from lors.errors import ArgumentError, NumericError, ShapeError
+from lors.initialization import ProbeBatch
 from lors.matrix import DenseMatrix, Rng
+from lors.prune import SparseWeight
 from lors.tape import CostCounters
+from lors.train import OptimState, ToyModel, train_step
 
 
 def naive_matmul(a, b):
@@ -153,9 +157,28 @@ def test_copy_is_independent():
 
 
 def test_overflow_is_caught_not_propagated():
+    """Ops do not scan; 1e308 entries overflow a one-layer train_step, whose
+    boundary checks name step 0 and the layer before any update."""
     big = DenseMatrix(np.full((2, 2), 1e308))
-    with np.errstate(over="ignore"), pytest.raises(NumericError):
-        mx.add(big, big)
+    pair = AdapterPair(a=DenseMatrix([[0.5], [-0.25]]), b=DenseMatrix([[0.75, 1.0]]))
+    layer = AdaptedLayer(SparseWeight(big.copy()), pair, "lors", name="layers.0")
+    a0, b0 = pair.a.data.tobytes(), pair.b.data.tobytes()
+    batch = ProbeBatch(big, np.zeros((2, 2)))
+    with np.errstate(over="ignore"), pytest.raises(NumericError) as info:
+        train_step(ToyModel([layer]), batch, OptimState(lr=0.1))
+    assert (info.value.step, info.value.layer) == (0, "layers.0")
+    assert str(info.value) == "step 0: non-finite output of layers.0"
+    assert pair.a.data.tobytes() == a0 and pair.b.data.tobytes() == b0
+
+
+def test_ops_do_not_scan_and_check_finite_names_what_it_checked():
+    big = DenseMatrix(np.full((2, 2), 1e308))
+    with np.errstate(over="ignore"):
+        total = mx.add(big, big)
+    assert np.isposinf(total.data).all()
+    with pytest.raises(NumericError, match="^non-finite sum$"):
+        mx.check_finite(total.data, "sum")
+    mx.check_finite(big.data, "big")
 
 
 # ---------------------------------------------------------------------------

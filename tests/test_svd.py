@@ -130,6 +130,15 @@ def test_nonconvergence_raises_numeric_error(monkeypatch):
         svd(a)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_nonfinite_input_raises_numeric_error(bad):
+    """np.linalg.svd returns NaNs without raising on such input."""
+    m = DenseMatrix(np.eye(3))
+    m.data[1, 2] = bad
+    with pytest.raises(NumericError, match="non-finite svd input"):
+        svd(m)
+
+
 def test_reconstruct_helper():
     a = np.random.default_rng(10).normal(size=(4, 5))
     res = svd(DenseMatrix(a))

@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from lors.adapters import VARIANTS, make_layer, variant_backward, variant_forward
-from lors.errors import ArgumentError, ShapeError
+from lors.adapters import (
+    VARIANTS,
+    AdaptedLayer,
+    AdapterPair,
+    make_layer,
+    variant_backward,
+    variant_forward,
+)
+from lors.errors import ArgumentError, NumericError, ShapeError
 from lors.initialization import InitSpec, ProbeBatch, apply_init
 from lors.matrix import DenseMatrix, Rng
 from lors.prune import SparseWeight, prune_magnitude
@@ -291,10 +298,11 @@ def test_recovery_single_seed_closes_gap():
     assert res.variant == "lors" and res.seed == 0
 
 
-def _biased_model(variant, seed=0, dims=(8, 6, 4), rank=2):
+def _biased_model(variant, seed=0, dims=(8, 6, 4), rank=2, with_bias=True):
     layers = []
     for i, w in enumerate(random_dense_weights(seed, dims)):
         bias = DenseMatrix(np.random.default_rng(seed + i).normal(size=(w.rows, 1)))
+        bias = bias if with_bias else None
         layers.append(make_layer(prune_magnitude(w, 0.5), rank=rank, variant=variant,
                                  bias=bias, name=f"layers.{i}"))
     model = ToyModel(layers)
@@ -334,3 +342,74 @@ def test_gradients_share_no_memory_with_parameters():
         vg = variant_backward(layer, DenseMatrix(np.ones((layer.out_features, 3))), ctx)
         for g in (vg.da, vg.db, vg.dx, vg.dbias):
             assert not any(np.shares_memory(g.data, p.data) for p in params), variant
+
+
+@pytest.mark.parametrize("where", [0, -1])
+@pytest.mark.parametrize("with_bias", [False, True])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_overflow_in_any_layer_names_step_and_layer(variant, with_bias, where):
+    """Adapter factors of 1e200 in the first or the last layer, set after two
+    clean steps, overflow step 2 (in the merged weight of the masked variants,
+    in the output of the others): the NumericError names step 2 and that
+    layer, and neither the parameters nor the optimizer state move."""
+    model = _biased_model(variant, with_bias=with_bias)
+    batch = small_data(model).head(8)
+    optim = OptimState(kind="adaptive", lr=1e-3)
+    for _ in range(2):
+        train_step(model, batch, optim)
+    layer = model.layers[where]
+    layer.adapter.a.data[:] = 1e200
+    layer.adapter.b.data[:] = 1e200
+
+    def state():
+        return ({k: p.data.tobytes() for k, p in model.named_trainable().items()},
+                {k: m.tobytes() for k, m in optim.m.items()},
+                {k: v.tobytes() for k, v in optim.v.items()}, optim.step_count)
+
+    before = state()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as info:
+        train_step(model, batch, optim)
+    what = "merged weight" if variant in ("sqft", "sqft_gc", "lors") else "output"
+    assert (info.value.step, info.value.layer) == (2, layer.name)
+    assert str(info.value) == f"step 2: non-finite {what} of {layer.name}"
+    assert state() == before
+
+
+def test_nonfinite_gradient_is_caught_before_the_update():
+    """A finite forward whose adapter gradient overflows: the gradient check
+    names the step and the parameter, and no parameter moves."""
+    pair = AdapterPair(a=DenseMatrix(np.zeros((2, 1))), b=DenseMatrix([[1e200, 1e200]]))
+    layer = AdaptedLayer(SparseWeight(DenseMatrix(np.eye(2))), pair, "lors", name="layers.0")
+    model = ToyModel([layer], head="classification")
+    batch = ProbeBatch(DenseMatrix(np.full((2, 3), 1e200)), [0, 1, 0], "classification")
+    a0, b0 = pair.a.data.tobytes(), pair.b.data.tobytes()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as info:
+        train_step(model, batch, OptimState(lr=0.1))
+    assert str(info.value) == "step 0: non-finite gradient of layers.0.a"
+    assert (info.value.step, info.value.layer) == (0, "layers.0.a")
+    assert pair.a.data.tobytes() == a0 and pair.b.data.tobytes() == b0
+
+
+def test_nonfinite_loss_names_the_last_layer():
+    model = small_model()
+    data = small_data(model)
+    for layer in model.layers:
+        layer.base.values.data[:] *= 1e80
+    with np.errstate(over="ignore"), pytest.raises(NumericError) as info:
+        evaluate(model, data)
+    assert str(info.value) == "non-finite loss of layers.1"
+    assert (info.value.step, info.value.layer) == (None, "layers.1")
+
+
+def test_nonfinite_init_gradient_names_the_layer():
+    """Gradient-SVD init, which runs before step 0: the probe's loss and dY
+    are finite, but dW = dY X^T of the last layer overflows, so the svd input
+    check raises and names that layer (and no step)."""
+    weights = [DenseMatrix(np.full((4, 4), 1e307)), DenseMatrix(np.full((4, 4), 1e-307))]
+    model = model_from_weights(weights, variant="lors", rank=2)
+    data = Dataset(DenseMatrix(np.ones((4, 40))), DenseMatrix(np.zeros((4, 40))))
+    config = TrainConfig(steps=2, init=InitSpec("gradient_svd"))
+    with np.errstate(over="ignore"), pytest.raises(NumericError) as info:
+        finetune(model, data, config)
+    assert str(info.value) == "non-finite svd input of layers.1"
+    assert (info.value.step, info.value.layer) == (None, "layers.1")
