@@ -14,6 +14,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .errors import (
     ArgumentError,
     CheckpointFormatError,
@@ -388,8 +390,11 @@ def main(argv=None) -> int:
         parser.print_help()
         return EXIT_IO
 
+    # The check_finite boundaries catch every non-finite value and name it, so
+    # numpy's floating-point warnings would only repeat them, with source paths.
     try:
-        return args.handler(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.handler(args)
     except (CheckpointFormatError, ArgumentError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

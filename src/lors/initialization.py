@@ -164,7 +164,7 @@ def singular_tail(dw: DenseMatrix, r: int) -> float:
 
 
 def _tail(s: np.ndarray, r: int) -> float:
-    return float(math.sqrt(float(np.sum(s[r:] ** 2))))
+    return mx.l2_norm(s[r:])
 
 
 def init_zero_zero(layer: AdaptedLayer):

@@ -192,7 +192,23 @@ def relu(a: DenseMatrix, counters=None) -> DenseMatrix:
 
 
 def frobenius_norm(a: DenseMatrix) -> float:
-    return float(np.sqrt(np.sum(a.data * a.data)))
+    return l2_norm(a.data)
+
+
+def l2_norm(v: np.ndarray) -> float:
+    """sqrt(sum(v**2)) over every entry of v.
+
+    When the squares of a finite v overflow, the sum is taken over v / max|v|
+    and scaled back, so the norm stays finite wherever it is representable.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(np.sum(v * v)))
+    if math.isinf(norm):
+        peak = float(np.max(np.abs(v)))
+        if math.isfinite(peak):
+            unit = v / peak
+            norm = peak * float(np.sqrt(np.sum(unit * unit)))
+    return norm
 
 
 def max_abs_diff(a: DenseMatrix, b: DenseMatrix) -> float:

@@ -3,9 +3,13 @@
 Zeros encode the mask: a pruned entry is exactly 0.0 and the mask of a
 ``SparseWeight`` is simply ``values != 0``. No separate bitmap is stored.
 
-Tie handling is fixed so results are reproducible: when scores are equal, the
-entry with the smaller (row, col) index is removed first. For 2:4 groups this
-means a group of four equal scores keeps its last two entries.
+Every pruner removes the n lowest scores of a row, and ties go to the smaller
+index: when scores are equal, the entry with the smaller (row, col) index is
+removed first. Magnitude pruning treats the whole weight as one row-major row
+and activation-scaled pruning works per output row; both find the n lowest by
+selection, not by sorting, in O(R*C) time (``_lowest``). 2:4 pruning removes
+the two lowest of every aligned group of four with a stable sort of each
+group, so a group of four equal scores keeps its last two entries.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ArgumentError, ShapeError
-from .matrix import DenseMatrix
+from .matrix import DenseMatrix, check_finite
 
 
 @dataclass
@@ -26,8 +30,14 @@ class CalibrationBatch:
     x: DenseMatrix
 
     def feature_norms(self) -> np.ndarray:
-        """Euclidean norm of each feature row; length C."""
-        return np.linalg.norm(self.x.data, axis=1)
+        """Euclidean norm of each feature row; length C.
+
+        A norm whose squares overflow is an error, not inf: |w| * inf is NaN
+        where w = 0, and NaN scores have no place in a removal order.
+        """
+        norms = np.linalg.norm(self.x.data, axis=1)
+        check_finite(norms, "calibration feature norms")
+        return norms
 
 
 @dataclass
@@ -43,8 +53,9 @@ class SparseWeight:
 
     def __post_init__(self):
         # Normalize -0.0 to +0.0 so mask logic and bitwise comparisons are
-        # insensitive to the sign of zero.
-        self.values.data[self.values.data == 0.0] = 0.0
+        # insensitive to the sign of zero: -0.0 + 0.0 is +0.0, and adding
+        # +0.0 keeps the bits of every other value.
+        self.values.data += 0.0
         if self.pattern not in ("unstructured", "two_four"):
             raise ArgumentError(f"unknown sparsity pattern {self.pattern!r}")
         if self.pattern == "two_four" and not two_four_valid(self.values):
@@ -77,12 +88,21 @@ def two_four_valid(values: DenseMatrix) -> bool:
     return bool((nz.sum(axis=2) <= 2).all())
 
 
-def _removal_order(scores: np.ndarray) -> np.ndarray:
-    """Flat indices sorted by (score asc, row asc, col asc)."""
-    rows, cols = scores.shape
-    flat = scores.reshape(-1)
-    idx = np.arange(flat.size)
-    return np.lexsort((idx % cols, idx // cols, flat))
+def _lowest(scores: np.ndarray, n: int) -> np.ndarray:
+    """Bool mask of the n lowest entries of each row of ``scores``, 1 <= n < cols.
+
+    Ties go to the smaller column index. One partition finds each row's n-th
+    smallest score ``kth``; every entry below it is in, and entries equal to
+    it are taken in index order until the row has n. No sort: O(rows * cols).
+    """
+    kth = np.partition(scores, n - 1, axis=1)[:, n - 1:n]
+    low = scores < kth
+    tie = scores == kth
+    need = n - np.count_nonzero(low, axis=1)
+    if np.any(np.count_nonzero(tie, axis=1) != need):
+        tie &= np.cumsum(tie, axis=1) <= need[:, np.newaxis]
+    low |= tie
+    return low
 
 
 def prune_magnitude(w: DenseMatrix, ratio: float) -> SparseWeight:
@@ -92,8 +112,7 @@ def prune_magnitude(w: DenseMatrix, ratio: float) -> SparseWeight:
     out = w.data.copy()
     n_remove = int(ratio * out.size)
     if n_remove:
-        order = _removal_order(np.abs(out))
-        out.reshape(-1)[order[:n_remove]] = 0.0
+        out[_lowest(np.abs(out).reshape(1, -1), n_remove).reshape(out.shape)] = 0.0
     return SparseWeight(DenseMatrix(out), pattern="unstructured", ratio=ratio)
 
 
@@ -115,9 +134,7 @@ def prune_activation_scaled(w: DenseMatrix, calib: CalibrationBatch, ratio: floa
     out = w.data.copy()
     n_remove = int(ratio * w.cols)
     if n_remove:
-        # a stable sort keeps equal scores in column order: smaller index first
-        order = np.argsort(scores, axis=1, kind="stable")
-        np.put_along_axis(out, order[:, :n_remove], 0.0, axis=1)
+        out[_lowest(scores, n_remove)] = 0.0
     return SparseWeight(DenseMatrix(out), pattern="unstructured", ratio=ratio)
 
 

@@ -344,6 +344,46 @@ def test_train_overflow_names_step_and_layer(variant, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_numeric_failure_prints_one_stderr_line(tmp_path, capsys):
+    """The check_finite message is all a numeric failure prints: numpy's
+    floating-point warnings stay silent inside the CLI."""
+    ckpt = tmp_path / "big.lors"
+    save_checkpoint(ckpt, {"layers.0.weight": DenseMatrix(np.full((8, 8), 1e160))})
+    code = main(["train", "--ckpt", str(ckpt), "--out", str(tmp_path / "o.lors"),
+                 "--steps", "3"])
+    assert code == EXIT_NUMERIC
+    assert capsys.readouterr().err.splitlines() == [
+        "numeric error: step 0: non-finite loss of layers.0"]
+
+
+def test_prune_overflowing_calibration_exits_numeric(tmp_path, capsys):
+    src = make_ckpt(tmp_path / "d.lors", dims=(4, 4))
+    calib = tmp_path / "c.lors"
+    save_checkpoint(calib, {"calib": DenseMatrix(np.full((4, 3), 1e200))})
+    out = tmp_path / "o.lors"
+    assert main(["prune", "--input", str(src), "--output", str(out),
+                 "--method", "activation", "--calib", str(calib)]) == EXIT_NUMERIC
+    assert capsys.readouterr().err.splitlines() == [
+        "numeric error: non-finite calibration feature norms"]
+    assert not out.exists()
+
+
+def test_init_inspect_overflowing_squares_stay_json(tmp_path, capsys):
+    """A finite dW whose squares overflow: every norm in the report is finite,
+    so the output is strict JSON."""
+    rng = np.random.default_rng(0)
+    ckpt = tmp_path / "wide.lors"
+    save_checkpoint(ckpt, {"layers.0.weight": DenseMatrix(rng.normal(size=(8, 8)) * 1e155),
+                           "layers.1.weight": DenseMatrix(rng.normal(size=(8, 8)) * 1e-156)})
+    assert main(["init-inspect", "--ckpt", str(ckpt)]) == EXIT_OK
+
+    def refuse(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+    report = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert report["layers"][1]["grad_norm"] > 1e154
+    assert report["layers"][1]["singular_tail"] > 0.0
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == EXIT_IO
     assert "usage:" in capsys.readouterr().out

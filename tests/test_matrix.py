@@ -181,6 +181,20 @@ def test_ops_do_not_scan_and_check_finite_names_what_it_checked():
     mx.check_finite(big.data, "big")
 
 
+def test_l2_norm_rescales_only_when_the_squares_overflow():
+    rng = np.random.default_rng(4)
+    for scale in (1e-150, 1.0, 1e150):
+        v = rng.normal(size=(5, 7)) * scale
+        assert mx.frobenius_norm(DenseMatrix(v)) == float(np.sqrt(np.sum(v * v)))
+    v = rng.normal(size=(5, 7))
+    big = mx.frobenius_norm(DenseMatrix(v * 1e200))
+    assert big == pytest.approx(mx.frobenius_norm(DenseMatrix(v)) * 1e200, rel=1e-14)
+    assert mx.l2_norm(np.array([3e307, 4e307])) == pytest.approx(5e307, rel=1e-15)
+    assert mx.l2_norm(np.array([1e308] * 4)) == np.inf  # 2e308 is not representable
+    assert mx.l2_norm(np.array([np.inf, 1.0])) == np.inf
+    assert mx.l2_norm(np.array([])) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # RNG
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lors.errors import ArgumentError, ShapeError
+from lors.errors import ArgumentError, NumericError, ShapeError
 from lors.matrix import DenseMatrix
 from lors.prune import (
     CalibrationBatch,
@@ -166,6 +167,13 @@ def test_sparse_weight_normalizes_negative_zero():
     sw = SparseWeight(w)
     assert not np.signbit(sw.values.data[0, 0])
     assert sw.nonzeros() == 1
+    # every nonzero keeps its bits, subnormals included
+    tiny = np.nextafter(0.0, 1.0)
+    w = np.array([[-0.0, 0.0, tiny, -tiny, 2.2250738585072014e-308 / 3.0],
+                  [-1.5, 1e308, -1e-300, 0.1, -0.0]])
+    got = SparseWeight(DenseMatrix(w)).values.data
+    assert not np.signbit(got[w == 0.0]).any()
+    assert got[w != 0.0].tobytes() == w[w != 0.0].tobytes()
 
 
 def test_sparse_weight_pattern_validation():
@@ -182,3 +190,85 @@ def test_mask_matches_nonzeros():
     assert np.array_equal(sw.mask_bool(), w != 0.0)
     assert sw.nonzeros() == 2
     assert sparsity(sw) == 0.5
+
+
+# ---------------------------------------------------------------------------
+# selection against the sort-based removal order it replaced
+# ---------------------------------------------------------------------------
+
+def _sorted_magnitude(w: np.ndarray, ratio: float) -> np.ndarray:
+    """Global removal by a three-key lexsort: (|w| asc, row asc, col asc)."""
+    out = w.copy()
+    n_remove = int(ratio * out.size)
+    if n_remove:
+        cols = w.shape[1]
+        idx = np.arange(w.size)
+        order = np.lexsort((idx % cols, idx // cols, np.abs(w).reshape(-1)))
+        out.reshape(-1)[order[:n_remove]] = 0.0
+    out[out == 0.0] = 0.0
+    return out
+
+
+def _sorted_activation(w: np.ndarray, norms: np.ndarray, ratio: float) -> np.ndarray:
+    """Per-row removal by a stable argsort of |w| * norms."""
+    out = w.copy()
+    n_remove = int(ratio * w.shape[1])
+    if n_remove:
+        order = np.argsort(np.abs(w) * norms[np.newaxis, :], axis=1, kind="stable")
+        np.put_along_axis(out, order[:, :n_remove], 0.0, axis=1)
+    out[out == 0.0] = 0.0
+    return out
+
+
+_VALUES = {
+    "normal": lambda rng, shape: rng.normal(size=shape),
+    "small_int": lambda rng, shape: rng.integers(-3, 4, size=shape).astype(float),
+    "all_equal": lambda rng, shape: np.full(shape, -2.0),
+    "signed_zeros": lambda rng, shape: rng.choice([0.0, -0.0, 1.0, -1.0], size=shape),
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_selection_matches_sort_order(data):
+    rows = data.draw(st.integers(1, 40), label="rows")
+    cols = data.draw(st.integers(1, 40), label="cols")
+    ratio = data.draw(st.sampled_from([0.0, 0.01, 0.5, 0.999])
+                      | st.floats(0.0, 0.999), label="ratio")
+    kind = data.draw(st.sampled_from(sorted(_VALUES)), label="values")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    w = _VALUES[kind](rng, (rows, cols))
+    x = rng.integers(-2, 3, size=(cols, 3)).astype(float)
+    x[rng.random(cols) < data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="dead")] = 0.0
+    got = prune_magnitude(DenseMatrix(w), ratio).values.data
+    assert got.tobytes() == _sorted_magnitude(w, ratio).tobytes()
+    calib = CalibrationBatch(DenseMatrix(x))
+    got = prune_activation_scaled(DenseMatrix(w), calib, ratio).values.data
+    want = _sorted_activation(w, np.linalg.norm(x, axis=1), ratio)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_unstructured_pruners_do_not_sort(monkeypatch):
+    """The n lowest are found by selection; a sort creeping back fails here."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("unstructured pruning must not sort")
+    rng = np.random.default_rng(9)
+    w = DenseMatrix(rng.normal(size=(64, 64)))
+    calib = CalibrationBatch(DenseMatrix(rng.normal(size=(64, 16))))
+    monkeypatch.setattr(np, "lexsort", refuse)
+    monkeypatch.setattr(np, "argsort", refuse)
+    monkeypatch.setattr(np, "sort", refuse)
+    assert prune_magnitude(w, 0.5).nonzeros() == 64 * 32
+    assert prune_activation_scaled(w, calib, 0.5).nonzeros() == 64 * 32
+
+
+def test_overflowing_calibration_norms_are_a_numeric_error():
+    """Finite 1e200 activations whose squares overflow: |w| * inf would be
+    NaN at w = 0, so scoring stops with a NumericError instead."""
+    w = DenseMatrix(np.array([[0.0, 1.0, 2.0, 3.0]]))
+    calib = CalibrationBatch(DenseMatrix(np.full((4, 2), 1e200)))
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericError, match="non-finite calibration feature norms"):
+            prune_activation_scaled(w, calib, 0.5)
+        with pytest.raises(NumericError, match="non-finite calibration feature norms"):
+            prune_two_four(w, "activation", calib)
