@@ -125,11 +125,13 @@ def _task_dataset(task: str, model: ToyModel, seed: int, n: int) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def cmd_prune(args) -> int:
+    if args.method == "activation" and not args.calib:
+        raise ArgumentError("method 'activation' requires --calib")
+    if args.method != "activation" and args.calib is not None:
+        raise ArgumentError(f"--calib is read only by method 'activation', not {args.method!r}")
     tensors = load_checkpoint(args.input)
     calib = None
     if args.method == "activation":
-        if not args.calib:
-            raise ArgumentError("method 'activation' requires --calib")
         calib_tensors = load_checkpoint(args.calib)
         if "calib" not in calib_tensors:
             raise CheckpointFormatError(
@@ -290,7 +292,7 @@ def build_parser():
                    default="magnitude")
     p.add_argument("--ratio", type=float, default=0.5)
     p.add_argument("--calib", default=None,
-                   help="checkpoint holding a 'calib' tensor (activation method)")
+                   help="checkpoint holding a 'calib' tensor (method activation only)")
 
     t = add("train", cmd_train, "finetune adapters over a sparse checkpoint")
     t.add_argument("--ckpt", required=True)

@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-from contextlib import contextmanager
-
 
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible. Messages name both shapes."""
@@ -28,17 +26,29 @@ class NumericError(ArithmeticError):
         return text if self.step is None else f"step {self.step}: {text}"
 
 
-@contextmanager
-def located(*, step=None, layer=None):
-    """Set ``step`` or ``layer`` on a NumericError raised inside the block."""
-    try:
-        yield
-    except NumericError as exc:
-        if step is not None:
-            exc.step = step
-        if layer is not None:
-            exc.layer = layer
-        raise
+class located:
+    """Set ``step`` or ``layer`` on a NumericError raised inside the block.
+
+    A plain class rather than a generator context manager: a training step
+    enters about fifteen of these.
+    """
+
+    __slots__ = ("step", "layer")
+
+    def __init__(self, *, step=None, layer=None):
+        self.step = step
+        self.layer = layer
+
+    def __enter__(self):
+        return None
+
+    def __exit__(self, exc_type, exc, tb):
+        if isinstance(exc, NumericError):
+            if self.step is not None:
+                exc.step = self.step
+            if self.layer is not None:
+                exc.layer = self.layer
+        return False
 
 
 class GraphError(RuntimeError):

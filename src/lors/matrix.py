@@ -239,10 +239,10 @@ def _mix64(z: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-        return z ^ (z >> np.uint64(31))
+    """``_mix64`` over a uint64 array; array arithmetic wraps mod 2^64 silently."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
+    return z ^ (z >> np.uint64(31))
 
 
 class Rng:
@@ -272,8 +272,7 @@ class Rng:
 
     def _raw_block(self, n: int) -> np.ndarray:
         idx = np.arange(self.position + 1, self.position + n + 1, dtype=np.uint64)
-        with np.errstate(over="ignore"):
-            state = np.uint64(self.seed) + idx * np.uint64(_GOLDEN)
+        state = np.uint64(self.seed) + idx * np.uint64(_GOLDEN)
         self.position += n
         return _mix64_array(state)
 

@@ -25,7 +25,6 @@ cost tallies respect what a given graph actually needs.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -62,15 +61,27 @@ class CostCounters:
     def add_saved(self, n: int) -> None:
         self.saved_elements += n
 
-    @contextmanager
-    def backward_phase(self):
+    def backward_phase(self) -> _BackwardPhase:
         """Tally into the backward buckets inside the block, then restore the
         prior phase (also when the block raises)."""
-        prior, self.phase = self.phase, "backward"
-        try:
-            yield self
-        finally:
-            self.phase = prior
+        return _BackwardPhase(self)
+
+
+class _BackwardPhase:
+    """The context manager ``CostCounters.backward_phase`` returns."""
+
+    __slots__ = ("counters", "prior")
+
+    def __init__(self, counters: CostCounters):
+        self.counters = counters
+
+    def __enter__(self) -> CostCounters:
+        self.prior, self.counters.phase = self.counters.phase, "backward"
+        return self.counters
+
+    def __exit__(self, exc_type, exc, tb):
+        self.counters.phase = self.prior
+        return False
 
 
 def reset_counters(counters: CostCounters) -> None:
@@ -107,7 +118,7 @@ class SavedContext:
         self.current -= self.per_node.get(node_id, 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class TapeNode:
     id: int
     op: str

@@ -104,9 +104,27 @@ class ToyModel:
         return h.hexdigest()
 
 
+# Elements per optimizer bucket: 64 KiB of float64, so no per-step temporary
+# crosses the allocator's 128 KiB mmap threshold and pays fresh page faults.
+BUCKET = 8192
+
+
 @dataclass
 class OptimState:
-    """SGD or a first/second-moment adaptive method with bias correction."""
+    """SGD or a first/second-moment adaptive method with bias correction.
+
+    The update is bucketed: consecutive parameters, in the order ``apply``
+    receives them, form runs of at most ``BUCKET`` elements (a larger
+    parameter is a run of its own), and each run is updated in one pass over
+    its concatenated gradient and flat moments. ``m`` and ``v`` map each
+    parameter name to a view of its run's moments. Every element goes through
+    the same operations in the same order as the per-parameter rule
+
+        m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        p = p - lr (m / c1) / (sqrt(v / c2) + eps),  c_i = 1 - b_i^t
+
+    (sgd: p = p - lr g), so the result is bitwise equal to it.
+    """
 
     kind: str = "sgd"
     lr: float = 2e-5
@@ -116,6 +134,8 @@ class OptimState:
     step_count: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    _layout: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _runs: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in OPTIMIZERS:
@@ -123,29 +143,85 @@ class OptimState:
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ArgumentError(f"lr must be finite and nonnegative, got {self.lr}")
 
-    def _buffer(self, store: dict, name: str, shape) -> np.ndarray:
-        buf = store.get(name)
-        if buf is None:
-            buf = np.zeros(shape)
-            store[name] = buf
-        elif buf.shape != shape:
-            raise ShapeError(f"optimizer buffer {name} has shape {buf.shape}, parameter {shape}")
-        return buf
+    def _plan(self, layout: tuple) -> tuple[list, dict, dict]:
+        """Runs for ``layout`` ((name, shape) pairs) plus their m and v views.
+
+        A run is (members, m, v): (name, start, stop, shape) per member, and
+        the run's flat moments (None for sgd). Surviving names keep their
+        moments and new names start at zero; a name whose shape changed raises
+        ShapeError. Nothing is committed.
+        """
+        groups, size = [], 0
+        for name, shape in layout:
+            n = math.prod(shape)
+            if not groups or size + n > BUCKET:
+                groups.append([])
+                size = 0
+            groups[-1].append((name, size, size + n, shape))
+            size += n
+        runs, m_views, v_views = [], {}, {}
+        for members in groups:
+            m = v = None
+            if self.kind == "adaptive":
+                m, v = np.zeros(members[-1][2]), np.zeros(members[-1][2])
+                for name, start, stop, shape in members:
+                    for flat, old, views in ((m, self.m, m_views), (v, self.v, v_views)):
+                        view = flat[start:stop].reshape(shape)
+                        if name in old:
+                            if old[name].shape != shape:
+                                raise ShapeError(f"optimizer buffer {name} has shape "
+                                                 f"{old[name].shape}, parameter {shape}")
+                            view[...] = old[name]
+                        views[name] = view
+            runs.append((members, m, v))
+        return runs, m_views, v_views
 
     def apply(self, params: dict[str, DenseMatrix], grads: dict[str, DenseMatrix]) -> None:
+        """One update of every parameter from its gradient.
+
+        Every gradient is checked for finiteness before anything moves: a
+        non-finite one raises NumericError naming the last such parameter in
+        ``grads`` (backward order), and parameters, moments and
+        ``step_count`` keep their values.
+        """
+        layout = tuple((name, p.data.shape) for name, p in params.items())
+        if layout == self._layout:
+            runs = self._runs
+        else:
+            runs, m_views, v_views = self._plan(layout)
+        flat = []
+        for members, _, _ in runs:
+            gs = [grads[name].data.reshape(-1) for name, *_ in members]
+            flat.append(gs[0] if len(gs) == 1 else np.concatenate(gs))
+        if not all(np.isfinite(g).all() for g in flat):
+            for name, g in reversed(grads.items()):  # backward order: last layer first
+                with located(layer=name):
+                    mx.check_finite(g.data, "gradient")
+        if runs is not self._runs:
+            self._layout, self._runs, self.m, self.v = layout, runs, m_views, v_views
         self.step_count += 1
-        for name, p in params.items():
-            g = grads[name].data
-            if self.kind == "sgd":
-                p.data[:] = p.data - self.lr * g
-                continue
-            m = self._buffer(self.m, name, p.data.shape)
-            v = self._buffer(self.v, name, p.data.shape)
-            m[:] = self.beta1 * m + (1.0 - self.beta1) * g
-            v[:] = self.beta2 * v + (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** self.step_count)
-            v_hat = v / (1.0 - self.beta2 ** self.step_count)
-            p.data[:] = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        b1, b2, lr = self.beta1, self.beta2, self.lr
+        c1 = 1.0 - b1 ** self.step_count
+        c2 = 1.0 - b2 ** self.step_count
+        for (members, m, v), g in zip(runs, flat):
+            if m is None:
+                upd = g * lr
+            else:
+                m *= b1
+                m += (1.0 - b1) * g
+                t = (1.0 - b2) * g
+                t *= g
+                v *= b2
+                v += t
+                upd = m / c1
+                upd *= lr
+                np.divide(v, c2, out=t)
+                np.sqrt(t, out=t)
+                t += self.eps
+                upd /= t
+            for name, start, stop, shape in members:
+                p = params[name].data
+                np.subtract(p, upd[start:stop].reshape(shape), out=p)
 
 
 @dataclass
@@ -186,6 +262,8 @@ class Dataset:
 
     def batch(self, indices) -> ProbeBatch:
         idx = np.asarray(indices, dtype=np.int64)
+        # The gather is F-contiguous; the copy makes it C-contiguous, and
+        # BLAS results (so every downstream bit) depend on operand layout.
         inputs = DenseMatrix._wrap(self.inputs.data[:, idx].copy())
         if self.loss == "regression":
             targets = DenseMatrix._wrap(self.targets.data[:, idx].copy())
@@ -205,11 +283,7 @@ def _run_step(model: ToyModel, batch: ProbeBatch, optim: OptimState,
     tape = Tape(counters=counters)
     with located(step=optim.step_count):
         loss_id = model.forward_loss(tape, batch)
-        grads = model.gather_grads(tape.backward(loss_id))
-        for name, g in reversed(grads.items()):  # backward order: last layer first
-            with located(layer=name):
-                mx.check_finite(g.data, "gradient")
-    optim.apply(model.named_trainable(), grads)
+        optim.apply(model.named_trainable(), model.gather_grads(tape.backward(loss_id)))
     return float(tape.value(loss_id).data[0, 0]), tape.saved_ctx.peak
 
 

@@ -61,6 +61,19 @@ def test_prune_activation_requires_calib(tmp_path, capsys):
     assert "calib" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ["magnitude", "two_four"])
+def test_prune_rejects_calib_without_activation(tmp_path, capsys, method):
+    """Only the activation method reads --calib; with another method it is an
+    argument error, raised before the input or the calibration is read."""
+    out = tmp_path / "o.lors"
+    code = main(["prune", "--input", str(tmp_path / "missing.lors"), "--output", str(out),
+                 "--method", method, "--calib", str(tmp_path / "nonexistent.lors")])
+    assert code == EXIT_IO
+    assert capsys.readouterr().err == (
+        f"error: --calib is read only by method 'activation', not {method!r}\n")
+    assert not out.exists()
+
+
 def test_prune_activation(tmp_path, capsys):
     src = make_ckpt(tmp_path / "base.lors", dims=(6, 8))
     calib_path = tmp_path / "calib.lors"

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -221,6 +224,37 @@ def test_rng_block_and_scalar_draws_agree():
     block = a.uniforms(50)
     singles = np.array([b.uniform() for _ in range(50)])
     assert np.array_equal(block, singles)
+
+
+def test_rng_block_draws_wrap_silently_and_match_scalar_stream():
+    """Block draws do uint64 array arithmetic that wraps mod 2^64 without a
+    warning. At the top seed and a position past 2^63 every block method and
+    derive run warning-free, and their bits follow the scalar stream."""
+    seed, pos = 2**64 - 1, 2**63 + 5
+    scalar = Rng(seed, pos)
+
+    def units(n):
+        return np.array([scalar.next_u64() >> 11 for _ in range(n)], dtype=np.float64)
+
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        rng = Rng(seed, pos)
+        uniforms = rng.uniforms(6)
+        normals = rng.normals(5)
+        integers = rng.integers(7, 10)
+        child = rng.derive(3)
+        child_uniforms = child.uniforms(4)
+        u = units(6) * 2.0**-53
+        raw = units(10)
+        u1, u2 = (raw[:5] + 1.0) * 2.0**-53, raw[5:] * 2.0**-53
+        want_normals = np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
+        want_integers = np.minimum((units(7) * 2.0**-53 * 10).astype(np.int64), 9)
+    assert uniforms.tobytes() == u.tobytes()
+    assert normals.tobytes() == want_normals.tobytes()
+    assert integers.tobytes() == want_integers.tobytes()
+    assert rng.state() == scalar.state() == (seed, pos + 23)
+    fresh = Rng(child.seed)
+    assert child_uniforms.tobytes() == np.array([fresh.uniform() for _ in range(4)]).tobytes()
 
 
 def test_rng_uniform_range_and_coverage():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lors.adapters import (
     VARIANTS,
@@ -15,9 +16,11 @@ from lors.matrix import DenseMatrix, Rng
 from lors.prune import SparseWeight, prune_magnitude
 from lors.tape import CostCounters, Tape
 from lors.train import (
+    BUCKET,
     CSV_HEADER,
     Dataset,
     MetricsTrace,
+    OPTIMIZERS,
     OptimState,
     ToyModel,
     TrainConfig,
@@ -125,6 +128,176 @@ def test_adaptive_first_step_is_signlike():
     g = grads[name_b].data
     want = b0 - 0.01 * g / (np.abs(g) + 1e-8)
     assert np.allclose(layer.adapter.b.data, want, rtol=1e-6, atol=1e-9)
+
+
+class PerParameterOptim:
+    """The per-parameter update rule, the oracle for OptimState's bucketed one."""
+
+    def __init__(self, kind, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.kind, self.lr, self.beta1, self.beta2, self.eps = kind, lr, beta1, beta2, eps
+        self.step_count = 0
+        self.m, self.v = {}, {}
+
+    def _buffer(self, store, name, shape):
+        buf = store.get(name)
+        if buf is None:
+            buf = np.zeros(shape)
+            store[name] = buf
+        elif buf.shape != shape:
+            raise ShapeError(f"optimizer buffer {name} has shape {buf.shape}, parameter {shape}")
+        return buf
+
+    def apply(self, params, grads):
+        self.step_count += 1
+        for name, p in params.items():
+            g = grads[name]
+            if self.kind == "sgd":
+                p[:] = p - self.lr * g
+                continue
+            m = self._buffer(self.m, name, p.shape)
+            v = self._buffer(self.v, name, p.shape)
+            m[:] = self.beta1 * m + (1.0 - self.beta1) * g
+            v[:] = self.beta2 * v + (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1 ** self.step_count)
+            v_hat = v / (1.0 - self.beta2 ** self.step_count)
+            p[:] = p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def _bytes(store):
+    return {name: np.ascontiguousarray(a).tobytes() for name, a in store.items()}
+
+
+def _run_against_oracle(kind, schedule, seed, lr=1e-2):
+    """Apply OptimState and the oracle side by side; ``schedule`` lists one
+    {name: (shape, fortran_grad)} dict per step (a later dict may add names).
+    Parameters and every moment must agree bitwise after each step."""
+    rng = np.random.default_rng(seed)
+    ours, theirs = {}, {}
+    optim, oracle = OptimState(kind=kind, lr=lr), PerParameterOptim(kind, lr)
+    for step in schedule:
+        for name, (shape, _) in step.items():
+            if name not in ours:
+                theirs[name] = rng.normal(size=shape)
+                ours[name] = theirs[name].copy()
+        grads = {}
+        for name, (shape, fortran) in step.items():
+            g = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+            g[rng.random(shape) < 0.1] = 0.0
+            grads[name] = np.asfortranarray(g) if fortran else g
+        optim.apply({n: DenseMatrix._wrap(ours[n]) for n in step},
+                    {n: DenseMatrix._wrap(grads[n]) for n in step})
+        oracle.apply({n: theirs[n] for n in step}, grads)
+        assert _bytes(ours) == _bytes(theirs)
+        assert _bytes(optim.m) == _bytes(oracle.m)
+        assert _bytes(optim.v) == _bytes(oracle.v)
+        assert optim.step_count == oracle.step_count
+    if kind == "sgd":
+        assert optim.m == {} and optim.v == {}
+
+
+_tiny = st.tuples(st.integers(1, 6), st.integers(1, 6))
+_straddling = st.sampled_from([(BUCKET, 1), (1, BUCKET), (64, BUCKET // 64),
+                               (BUCKET + 1, 1), (91, 91), (BUCKET // 2, 1),
+                               (BUCKET // 2 + 1, 1), (BUCKET - 3, 1)])
+_param_sets = st.one_of(
+    st.lists(_tiny, min_size=20, max_size=60),                     # many tiny
+    st.tuples(st.lists(_tiny, max_size=3), _straddling,
+              st.lists(_tiny, max_size=3)).map(lambda t: t[0] + [t[1]] + t[2]),
+    st.just([(BUCKET // 2, 1), (BUCKET // 2, 1), (1, 1)]),         # exact boundary
+    st.lists(st.one_of(_tiny, _straddling), min_size=1, max_size=6),  # mix
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shapes=_param_sets, fortran=st.lists(st.booleans(), min_size=60, max_size=60),
+       seed=st.integers(0, 2**16))
+def test_bucketed_update_matches_per_parameter_rule(shapes, fortran, seed):
+    """Parameter sets straddling BUCKET: many tiny ones, one larger than a
+    bucket, an exact boundary, and a mix; gradients C- or F-ordered, with
+    zeros and wide magnitudes. Five steps of each kind are bitwise equal to
+    the per-parameter loop, in parameters and in every named moment."""
+    step = {f"p{i}": (shape, fortran[i]) for i, shape in enumerate(shapes)}
+    for kind in OPTIMIZERS:
+        _run_against_oracle(kind, [step] * 5, seed)
+
+
+def test_added_parameter_starts_at_zero_and_survivors_keep_moments():
+    """A name added between steps (landing mid-bucket and shifting the
+    others) starts at zero moments; the surviving names keep theirs."""
+    first = {"a": ((3, 4), False), "b": ((BUCKET - 20, 1), False), "c": ((2, 2), True)}
+    later = {"a": ((3, 4), False), "new": ((5, 3), False),
+             "b": ((BUCKET - 20, 1), False), "c": ((2, 2), True)}
+    for kind in OPTIMIZERS:
+        _run_against_oracle(kind, [first, first, later, later, later], seed=5)
+
+
+def test_reshaped_parameter_raises_before_anything_moves():
+    rng = np.random.default_rng(0)
+    params = {"a": DenseMatrix(rng.normal(size=(3, 4))), "b": DenseMatrix(rng.normal(size=(2, 2)))}
+    optim = OptimState(kind="adaptive", lr=0.1)
+    for _ in range(2):
+        optim.apply(params, {k: DenseMatrix(rng.normal(size=p.shape)) for k, p in params.items()})
+    before = (_bytes({k: p.data for k, p in params.items()}), _bytes(optim.m),
+              _bytes(optim.v), optim.step_count)
+    reshaped = {"a": params["a"], "b": DenseMatrix(params["b"].data.reshape(4, 1))}
+    with pytest.raises(ShapeError, match="optimizer buffer b has shape"):
+        optim.apply(reshaped, {k: DenseMatrix(np.ones(p.shape)) for k, p in reshaped.items()})
+    after = (_bytes({k: p.data for k, p in params.items()}), _bytes(optim.m),
+             _bytes(optim.v), optim.step_count)
+    assert after == before
+
+
+@pytest.mark.parametrize("kind", OPTIMIZERS)
+@pytest.mark.parametrize("overflow, named", [
+    (("layers.1.b",), "layers.1.b"),
+    (("layers.0.a", "layers.1.b"), "layers.1.b"),   # backward order: last layer first
+    (("layers.1.b", "layers.2.a"), "layers.2.a"),
+])
+@pytest.mark.parametrize("dims, rank", [((5, 4, 3, 2), 2), ((96,) * 4, 90)])
+def test_nonfinite_gradient_moves_nothing(kind, overflow, named, dims, rank):
+    """A 3-layer model (all parameters in one bucket, or each factor larger
+    than a bucket) whose named gradients are overflowed after two clean
+    steps: the error names the last overflowed parameter in backward order,
+    and parameters, moments and step_count keep their values."""
+    model = small_model(dims=dims, rank=rank, prune=0.5)
+    batch = small_data(model).head(8)
+    optim = OptimState(kind=kind, lr=1e-3)
+    for _ in range(2):
+        train_step(model, batch, optim)
+    gather = model.gather_grads
+
+    def overflowing(grads):
+        out = gather(grads)
+        for name in overflow:
+            out[name] = DenseMatrix._wrap(out[name].data.copy())
+            out[name].data[0, -1] = np.inf
+        return out
+
+    model.gather_grads = overflowing
+
+    def state():
+        return (_bytes({k: p.data for k, p in model.named_trainable().items()}),
+                _bytes(optim.m), _bytes(optim.v), optim.step_count)
+
+    before = state()
+    with pytest.raises(NumericError) as info:
+        train_step(model, batch, optim)
+    assert str(info.value) == f"step 2: non-finite gradient of {named}"
+    assert state() == before
+
+
+@pytest.mark.parametrize("width, calls", [(64, 1), (512, 6)])
+def test_adaptive_update_takes_one_sqrt_per_bucket(monkeypatch, width, calls):
+    """A deterministic guard on the bucketed path: six rank-16 factors of
+    width 64 fill one bucket, and at width 512 each factor is exactly one."""
+    model = model_from_weights(random_dense_weights(0, (width,) * 4), variant="lors", rank=16)
+    params = model.named_trainable()
+    grads = {k: DenseMatrix(np.ones(p.shape)) for k, p in params.items()}
+    count = []
+    sqrt = np.sqrt
+    monkeypatch.setattr(np, "sqrt", lambda *a, **k: count.append(1) or sqrt(*a, **k))
+    OptimState(kind="adaptive", lr=1e-3).apply(params, grads)
+    assert len(params) == 6 and len(count) == calls
 
 
 def test_zero_lr_changes_nothing():
