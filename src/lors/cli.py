@@ -129,6 +129,11 @@ def cmd_prune(args) -> int:
         raise ArgumentError("method 'activation' requires --calib")
     if args.method != "activation" and args.calib is not None:
         raise ArgumentError(f"--calib is read only by method 'activation', not {args.method!r}")
+    if not (0.0 <= args.ratio < 1.0):
+        raise ArgumentError(f"--ratio must be in [0, 1), got {args.ratio}")
+    if args.method == "two_four" and args.ratio != 0.5:
+        raise ArgumentError(f"--ratio must be 0.5 for method 'two_four', which removes "
+                            f"2 of every 4 entries, got {args.ratio}")
     tensors = load_checkpoint(args.input)
     calib = None
     if args.method == "activation":
@@ -290,7 +295,8 @@ def build_parser():
     p.add_argument("--output", required=True)
     p.add_argument("--method", choices=("magnitude", "activation", "two_four"),
                    default="magnitude")
-    p.add_argument("--ratio", type=float, default=0.5)
+    p.add_argument("--ratio", type=float, default=0.5,
+                   help="fraction removed, in [0, 1); two_four takes only 0.5")
     p.add_argument("--calib", default=None,
                    help="checkpoint holding a 'calib' tensor (method activation only)")
 

@@ -7,9 +7,13 @@ Every pruner removes the n lowest scores of a row, and ties go to the smaller
 index: when scores are equal, the entry with the smaller (row, col) index is
 removed first. Magnitude pruning treats the whole weight as one row-major row
 and activation-scaled pruning works per output row; both find the n lowest by
-selection, not by sorting, in O(R*C) time (``_lowest``). 2:4 pruning removes
-the two lowest of every aligned group of four with a stable sort of each
-group, so a group of four equal scores keeps its last two entries.
+selection (``_lowest``). 2:4 pruning ranks each entry within its aligned group
+of four: an entry is kept when at least two group-mates rank below it, where
+a mate j ranks below entry i if s_j <= s_i and j < i, or s_j < s_i and j > i
+(``_two_four_keep``). That is the order of a stable sort of the group, so a
+group of four equal scores keeps its last two entries. No pruner sorts: each
+is a few contiguous O(R*C) passes, and one multiply by the bool keep mask
+applies the removal.
 """
 
 from __future__ import annotations
@@ -84,8 +88,8 @@ def two_four_valid(values: DenseMatrix) -> bool:
     """True when every aligned group of 4 along the input axis has <= 2 nonzeros."""
     if values.cols % 4 != 0:
         return False
-    nz = (values.data != 0.0).reshape(values.rows, values.cols // 4, 4)
-    return bool((nz.sum(axis=2) <= 2).all())
+    nz = (values.data != 0.0).view(np.uint8).reshape(-1, 4)
+    return bool((nz[:, 0] + nz[:, 1] + nz[:, 2] + nz[:, 3] <= 2).all())
 
 
 def _lowest(scores: np.ndarray, n: int) -> np.ndarray:
@@ -105,15 +109,46 @@ def _lowest(scores: np.ndarray, n: int) -> np.ndarray:
     return low
 
 
+def _two_four_keep(scores: np.ndarray) -> np.ndarray:
+    """Bool keep mask of the top 2 scores in every aligned group of 4 of a row.
+
+    Each group is laid out as four contiguous lanes; entry i is kept when at
+    least two group-mates rank below it (s_j <= s_i for j < i, s_j < s_i for
+    j > i); that count is its position in a stable sort of the group. No sort.
+    """
+    lanes = scores.reshape(-1, 4).T.copy()
+    keep = np.empty((lanes.shape[1], 4), dtype=bool)
+    for i in range(4):
+        below = np.zeros(lanes.shape[1], dtype=np.uint8)
+        for j in range(4):
+            if j < i:
+                below += lanes[j] <= lanes[i]
+            elif j > i:
+                below += lanes[j] < lanes[i]
+        keep[:, i] = below >= 2
+    return keep.reshape(scores.shape)
+
+
+def _pruned(w: DenseMatrix, keep, pattern: str, ratio: float = 0.0) -> SparseWeight:
+    """W with the entries outside the bool ``keep`` set to zero, in one multiply.
+
+    A removed negative entry becomes -0.0, which ``SparseWeight`` normalizes.
+    Every entry is an entry of the already-checked W or zero, so the product
+    is wrapped, not scanned again; it is C-ordered whatever W's layout.
+    """
+    out = np.multiply(w.data, keep, order="C")
+    return SparseWeight(DenseMatrix._wrap(out), pattern=pattern, ratio=ratio)
+
+
 def prune_magnitude(w: DenseMatrix, ratio: float) -> SparseWeight:
     """Remove the floor(ratio * R * C) smallest-|w| entries globally."""
     if not (0.0 <= ratio < 1.0):
         raise ArgumentError(f"prune ratio must be in [0, 1), got {ratio}")
-    out = w.data.copy()
-    n_remove = int(ratio * out.size)
+    n_remove = int(ratio * w.data.size)
+    keep = True
     if n_remove:
-        out[_lowest(np.abs(out).reshape(1, -1), n_remove).reshape(out.shape)] = 0.0
-    return SparseWeight(DenseMatrix(out), pattern="unstructured", ratio=ratio)
+        keep = ~_lowest(np.abs(w.data).reshape(1, -1), n_remove).reshape(w.data.shape)
+    return _pruned(w, keep, "unstructured", ratio)
 
 
 def prune_activation_scaled(w: DenseMatrix, calib: CalibrationBatch, ratio: float) -> SparseWeight:
@@ -131,11 +166,9 @@ def prune_activation_scaled(w: DenseMatrix, calib: CalibrationBatch, ratio: floa
         )
     norms = calib.feature_norms()
     scores = np.abs(w.data) * norms[np.newaxis, :]
-    out = w.data.copy()
     n_remove = int(ratio * w.cols)
-    if n_remove:
-        out[_lowest(scores, n_remove)] = 0.0
-    return SparseWeight(DenseMatrix(out), pattern="unstructured", ratio=ratio)
+    keep = ~_lowest(scores, n_remove) if n_remove else True
+    return _pruned(w, keep, "unstructured", ratio)
 
 
 def prune_two_four(w: DenseMatrix, score: str = "magnitude",
@@ -155,13 +188,7 @@ def prune_two_four(w: DenseMatrix, score: str = "magnitude",
         scores = np.abs(w.data) * calib.feature_norms()[np.newaxis, :]
     else:
         raise ArgumentError(f"unknown score {score!r}")
-    groups = (w.rows, w.cols // 4, 4)
-    out = w.data.copy().reshape(groups)
-    # Remove the two lowest of each group; the stable sort resolves ties by
-    # smaller index first.
-    order = np.argsort(scores.reshape(groups), axis=2, kind="stable")
-    np.put_along_axis(out, order[:, :, :2], 0.0, axis=2)
-    return SparseWeight(DenseMatrix(out.reshape(w.rows, w.cols)), pattern="two_four")
+    return _pruned(w, _two_four_keep(scores), "two_four")
 
 
 def sparsity(sw: SparseWeight) -> float:

@@ -74,6 +74,42 @@ def test_prune_rejects_calib_without_activation(tmp_path, capsys, method):
     assert not out.exists()
 
 
+_BAD_RATIOS = [("magnitude", r, f"--ratio must be in [0, 1), got {float(r)}")
+               for r in ("2", "1.0", "-0.1", "nan", "inf")] + [
+    ("two_four", "0.9", "--ratio must be 0.5 for method 'two_four', which removes "
+                        "2 of every 4 entries, got 0.9")]
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+@pytest.mark.parametrize("method,ratio,message", _BAD_RATIOS)
+def test_prune_rejects_bad_ratio_before_reading(tmp_path, capsys, method, ratio, message,
+                                               via_config):
+    """A --ratio outside [0, 1), or any but 0.5 with two_four (which always
+    removes half), is an argument error raised before the input is read: not a
+    missing-file error, and not a silent 50% output."""
+    out = tmp_path / "o.lors"
+    argv = ["prune", "--input", str(tmp_path / "missing.lors"), "--output", str(out),
+            "--method", method]
+    if via_config:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ratio": float(ratio)}))
+        argv += ["--config", str(cfg)]
+    else:
+        argv += ["--ratio", ratio]
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_prune_two_four_accepts_its_own_ratio(tmp_path, capsys):
+    src = make_ckpt(tmp_path / "base.lors", dims=(8, 8))
+    out = tmp_path / "sparse.lors"
+    assert main(["prune", "--input", str(src), "--output", str(out),
+                 "--method", "two_four", "--ratio", "0.5"]) == EXIT_OK
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["tensors"]["layers.0.weight"]["sparsity"] == 0.5
+
+
 def test_prune_activation(tmp_path, capsys):
     src = make_ckpt(tmp_path / "base.lors", dims=(6, 8))
     calib_path = tmp_path / "calib.lors"

@@ -248,18 +248,80 @@ def test_selection_matches_sort_order(data):
     assert got.tobytes() == want.tobytes()
 
 
-def test_unstructured_pruners_do_not_sort(monkeypatch):
-    """The n lowest are found by selection; a sort creeping back fails here."""
+def _sorted_two_four(w: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Removal of the two lowest of each group by a stable argsort of the group."""
+    rows, cols = w.shape
+    groups = (rows, cols // 4, 4)
+    out = w.copy().reshape(groups)
+    order = np.argsort(scores.reshape(groups), axis=2, kind="stable")
+    np.put_along_axis(out, order[:, :, :2], 0.0, axis=2)
+    out[out == 0.0] = 0.0
+    return out.reshape(rows, cols)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_two_four_rank_matches_sort_order(data):
+    rows = data.draw(st.integers(1, 40), label="rows")
+    cols = 4 * data.draw(st.integers(1, 10), label="groups")
+    kind = data.draw(st.sampled_from(sorted(_VALUES)), label="values")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    w = _VALUES[kind](rng, (rows, cols))
+    x = rng.integers(-2, 3, size=(cols, 3)).astype(float)
+    x[rng.random(cols) < data.draw(st.sampled_from([0.0, 0.3, 1.0]), label="dead")] = 0.0
+    got = prune_two_four(DenseMatrix(w)).values.data
+    assert got.tobytes() == _sorted_two_four(w, np.abs(w)).tobytes()
+    norms = np.linalg.norm(x, axis=1)
+    got = prune_two_four(DenseMatrix(w), "activation", CalibrationBatch(DenseMatrix(x))).values.data
+    assert got.tobytes() == _sorted_two_four(w, np.abs(w) * norms[np.newaxis, :]).tobytes()
+
+
+def test_pruners_do_not_sort(monkeypatch):
+    """The n lowest are found by selection and 2:4 keeps by rank; a sort or a
+    scatter creeping back fails here."""
     def refuse(*args, **kwargs):
-        raise AssertionError("unstructured pruning must not sort")
+        raise AssertionError("pruning must not sort or scatter")
     rng = np.random.default_rng(9)
     w = DenseMatrix(rng.normal(size=(64, 64)))
     calib = CalibrationBatch(DenseMatrix(rng.normal(size=(64, 16))))
-    monkeypatch.setattr(np, "lexsort", refuse)
-    monkeypatch.setattr(np, "argsort", refuse)
-    monkeypatch.setattr(np, "sort", refuse)
+    for name in ("lexsort", "argsort", "sort", "put_along_axis"):
+        monkeypatch.setattr(np, name, refuse)
     assert prune_magnitude(w, 0.5).nonzeros() == 64 * 32
     assert prune_activation_scaled(w, calib, 0.5).nonzeros() == 64 * 32
+    assert prune_two_four(w).nonzeros() == 64 * 32
+    assert prune_two_four(w, "activation", calib).nonzeros() == 64 * 32
+
+
+def test_pruned_values_are_c_ordered_for_any_layout():
+    """The keep multiply writes a C-ordered array even for an F-ordered W, as
+    the copy it replaced did, so downstream BLAS sees one layout."""
+    rng = np.random.default_rng(11)
+    w = DenseMatrix(np.asfortranarray(rng.normal(size=(8, 12))))
+    calib = CalibrationBatch(DenseMatrix(rng.normal(size=(12, 4))))
+    for sw in (prune_magnitude(w, 0.0), prune_magnitude(w, 0.5),
+               prune_activation_scaled(w, calib, 0.5), prune_two_four(w),
+               prune_two_four(w, "activation", calib)):
+        assert sw.values.data.flags.c_contiguous
+        assert sw.values.data is not w.data
+
+
+def test_two_four_valid_matches_group_sum_definition():
+    """The uint8 lane count agrees with summing each group's nonzeros."""
+    rng = np.random.default_rng(10)
+    for trial in range(200):
+        rows, groups = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        # each group gets 0-4 nonzeros, a few groups more than two
+        per_group = rng.choice(5, size=(rows, groups), p=[0.2, 0.25, 0.5, 0.03, 0.02])
+        lanes = rng.random((rows, groups, 4)).argsort(axis=2) < per_group[..., np.newaxis]
+        w = np.where(lanes, rng.normal(size=lanes.shape), rng.choice([0.0, -0.0], size=lanes.shape))
+        w = w.reshape(rows, 4 * groups)
+        want = bool(((w != 0.0).reshape(rows, groups, 4).sum(axis=2) <= 2).all())
+        assert two_four_valid(DenseMatrix(w)) is want
+    for cols in (1, 2, 3, 5, 6, 7, 9):
+        assert two_four_valid(DenseMatrix(np.zeros((2, cols)))) is False
+    with pytest.raises(ArgumentError, match="2:4"):
+        SparseWeight(DenseMatrix(np.array([[0.0, 0.0, 1.0, 0.0, 1.0, -2.0, 0.0, 3.0]])),
+                     pattern="two_four")
 
 
 def test_overflowing_calibration_norms_are_a_numeric_error():
