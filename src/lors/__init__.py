@@ -17,7 +17,7 @@ from .errors import (
 )
 from .matrix import DenseMatrix, Rng
 from .svd import SvdResult, svd
-from .tape import CostCounters, SavedContext, Tape, TapeNode, reset_counters
+from .tape import CostCounters, SavedContext, Tape, TapeNode
 from .prune import (
     CalibrationBatch,
     SparseWeight,

@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -91,11 +92,27 @@ def _parse_shapes(text: str):
     return shapes
 
 
+@contextmanager
+def _injected(fault):
+    """Switch the named ``--inject-fault`` hook on inside the block and off
+    again however the block ends; no fault named, no change."""
+    if fault is None:
+        yield
+        return
+    FAULT_INJECTION[FAULTS[fault]] = True
+    try:
+        yield
+    finally:
+        FAULT_INJECTION[FAULTS[fault]] = False
+
+
 def _load_model(path, variant: str, rank: int, alpha: float,
                 head: str = "regression") -> ToyModel:
-    """Zeroed adapters over a checkpoint's weights; alpha is checked before
-    the file is read."""
+    """Zeroed adapters over a checkpoint's weights; alpha and rank are
+    checked before the file is read."""
     check_alpha(alpha)
+    if rank < 1:
+        raise ArgumentError(f"--rank must be >= 1, got {rank}")
     tensors = load_checkpoint(path)
     names = model_weight_names(tensors)
     layers = []
@@ -204,14 +221,9 @@ def cmd_train(args) -> int:
 def cmd_bench(args) -> int:
     shapes = _parse_shapes(args.shapes)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-    if args.inject_fault:
-        FAULT_INJECTION[FAULTS[args.inject_fault]] = True
-    try:
+    with _injected(args.inject_fault):
         report = run_bench(shapes, variants, repeats=args.repeats,
                            seed=args.seed, predict_only=args.predict_only)
-    finally:
-        if args.inject_fault:
-            FAULT_INJECTION[FAULTS[args.inject_fault]] = False
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(report.csv_text())
@@ -231,13 +243,8 @@ def cmd_bench(args) -> int:
 def cmd_verify(args) -> int:
     names = list(SUITES) if args.suite == "all" else [
         s.strip() for s in args.suite.split(",") if s.strip()]
-    if args.inject_fault:
-        FAULT_INJECTION[FAULTS[args.inject_fault]] = True
-    try:
+    with _injected(args.inject_fault):
         results = run_suites(names)
-    finally:
-        if args.inject_fault:
-            FAULT_INJECTION[FAULTS[args.inject_fault]] = False
     width = max(len(f"{r.suite}: {r.name}") for r in results)
     failures = 0
     for r in results:

@@ -57,7 +57,6 @@ class InitSpec:
     strategy: str = "zero_A_zero_B"
     seed: int = 0
     std: float = 0.02
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -66,8 +65,6 @@ class InitSpec:
             )
         if not (math.isfinite(self.std) and self.std >= 0):
             raise ArgumentError(f"std must be finite and nonnegative, got {self.std}")
-        if not math.isfinite(self.scale):
-            raise ArgumentError(f"scale must be finite, got {self.scale}")
 
 
 @dataclass
@@ -181,7 +178,7 @@ def init_zero_random(layer: AdaptedLayer, seed: int, std: float):
     return adapter
 
 
-def init_gradient_svd(model, probe: ProbeBatch, r: int, scale: float = 1.0, *,
+def init_gradient_svd(model, probe: ProbeBatch, r: int, *,
                       gauge: Optional[MemoryGauge] = None,
                       diagnostics: Optional[list] = None) -> list[AdapterPair]:
     """Set every layer's B from the SVD of its first-step gradient; A = 0.
@@ -231,8 +228,6 @@ def init_gradient_svd(model, probe: ProbeBatch, r: int, scale: float = 1.0, *,
                 "projection_residual": projection_residual(dw, b),
                 "singular_tail": _tail(result.s, r),
             })
-        if scale != 1.0:
-            b = mx.scale(b, scale)
         dw = result = None
         if gauge is not None:
             gauge.free(n_elems)
@@ -255,7 +250,7 @@ def apply_init(model, spec: InitSpec, probe: Optional[ProbeBatch] = None):
     ranks = {layer.rank for layer in model.layers}
     if len(ranks) != 1:
         raise ArgumentError(f"layers disagree on rank: {sorted(ranks)}")
-    return init_gradient_svd(model, probe, r=ranks.pop(), scale=spec.scale)
+    return init_gradient_svd(model, probe, r=ranks.pop())
 
 
 @dataclass

@@ -230,16 +230,9 @@ _MIX_A = 0xBF58476D1CE4E5B9
 _MIX_B = 0x94D049BB133111EB
 
 
-def _mix64(z: int) -> int:
-    """splitmix64 finalizer: a bijective scramble of a 64-bit word."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MIX_A) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX_B) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """``_mix64`` over a uint64 array; array arithmetic wraps mod 2^64 silently."""
+    """splitmix64 finalizer, a bijective scramble of each 64-bit word of a
+    uint64 array; the arithmetic wraps mod 2^64 silently."""
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
     return z ^ (z >> np.uint64(31))
@@ -268,7 +261,8 @@ class Rng:
 
     def derive(self, tag: int) -> "Rng":
         """A statistically independent generator for a sub-stream."""
-        return Rng(_mix64(self.seed + (tag + 1) * _GOLDEN), 0)
+        state = np.array([(self.seed + (tag + 1) * _GOLDEN) & _MASK64], dtype=np.uint64)
+        return Rng(int(_mix64_array(state)[0]), 0)
 
     def _raw_block(self, n: int) -> np.ndarray:
         idx = np.arange(self.position + 1, self.position + n + 1, dtype=np.uint64)
@@ -277,8 +271,7 @@ class Rng:
         return _mix64_array(state)
 
     def next_u64(self) -> int:
-        self.position += 1
-        return _mix64(self.seed + self.position * _GOLDEN)
+        return int(self._raw_block(1)[0])
 
     def uniform(self) -> float:
         """One double in [0, 1)."""

@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ArgumentError, ShapeError
+from .errors import ArgumentError, NumericError, ShapeError
 from .matrix import DenseMatrix, check_finite
 
 
@@ -129,6 +129,25 @@ def _two_four_keep(scores: np.ndarray) -> np.ndarray:
     return keep.reshape(scores.shape)
 
 
+def _activation_scores(w: DenseMatrix, calib: CalibrationBatch) -> np.ndarray:
+    """The activation score |w_ij| * ||x_j|| of every entry of W.
+
+    A score that overflows is an error: overflowed scores would all be inf and
+    tie, and the removal among them would fall back to index order. Scores are
+    >= 0 and never NaN, so one max finds an overflow.
+    """
+    if calib.x.rows != w.cols:
+        raise ShapeError(
+            f"calibration batch has {calib.x.rows} feature rows, weight needs {w.cols}"
+        )
+    norms = calib.feature_norms()
+    with np.errstate(over="ignore"):
+        scores = np.abs(w.data) * norms[np.newaxis, :]
+    if scores.max() == np.inf:
+        raise NumericError("non-finite activation scores")
+    return scores
+
+
 def _pruned(w: DenseMatrix, keep, pattern: str, ratio: float = 0.0) -> SparseWeight:
     """W with the entries outside the bool ``keep`` set to zero, in one multiply.
 
@@ -160,12 +179,7 @@ def prune_activation_scaled(w: DenseMatrix, calib: CalibrationBatch, ratio: floa
     """
     if not (0.0 <= ratio < 1.0):
         raise ArgumentError(f"prune ratio must be in [0, 1), got {ratio}")
-    if calib.x.rows != w.cols:
-        raise ShapeError(
-            f"calibration batch has {calib.x.rows} feature rows, weight needs {w.cols}"
-        )
-    norms = calib.feature_norms()
-    scores = np.abs(w.data) * norms[np.newaxis, :]
+    scores = _activation_scores(w, calib)
     n_remove = int(ratio * w.cols)
     keep = ~_lowest(scores, n_remove) if n_remove else True
     return _pruned(w, keep, "unstructured", ratio)
@@ -181,11 +195,7 @@ def prune_two_four(w: DenseMatrix, score: str = "magnitude",
     elif score == "activation":
         if calib is None:
             raise ArgumentError("activation scoring requires a calibration batch")
-        if calib.x.rows != w.cols:
-            raise ShapeError(
-                f"calibration batch has {calib.x.rows} feature rows, weight needs {w.cols}"
-            )
-        scores = np.abs(w.data) * calib.feature_norms()[np.newaxis, :]
+        scores = _activation_scores(w, calib)
     else:
         raise ArgumentError(f"unknown score {score!r}")
     return _pruned(w, _two_four_keep(scores), "two_four")

@@ -5,7 +5,8 @@ its output value, the ids of its inputs, a backward closure, and the list of
 tensors it saved for the backward pass. ``backward`` walks the nodes in
 reverse recording order exactly once, accumulating gradients for every node
 that participates in the loss (fan-out sums in tape order). A tape can be
-differentiated once; reuse raises GraphError.
+differentiated once: after ``backward`` starts, both ``backward`` and
+``record`` raise GraphError.
 
 Accounting rules (shared with the adapter layers):
 
@@ -14,6 +15,8 @@ Accounting rules (shared with the adapter layers):
 - Elementwise ops (adds, scalings, bias adds, reductions): 0 MACs, tallied
   into a separate elementwise bucket excluded from MAC comparisons.
 - Saved elements: the node's saved list counts rows*cols per entry.
+  Nothing is recorded once backward starts, so every saved tensor is live
+  at the end of the forward pass and the tape's total is its peak.
   Parameter tensors (frozen base weights, adapter factors, biases) are
   captured by backward closures without being counted: they are resident for
   the optimizer regardless, so saving them costs no extra memory. Only
@@ -37,7 +40,7 @@ from .matrix import DenseMatrix
 
 @dataclass
 class CostCounters:
-    """Cumulative cost tallies. Monotone until reset_counters."""
+    """Cumulative cost tallies; a fresh ``CostCounters()`` starts at zero."""
 
     macs_forward: int = 0
     macs_backward: int = 0
@@ -84,38 +87,14 @@ class _BackwardPhase:
         return False
 
 
-def reset_counters(counters: CostCounters) -> None:
-    counters.macs_forward = 0
-    counters.macs_backward = 0
-    counters.saved_elements = 0
-    counters.elementwise_forward = 0
-    counters.elementwise_backward = 0
-    counters.phase = "forward"
-
-
 class SavedContext:
-    """Tracks saved-for-backward footprint: per-node counts, total, peak.
+    """The elements a tape's nodes saved for backward, as a running total,
+    which is the peak (see the module docstring)."""
 
-    ``current`` rises as nodes save tensors during the forward pass and falls
-    as backward consumes them, so ``peak`` reflects the largest simultaneously
-    live saved set.
-    """
+    __slots__ = ("peak",)
 
     def __init__(self):
-        self.per_node: dict[int, int] = {}
-        self.pass_total = 0
-        self.current = 0
         self.peak = 0
-
-    def on_save(self, node_id: int, count: int) -> None:
-        self.per_node[node_id] = count
-        self.pass_total += count
-        self.current += count
-        if self.current > self.peak:
-            self.peak = self.current
-
-    def on_release(self, node_id: int) -> None:
-        self.current -= self.per_node.get(node_id, 0)
 
 
 @dataclass(slots=True)
@@ -132,6 +111,11 @@ class TapeNode:
 
 
 class Tape:
+    """``track_saved=False`` keeps saved elements out of the counters (the
+    tape still totals them): the spp and spp_gc private tapes share their
+    layer's counters, and ``apply_layer``'s fused node counts their saved set
+    once."""
+
     def __init__(self, counters: Optional[CostCounters] = None, track_saved: bool = True):
         self.counters = counters if counters is not None else CostCounters()
         self.track_saved = track_saved
@@ -153,6 +137,8 @@ class Tape:
 
     def record(self, op: str, inputs, value: DenseMatrix,
                backward_fn: Optional[Callable], saved=(), name: str = "") -> int:
+        if self.consumed:
+            raise GraphError(f"record({op}) on a consumed tape")
         inputs = tuple(inputs)
         for i in inputs:
             if not (0 <= i < len(self.nodes)):
@@ -165,10 +151,9 @@ class Tape:
         )
         self.nodes.append(node)
         count = sum(t.rows * t.cols for t in node.saved)
-        if count:
-            self.saved_ctx.on_save(node.id, count)
-            if self.track_saved:
-                self.counters.add_saved(count)
+        self.saved_ctx.peak += count
+        if self.track_saved:
+            self.counters.add_saved(count)
         return node.id
 
     def value(self, node_id: int) -> DenseMatrix:
@@ -213,50 +198,43 @@ class Tape:
                         grads[inp_id] = mx.add(grads[inp_id], g, self.counters)
                     else:
                         grads[inp_id] = g
-                self.saved_ctx.on_release(node.id)
         return grads
 
     # -- primitive differentiable ops ----------------------------------------
 
-    def matmul(self, a_id: int, b_id: int, name: str = "") -> int:
+    def _product(self, op: str, a_id: int, b_id: int, name: str,
+                 forward, grad_a, grad_b) -> int:
+        """Record out = forward(a, b); backward gives grad_a(dy, b), grad_b(dy, a).
+
+        The one product rule: each operand is saved when the other operand
+        needs a gradient, unless it is a parameter, and the backward forms
+        gradients only for inputs that need them.
+        """
         a_node, b_node = self.nodes[a_id], self.nodes[b_id]
         a, b = a_node.value, b_node.value
-        out = mx.matmul(a, b, self.counters)
-        need_da = a_node.requires_grad
-        need_db = b_node.requires_grad
+        c = self.counters
+        out = forward(a, b, c)
+        need_da, need_db = a_node.requires_grad, b_node.requires_grad
         saved = []
         if need_da and not b_node.is_param:
             saved.append(b)
         if need_db and not a_node.is_param:
             saved.append(a)
-        c = self.counters
 
         def bwd(dy):
-            da = mx.matmul(dy, mx.transpose(b), c) if need_da else None
-            db = mx.matmul(mx.transpose(a), dy, c) if need_db else None
-            return (da, db)
+            return (grad_a(dy, b, c) if need_da else None,
+                    grad_b(dy, a, c) if need_db else None)
 
-        return self.record("matmul", (a_id, b_id), out, bwd, saved=saved, name=name)
+        return self.record(op, (a_id, b_id), out, bwd, saved=saved, name=name)
+
+    def matmul(self, a_id: int, b_id: int, name: str = "") -> int:
+        return self._product("matmul", a_id, b_id, name, mx.matmul,
+                             lambda dy, b, c: mx.matmul(dy, mx.transpose(b), c),
+                             lambda dy, a, c: mx.matmul(mx.transpose(a), dy, c))
 
     def hadamard(self, a_id: int, b_id: int, name: str = "") -> int:
-        a_node, b_node = self.nodes[a_id], self.nodes[b_id]
-        a, b = a_node.value, b_node.value
-        out = mx.hadamard(a, b, self.counters)
-        need_da = a_node.requires_grad
-        need_db = b_node.requires_grad
-        saved = []
-        if need_da and not b_node.is_param:
-            saved.append(b)
-        if need_db and not a_node.is_param:
-            saved.append(a)
-        c = self.counters
-
-        def bwd(dy):
-            da = mx.hadamard(dy, b, c) if need_da else None
-            db = mx.hadamard(dy, a, c) if need_db else None
-            return (da, db)
-
-        return self.record("hadamard", (a_id, b_id), out, bwd, saved=saved, name=name)
+        return self._product("hadamard", a_id, b_id, name,
+                             mx.hadamard, mx.hadamard, mx.hadamard)
 
     def add(self, a_id: int, b_id: int, name: str = "") -> int:
         a_node, b_node = self.nodes[a_id], self.nodes[b_id]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -108,6 +108,11 @@ class ToyModel:
 # crosses the allocator's 128 KiB mmap threshold and pays fresh page faults.
 BUCKET = 8192
 
+# The adaptive method's moment decays and denominator guard.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class OptimState:
@@ -123,17 +128,15 @@ class OptimState:
         m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
         p = p - lr (m / c1) / (sqrt(v / c2) + eps),  c_i = 1 - b_i^t
 
-    (sgd: p = p - lr g), so the result is bitwise equal to it.
+    (b1, b2, eps = ``BETA1``, ``BETA2``, ``EPS``; sgd: p = p - lr g), so the
+    result is bitwise equal to it.
     """
 
     kind: str = "sgd"
     lr: float = 2e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    step_count: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    step_count: int = field(default=0, init=False)
+    m: dict = field(default_factory=dict, init=False)
+    v: dict = field(default_factory=dict, init=False)
     _layout: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
     _runs: list = field(default_factory=list, init=False, repr=False, compare=False)
 
@@ -200,7 +203,7 @@ class OptimState:
         if runs is not self._runs:
             self._layout, self._runs, self.m, self.v = layout, runs, m_views, v_views
         self.step_count += 1
-        b1, b2, lr = self.beta1, self.beta2, self.lr
+        b1, b2, lr = BETA1, BETA2, self.lr
         c1 = 1.0 - b1 ** self.step_count
         c2 = 1.0 - b2 ** self.step_count
         for (members, m, v), g in zip(runs, flat):
@@ -217,7 +220,7 @@ class OptimState:
                 upd *= lr
                 np.divide(v, c2, out=t)
                 np.sqrt(t, out=t)
-                t += self.eps
+                t += EPS
                 upd /= t
             for name, start, stop, shape in members:
                 p = params[name].data
@@ -244,21 +247,9 @@ class TrainConfig:
             raise ArgumentError(f"unknown variant {self.variant!r}")
 
 
-@dataclass
-class Dataset:
-    """Fixed input columns with regression targets or integer labels."""
-
-    inputs: DenseMatrix
-    targets: Union[DenseMatrix, np.ndarray]
-    loss: str = "regression"
-
-    def __post_init__(self):
-        probe = ProbeBatch(self.inputs, self.targets, self.loss)
-        self.targets = probe.targets
-
-    @property
-    def size(self) -> int:
-        return self.inputs.cols
+class Dataset(ProbeBatch):
+    """Fixed input columns with regression targets or integer labels: the
+    whole set is one batch, and ``batch`` gathers a subset of its columns."""
 
     def batch(self, indices) -> ProbeBatch:
         idx = np.asarray(indices, dtype=np.int64)
@@ -270,9 +261,6 @@ class Dataset:
         else:
             targets = self.targets[idx]
         return ProbeBatch(inputs, targets, self.loss)
-
-    def full(self) -> ProbeBatch:
-        return ProbeBatch(self.inputs, self.targets, self.loss)
 
     def head(self, n: int) -> ProbeBatch:
         return self.batch(np.arange(min(n, self.size)))
@@ -328,8 +316,6 @@ def finetune(model: ToyModel, dataset: Dataset, config: TrainConfig):
     replacement from a generator seeded by config.seed, so identical configs
     give bitwise-identical traces.
     """
-    if dataset.size < 1:
-        raise ArgumentError("dataset must be nonempty")
     apply_init(model, config.init, probe=dataset.head(32))
     optim = make_optimizer(config)
     counters = CostCounters()
@@ -345,15 +331,12 @@ def finetune(model: ToyModel, dataset: Dataset, config: TrainConfig):
 def evaluate(model: ToyModel, dataset: Dataset) -> dict:
     """Deterministic metrics on the full dataset: loss, and accuracy for
     classification (None for regression)."""
-    if dataset.size < 1:
-        raise ArgumentError("dataset must be nonempty")
-    probe = dataset.full()
     tape = Tape()
-    loss = float(tape.value(model.forward_loss(tape, probe)).data[0, 0])
-    if probe.loss == "regression":
+    loss = float(tape.value(model.forward_loss(tape, dataset)).data[0, 0])
+    if dataset.loss == "regression":
         return {"loss": loss, "accuracy": None}
     y = tape.value(model.layers[-1].last_nodes["out"])
-    accuracy = float(np.mean(np.argmax(y.data, axis=0) == probe.targets))
+    accuracy = float(np.mean(np.argmax(y.data, axis=0) == dataset.targets))
     return {"loss": loss, "accuracy": accuracy}
 
 
@@ -371,18 +354,17 @@ def random_dense_weights(seed: int, dims) -> list[DenseMatrix]:
     return weights
 
 
-def model_from_weights(weights, variant: str, rank: int, alpha: float = 2.0,
-                       prune_ratio: float = 0.0, head: str = "regression") -> ToyModel:
+def model_from_weights(weights, variant: str, rank: int, prune_ratio: float = 0.0,
+                       head: str = "regression") -> ToyModel:
     """Wrap dense weights as (optionally pruned) frozen bases with fresh
-    zero adapters."""
+    zero adapters (alpha 2 for the pair variants)."""
     layers = []
     for i, w in enumerate(weights):
         if prune_ratio > 0.0:
             base = prune_magnitude(w, prune_ratio)
         else:
             base = SparseWeight(w.copy())
-        layers.append(make_layer(base, rank=rank, variant=variant, alpha=alpha,
-                                 name=f"layers.{i}"))
+        layers.append(make_layer(base, rank=rank, variant=variant, name=f"layers.{i}"))
     return ToyModel(layers, head=head)
 
 

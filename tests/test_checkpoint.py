@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lors.checkpoint import (
     MAGIC,
@@ -181,3 +182,41 @@ def test_save_refuses_nonfinite_tensor_and_writes_nothing(tmp_path, bad):
         save_checkpoint(path, {"layers.0.bias": DenseMatrix(np.ones((2, 1))),
                                "layers.0.weight": w})
     assert not path.exists()
+
+
+def _tensor_bytes(tensors):
+    return [(name, m.shape, m.data.tobytes()) for name, m in tensors.items()]
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["edit", "insert", "truncate"]),
+       at=st.integers(0, 2**20), byte=st.integers(0, 255))
+def test_single_byte_damage_is_refused_or_round_trips(tmp_path_factory, kind, at, byte):
+    """One byte of a small checkpoint edited, inserted or cut off at: the load
+    raises CheckpointFormatError, or NumericError where a payload double
+    became non-finite (exit 3, as for any non-finite checkpoint), or returns
+    tensors that save and load again bitwise."""
+    work = tmp_path_factory.getbasetemp() / "fuzz"
+    work.mkdir(exist_ok=True)
+    save_checkpoint(work / "good.lors", {
+        "layers.0.weight": DenseMatrix([[1.5, -0.25, 3.0], [0.0, 2.0, -7.5]]),
+        "layers.0.bias": DenseMatrix([[0.5], [-1.0]]),
+    })
+    blob = bytearray((work / "good.lors").read_bytes())
+    at %= len(blob)
+    if kind == "edit":
+        blob[at] = byte
+    elif kind == "insert":
+        blob.insert(at, byte)
+    else:
+        del blob[at:]
+    (work / "bad.lors").write_bytes(bytes(blob))
+    try:
+        loaded = load_checkpoint(work / "bad.lors")
+    except CheckpointFormatError:
+        return
+    except NumericError as exc:
+        assert "non-finite" in str(exc)
+        return
+    save_checkpoint(work / "again.lors", loaded)
+    assert _tensor_bytes(load_checkpoint(work / "again.lors")) == _tensor_bytes(loaded)

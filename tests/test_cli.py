@@ -101,6 +101,69 @@ def test_prune_rejects_bad_ratio_before_reading(tmp_path, capsys, method, ratio,
     assert not out.exists()
 
 
+_SUBCOMMANDS = {
+    "prune": ["prune", "--input", "base.lors", "--output", "o.lors"],
+    "train": ["train", "--ckpt", "base.lors", "--out", "o.lors", "--steps", "1"],
+    "bench": ["bench", "--shapes", "4,4,4,1"],
+    "verify": ["verify", "--suite", "grad"],
+    "init-inspect": ["init-inspect", "--ckpt", "base.lors"],
+}
+
+# (argv, LORS_SEED, exit code, stderr fragment); paths are relative to a
+# directory that holds base.lors (a dense checkpoint with no 'calib' tensor),
+# empty.json (an empty file) and list.json (a JSON list), and no missing.lors.
+_MALFORMED = [
+    (["bench", "--shapes", "4,4,4"], None, EXIT_IO, "must be R,C,L,r"),
+    (["bench", "--shapes", "4,4,x,1"], None, EXIT_IO, "non-integer entries"),
+    (["bench", "--shapes", ";"], None, EXIT_IO, "no shapes given"),
+    (["bench", "--shapes", "4,4,4,0"], None, EXIT_IO, "dimensions must be positive"),
+    (["bench", "--shapes", "4,4,4,1", "--repeats", "0"], None, EXIT_IO,
+     "repeats must be positive"),
+    (["bench", "--variants", ""], None, EXIT_IO, "no variant named"),
+    (["bench", "--variants", ","], None, EXIT_IO, "no variant named"),
+    (["bench", "--variants", "lors,nope"], None, EXIT_IO, "unknown variant 'nope'"),
+    (["train", "--ckpt", "missing.lors", "--out", "o.lors", "--rank", "0"], None,
+     EXIT_IO, "--rank must be >= 1, got 0"),
+    (["init-inspect", "--ckpt", "missing.lors", "--rank", "-1"], None,
+     EXIT_IO, "--rank must be >= 1, got -1"),
+    (["prune", "--input", "base.lors", "--output", "o.lors", "--method", "activation",
+      "--calib", "base.lors"], None, EXIT_IO, "has no 'calib' tensor"),
+] + [
+    (_SUBCOMMANDS[cmd] + ["--config", cfg], None, EXIT_IO, message)
+    for cmd in _SUBCOMMANDS
+    for cfg, message in (("empty.json", "cannot read config"),
+                         ("list.json", "must hold a JSON object"))
+] + [
+    (_SUBCOMMANDS[cmd], seed, EXIT_IO, "LORS_SEED must be an integer")
+    for cmd in _SUBCOMMANDS for seed in ("bananas", "1.5", "")
+] + [
+    (["prune", "--input", "missing.lors", "--output", "o.lors", "--method", method,
+      "--ratio", ratio], None, EXIT_IO, message)
+    for method, ratio, message in _BAD_RATIOS
+]
+
+
+@pytest.mark.parametrize("argv,seed,code,fragment", _MALFORMED,
+                         ids=[" ".join(row[0]) + (f" LORS_SEED={row[1]!r}" if row[1] is not None
+                                                  else "") for row in _MALFORMED])
+def test_malformed_input_exits_with_documented_code(tmp_path, capsys, monkeypatch,
+                                                    argv, seed, code, fragment):
+    """Every malformed flag, config, checkpoint or LORS_SEED ends in its
+    documented exit code with a one-line error, never a traceback, and
+    writes no output."""
+    monkeypatch.chdir(tmp_path)
+    make_ckpt(tmp_path / "base.lors", dims=(4, 4))
+    (tmp_path / "empty.json").write_text("")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    if seed is not None:
+        monkeypatch.setenv("LORS_SEED", seed)
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert fragment in err
+    assert not (tmp_path / "o.lors").exists()
+
+
 def test_prune_two_four_accepts_its_own_ratio(tmp_path, capsys):
     src = make_ckpt(tmp_path / "base.lors", dims=(8, 8))
     out = tmp_path / "sparse.lors"
@@ -414,6 +477,20 @@ def test_prune_overflowing_calibration_exits_numeric(tmp_path, capsys):
                  "--method", "activation", "--calib", str(calib)]) == EXIT_NUMERIC
     assert capsys.readouterr().err.splitlines() == [
         "numeric error: non-finite calibration feature norms"]
+    assert not out.exists()
+
+
+def test_prune_overflowing_activation_scores_exits_numeric(tmp_path, capsys):
+    """Finite weights and norms whose products overflow: exit 3, nothing written."""
+    src = tmp_path / "d.lors"
+    save_checkpoint(src, {"layers.0.weight": DenseMatrix([[4e300, 3e300, 2e300, 1e300]])})
+    calib = tmp_path / "c.lors"
+    save_checkpoint(calib, {"calib": DenseMatrix(np.full((4, 1), 1e10))})
+    out = tmp_path / "o.lors"
+    assert main(["prune", "--input", str(src), "--output", str(out),
+                 "--method", "activation", "--calib", str(calib)]) == EXIT_NUMERIC
+    assert capsys.readouterr().err.splitlines() == [
+        "numeric error: non-finite activation scores"]
     assert not out.exists()
 
 

@@ -46,7 +46,7 @@ def test_fit_rank_r_rows_is_orthonormal_and_optimal():
 
 
 def test_fit_rank_r_scale():
-    # init_gradient_svd scales the fitted rows of each layer's dW itself
+    # init_gradient_svd sets B to the fitted rows of each layer's dW itself
     model = make_model(seed=1)
     probe = make_probe(model, seed=2)
     tape = Tape()
@@ -54,10 +54,9 @@ def test_fit_rank_r_scale():
     dws = [mx.matmul(grads[layer.last_nodes["out"]],
                      mx.transpose(tape.value(layer.last_nodes["in"])))
            for layer in model.layers]
-    init_gradient_svd(model, probe, r=2, scale=3.0)
+    init_gradient_svd(model, probe, r=2)
     for layer, dw in zip(model.layers, dws):
-        b1 = fit_rank_r_rows(dw, 2)
-        assert np.allclose(layer.adapter.b.data, 3.0 * b1.data, atol=1e-15)
+        assert np.array_equal(layer.adapter.b.data, fit_rank_r_rows(dw, 2).data)
 
 
 def test_fit_rank_r_bounds():
@@ -151,16 +150,6 @@ def test_gradient_svd_memory_gauge_peaks_at_largest_layer():
     assert gauge.current == 0
 
 
-def test_gradient_svd_scale_multiplies_b():
-    m1 = make_model(seed=3)
-    m2 = make_model(seed=3)
-    probe = make_probe(m1, seed=4)
-    init_gradient_svd(m1, probe, r=2)
-    init_gradient_svd(m2, make_probe(m2, seed=4), r=2, scale=2.0)
-    for l1, l2 in zip(m1.layers, m2.layers):
-        assert np.allclose(l2.adapter.b.data, 2.0 * l1.adapter.b.data, atol=1e-15)
-
-
 def test_gradient_svd_rank_bounds_and_spp_rejection():
     model = make_model(dims=(6, 5, 4))
     probe = make_probe(model)
@@ -197,8 +186,6 @@ def test_init_spec_and_adapter_pair_reject_nonfinite_values():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(ArgumentError, match="std must be finite"):
             InitSpec("zero_A_random_B", std=bad)
-        with pytest.raises(ArgumentError, match="scale must be finite"):
-            InitSpec("gradient_svd", scale=bad)
         with pytest.raises(ArgumentError, match="alpha must be finite"):
             AdapterPair(a=DenseMatrix(np.ones((2, 1))), b=DenseMatrix(np.ones((1, 2))),
                         alpha=bad)

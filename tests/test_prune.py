@@ -334,3 +334,20 @@ def test_overflowing_calibration_norms_are_a_numeric_error():
             prune_activation_scaled(w, calib, 0.5)
         with pytest.raises(NumericError, match="non-finite calibration feature norms"):
             prune_two_four(w, "activation", calib)
+
+
+def test_overflowing_activation_scores_are_a_numeric_error():
+    """Finite norms 1e10 times 1e300 weights: every score would overflow to
+    inf and tie, and the removal would keep the two smallest weights, so
+    scoring stops with a NumericError instead. Scores just below the float
+    limit still prune by value."""
+    calib = CalibrationBatch(DenseMatrix(np.full((4, 1), 1e10)))
+    w = DenseMatrix(np.array([[4e300, 3e300, 2e300, 1e300]]))
+    with pytest.raises(NumericError, match="non-finite activation scores"):
+        prune_activation_scaled(w, calib, 0.5)
+    with pytest.raises(NumericError, match="non-finite activation scores"):
+        prune_two_four(w, "activation", calib)
+    w = DenseMatrix(np.array([[1.7e298, 1.6e298, 1.5e298, 1.4e298]]))
+    want = [[1.7e298, 1.6e298, 0.0, 0.0]]
+    assert prune_activation_scaled(w, calib, 0.5).values.data.tolist() == want
+    assert prune_two_four(w, "activation", calib).values.data.tolist() == want

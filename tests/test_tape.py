@@ -3,7 +3,7 @@ import pytest
 
 from lors.errors import ArgumentError, GraphError, ShapeError
 from lors.matrix import DenseMatrix
-from lors.tape import CostCounters, SavedContext, Tape, reset_counters
+from lors.tape import CostCounters, Tape
 
 
 def fd(f, x, h=1e-6):
@@ -227,6 +227,37 @@ def test_matmul_saves_both_operands_when_both_need_grads():
     assert t.counters.saved_elements == 3 * 4 + 4 * 5
 
 
+@pytest.mark.parametrize("op", ["matmul", "hadamard"])
+@pytest.mark.parametrize("a_flags", [(True, False), (True, True), (False, False)])
+@pytest.mark.parametrize("b_flags", [(True, False), (True, True), (False, False)])
+def test_product_rule_saves_and_differentiates_by_need(op, a_flags, b_flags):
+    """An operand is saved when the other one needs a gradient, unless it is
+    a parameter; gradients reach exactly the inputs that need them."""
+    rng = np.random.default_rng(9)
+    a0 = rng.normal(size=(3, 4))
+    b0 = rng.normal(size=(4, 5) if op == "matmul" else (3, 4))
+    t = Tape()
+    a = t.leaf(DenseMatrix(a0), requires_grad=a_flags[0], is_param=a_flags[1])
+    b = t.leaf(DenseMatrix(b0), requires_grad=b_flags[0], is_param=b_flags[1])
+    y = getattr(t, op)(a, b)
+    want_saved = (b0.size if a_flags[0] and not b_flags[1] else 0) \
+        + (a0.size if b_flags[0] and not a_flags[1] else 0)
+    assert t.counters.saved_elements == t.saved_ctx.peak == want_saved
+    if not (a_flags[0] or b_flags[0]):
+        return
+    dy = rng.normal(size=t.value(y).shape)
+    grads = t.backward(y, seed=DenseMatrix(dy))
+    assert (a in grads, b in grads) == (a_flags[0], b_flags[0])
+    if op == "matmul":
+        want_a, want_b = dy @ b0.T, a0.T @ dy
+    else:
+        want_a, want_b = dy * b0, dy * a0
+    if a_flags[0]:
+        assert np.array_equal(grads[a].data, want_a)
+    if b_flags[0]:
+        assert np.array_equal(grads[b].data, want_b)
+
+
 def test_param_operands_are_never_counted():
     # da needs b, but b is a parameter: resident anyway, saves nothing
     t = Tape()
@@ -260,18 +291,14 @@ def test_phase_routing_forward_vs_backward_macs():
     assert t.counters.macs_backward == 8 + 24
 
 
-def test_saved_context_peak_and_release():
+def test_saved_peak_is_the_forward_total():
     t = Tape()
     a = t.leaf(DenseMatrix(np.ones((4, 4))), requires_grad=True)
     y = t.square(a)     # saves a: 16
     z = t.square(y)     # saves y: 16
     loss = t.sum_all(z)
-    assert t.saved_ctx.pass_total == 32
     assert t.saved_ctx.peak == 32
-    assert t.saved_ctx.current == 32
     t.backward(loss)
-    # backward released every node's saved tensors
-    assert t.saved_ctx.current == 0
     assert t.saved_ctx.peak == 32
 
 
@@ -281,7 +308,7 @@ def test_track_saved_false_keeps_counters_clean():
     a = t.leaf(DenseMatrix(np.ones((4, 4))), requires_grad=True)
     t.square(a)
     assert c.saved_elements == 0
-    assert t.saved_ctx.pass_total == 16  # context still tracks
+    assert t.saved_ctx.peak == 16  # the tape still totals it
 
 
 def test_backward_twice_raises():
@@ -291,6 +318,19 @@ def test_backward_twice_raises():
     t.backward(loss)
     with pytest.raises(GraphError):
         t.backward(loss)
+
+
+def test_record_on_consumed_tape_raises():
+    """Nothing is recorded once backward starts, so the saved total stays the peak."""
+    t = Tape()
+    a = t.leaf(DenseMatrix(np.ones((2, 2))), requires_grad=True)
+    t.backward(t.sum_all(t.square(a)))
+    with pytest.raises(GraphError, match="consumed tape"):
+        t.square(a)
+    with pytest.raises(GraphError, match="consumed tape"):
+        t.record("bogus", (a,), DenseMatrix([[1.0]]), None)
+    assert len(t.nodes) == 3
+    assert t.saved_ctx.peak == 4
 
 
 def test_backward_validation():
@@ -343,13 +383,3 @@ def test_identical_graphs_give_bitwise_identical_grads():
 
     assert np.array_equal(run(), run())
 
-
-def test_reset_counters():
-    c = CostCounters()
-    c.add_macs(5)
-    c.phase = "backward"
-    c.add_macs(7)
-    c.add_saved(3)
-    reset_counters(c)
-    assert (c.macs_forward, c.macs_backward, c.saved_elements) == (0, 0, 0)
-    assert c.phase == "forward"
