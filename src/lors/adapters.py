@@ -23,8 +23,9 @@ lors      RCL + rRC + RC      RCL + 2rRL + 2rCL + rRC + RC       CL
   (+rRC + RC backward MACs) with the same helper the forward used.
 - The masked variants merge through ``merged_weight`` over the layer's bool
   ``original_mask``: one RC buffer holds A @ B, then the mask, alpha and W are
-  applied in place, and the result is checked for finiteness once. Only sqft
-  builds the RC float mask, once per forward, because it saves it.
+  applied in place. The forward checks the merged weight for finiteness; the
+  backward recompute rebuilds the same bits, so it is not scanned again. Only
+  sqft builds the RC float mask, once per forward, because it saves it.
 - sqft_gc then runs sqft's backward schedule.
 - spp: Y = WX + (W . tile(A, 1, C/r) . tile(B, R, 1)) X; backward is derived
   by the tape from this expression, not hand-written. ``_record_spp_delta``
@@ -231,15 +232,15 @@ def merged_weight(w: DenseMatrix, a: DenseMatrix, b: DenseMatrix, alpha: float,
     ``mask`` is an R x C bool array (a 0/1 float array gives the same bits,
     signs of zero included). The merge lives in one RC buffer: the product
     A @ B, then, in place, the mask, the scaling by alpha and the addition of
-    W. The result is checked for finiteness here, before merge() zeroes the
-    pruned entries: an overflow of A @ B at a pruned entry gives inf * 0 =
-    NaN, which that zeroing would hide from the checkpoint's own check.
+    W. The result is not scanned: the forward and merge() check it, and the
+    backward recompute is bitwise the forward's merge.
 
     sqft saves this matrix, sqft_gc and lors rebuild it in backward, and
     merge() finalizes with it; sharing the helper keeps all of those bitwise
     identical. Costs rRC + RC MACs plus one elementwise pass.
     """
-    if mask.shape != w.shape or (a.rows, b.cols) != w.shape:
+    shape = w.data.shape
+    if mask.shape != shape or (a.data.shape[0], b.data.shape[1]) != shape:
         raise ShapeError(f"merged_weight: W is {w.rows}x{w.cols}, A @ B is "
                          f"{a.rows}x{b.cols}, mask is {mask.shape}")
     out = mx.matmul(a, b, counters).data         # rRC
@@ -249,7 +250,6 @@ def merged_weight(w: DenseMatrix, a: DenseMatrix, b: DenseMatrix, alpha: float,
     if counters is not None:
         counters.add_macs(out.size)
         counters.add_elementwise(out.size)
-    mx.check_finite(out, "merged weight")
     return DenseMatrix._wrap(out)
 
 
@@ -262,10 +262,9 @@ def _merge(layer: AdaptedLayer, counters) -> DenseMatrix:
 
 
 def _check_x(layer: AdaptedLayer, x: DenseMatrix) -> None:
-    if x.rows != layer.in_features:
-        raise ShapeError(
-            f"layer expects {layer.in_features} input rows, got {x.rows}x{x.cols}"
-        )
+    (rows, cols), width = x.data.shape, layer.base.values.data.shape[1]
+    if rows != width:
+        raise ShapeError(f"layer expects {width} input rows, got {rows}x{cols}")
 
 
 def _add_bias(layer: AdaptedLayer, y: DenseMatrix, counters) -> DenseMatrix:
@@ -289,9 +288,10 @@ def lora_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
 
 
 def _masked_forward(layer: AdaptedLayer, x: DenseMatrix, counters):
-    """Y = (W + alpha (AB) . M) X; returns Y and the merged weight."""
+    """Y = (W + alpha (AB) . M) X and the merged weight, checked for finiteness here."""
     _check_x(layer, x)
     merged = _merge(layer, counters)
+    mx.check_finite(merged.data, "merged weight")
     y = mx.matmul(merged, x, counters)              # RCL
     return _add_bias(layer, y, counters), merged
 
@@ -327,9 +327,9 @@ def _record_spp_delta(tape: Tape, layer: AdaptedLayer):
     tile(B, R, 1) is B. spp_forward and merge() both evaluate delta here.
     """
     adapter = layer.adapter
-    w_id = tape.leaf(layer.base.values, requires_grad=False, is_param=True, name="base")
-    a_id = tape.leaf(adapter.a, requires_grad=True, is_param=True, name="a")
-    b_id = tape.leaf(adapter.b, requires_grad=True, is_param=True, name="b")
+    w_id = tape.leaf(layer.base.values, requires_grad=False, is_param=True)
+    a_id = tape.leaf(adapter.a, requires_grad=True, is_param=True)
+    b_id = tape.leaf(adapter.b, requires_grad=True, is_param=True)
     t1 = tape.hadamard(w_id, tape.tile(a_id, 1, layer.in_features // adapter.rank))
     delta = tape.hadamard(t1, tape.tile(b_id, layer.out_features, 1))
     return w_id, a_id, b_id, delta
@@ -346,7 +346,7 @@ def spp_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
     _check_x(layer, x)
     tape = Tape(counters=counters, track_saved=False)
     w_id, a_id, b_id, delta = _record_spp_delta(tape, layer)
-    x_id = tape.leaf(x, requires_grad=True, name="x")
+    x_id = tape.leaf(x, requires_grad=True)
     adapted = tape.matmul(delta, x_id)
     base_out = tape.matmul(w_id, x_id)
     y_id = tape.add(base_out, adapted)
@@ -500,9 +500,9 @@ def variant_backward(layer: AdaptedLayer, grad_y: DenseMatrix, ctx, counters=Non
     """Consume ctx once, check dY, and run the variant's backward body with
     the counters in the backward phase; dbias is the row sum of dY."""
     ctx.consume()
-    rows, cols = ctx.layer.out_features, ctx.x.cols
-    if grad_y.shape != (rows, cols):
-        raise ShapeError(f"gradient must be {rows}x{cols}, got {grad_y.rows}x{grad_y.cols}")
+    want = (ctx.layer.base.values.data.shape[0], ctx.x.data.shape[1])
+    if grad_y.data.shape != want:
+        raise ShapeError(f"gradient must be {want[0]}x{want[1]}, got {grad_y.rows}x{grad_y.cols}")
     with counters.backward_phase() if counters is not None else nullcontext():
         da, db, dx = _BACKWARD[layer.variant](ctx, grad_y, counters)
         dbias = mx.reduce_sum_rows(grad_y, counters) if ctx.layer.bias is not None else None
@@ -521,16 +521,9 @@ def apply_layer(tape: Tape, layer: AdaptedLayer, x_id: int) -> int:
     parameter; node ids are remembered on the layer for the optimizer.
     """
     x = tape.value(x_id)
-    a_id = tape.leaf(layer.adapter.a, requires_grad=True, is_param=True,
-                     name=f"{layer.name}.a")
-    b_id = tape.leaf(layer.adapter.b, requires_grad=True, is_param=True,
-                     name=f"{layer.name}.b")
-    inputs = [x_id, a_id, b_id]
-    bias_id = None
-    if layer.bias is not None:
-        bias_id = tape.leaf(layer.bias, requires_grad=True, is_param=True,
-                            name=f"{layer.name}.bias")
-        inputs.append(bias_id)
+    params = {key: tape.leaf(m, requires_grad=True, is_param=True)
+              for key, m in layer.trainable().items()}
+    inputs = (x_id, *params.values())
     with located(layer=layer.name):
         y, ctx = variant_forward(layer, x, tape.counters)
         mx.check_finite(y.data, "output")
@@ -538,14 +531,10 @@ def apply_layer(tape: Tape, layer: AdaptedLayer, x_id: int) -> int:
 
     def bwd(dy):
         g = variant_backward(layer, dy, ctx, c)
-        out = [g.dx, g.da, g.db]
-        if bias_id is not None:
-            out.append(g.dbias)
-        return out
+        return (g.dx, g.da, g.db, g.dbias)[:len(inputs)]
 
-    y_id = tape.record(layer.variant, inputs, y, bwd,
-                       saved=counted_saved(layer, ctx), name=layer.name)
-    layer.last_nodes = {"in": x_id, "out": y_id, "a": a_id, "b": b_id, "bias": bias_id}
+    y_id = tape.record(layer.variant, inputs, y, bwd, saved=counted_saved(layer, ctx))
+    layer.last_nodes = {"in": x_id, "out": y_id, **params}
     return y_id
 
 
@@ -606,6 +595,10 @@ def merge(layer: AdaptedLayer) -> SparseWeight:
     construction; spp variants produce W + delta with delta the Repeat
     expression spp_forward records, which is masked by W itself. The result's
     pattern is a subset of the original.
+
+    The pair merge is checked for finiteness before the pruned entries are
+    zeroed: an overflow of A @ B at a pruned entry gives inf * 0 = NaN, which
+    the zeroing would hide from the checkpoint's own check.
     """
     if isinstance(layer.adapter, SppAdapter):
         tape = Tape()
@@ -613,5 +606,6 @@ def merge(layer: AdaptedLayer) -> SparseWeight:
         merged = mx.add(layer.base.values, tape.value(delta))
     else:
         merged = _merge(layer, None)
+        mx.check_finite(merged.data, "merged weight")
     merged.data[~layer.original_mask] = 0.0
     return SparseWeight(merged, pattern=layer.base.pattern, ratio=layer.base.ratio)

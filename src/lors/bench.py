@@ -185,7 +185,7 @@ def run_variant_bench(variant: str, R: int, C: int, L: int, r: int,
         counters = CostCounters()
         start = time.perf_counter()
         tape = Tape(counters=counters)
-        x_id = tape.leaf(x, requires_grad=True, name="x")
+        x_id = tape.leaf(x, requires_grad=True)
         y_id = apply_layer(tape, layer, x_id)
         loss_id = tape.sum_all(y_id)
         tape.backward(loss_id)

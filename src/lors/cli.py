@@ -219,6 +219,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise ArgumentError(f"--repeats must be positive, got {args.repeats}")
     shapes = _parse_shapes(args.shapes)
     variants = [v.strip() for v in args.variants.split(",") if v.strip()]
     with _injected(args.inject_fault):

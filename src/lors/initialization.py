@@ -113,10 +113,8 @@ def record_loss(tape: Tape, y_id: int, probe: ProbeBatch) -> int:
     dY = (softmax(Y) - onehot) / L.
     """
     if probe.loss == "regression":
-        t_id = tape.leaf(probe.targets, name="targets")
-        sq = tape.square(tape.sub(y_id, t_id))
-        return tape.scale(tape.sum_all(sq), 0.5 / probe.size, name="loss")
-    return tape.softmax_cross_entropy(y_id, probe.targets, name="loss")
+        return tape.squared_error(y_id, probe.targets)
+    return tape.softmax_cross_entropy(y_id, probe.targets)
 
 
 class MemoryGauge:

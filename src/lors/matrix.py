@@ -93,28 +93,29 @@ def ones(rows: int, cols: int) -> DenseMatrix:
     return DenseMatrix._wrap(np.ones((rows, cols)))
 
 
-def _check_same_shape(op: str, a: DenseMatrix, b: DenseMatrix) -> None:
-    if a.shape != b.shape:
+def _same_size(op: str, a: DenseMatrix, b: DenseMatrix) -> int:
+    """The entry count of a and b; ShapeError unless their shapes agree."""
+    if a.data.shape != b.data.shape:
         raise ShapeError(f"{op}: shapes differ, {a.rows}x{a.cols} vs {b.rows}x{b.cols}")
+    return a.data.size
 
 
 def matmul(a: DenseMatrix, b: DenseMatrix, counters=None) -> DenseMatrix:
     """Matrix product a @ b. Tallies m*k*n MACs when counters are given."""
-    if a.cols != b.rows:
-        raise ShapeError(
-            f"matmul: inner dimensions disagree, {a.rows}x{a.cols} @ {b.rows}x{b.cols}"
-        )
+    (m, k), (k2, n) = a.data.shape, b.data.shape
+    if k != k2:
+        raise ShapeError(f"matmul: inner dimensions disagree, {m}x{k} @ {k2}x{n}")
     out = a.data @ b.data
     if counters is not None:
-        counters.add_macs(a.rows * a.cols * b.cols)
+        counters.add_macs(m * k * n)
     return DenseMatrix._wrap(out)
 
 
 def hadamard(a: DenseMatrix, b: DenseMatrix, counters=None) -> DenseMatrix:
     """Elementwise product. Tallies m*n MACs (one multiply per entry)."""
-    _check_same_shape("hadamard", a, b)
+    size = _same_size("hadamard", a, b)
     if counters is not None:
-        counters.add_macs(a.rows * a.cols)
+        counters.add_macs(size)
     return DenseMatrix._wrap(a.data * b.data)
 
 
@@ -124,33 +125,33 @@ def hadamard_mask(a: DenseMatrix, mask: np.ndarray, counters=None) -> DenseMatri
     A bool mask gives the same bits as its 0/1 float form, signs of zero
     included, without building that RC float matrix.
     """
-    if mask.shape != a.shape:
+    if mask.shape != a.data.shape:
         raise ShapeError(f"hadamard_mask: shapes differ, {a.rows}x{a.cols} vs mask {mask.shape}")
     if counters is not None:
-        counters.add_macs(a.rows * a.cols)
+        counters.add_macs(mask.size)
     return DenseMatrix._wrap(a.data * mask)
 
 
 def add(a: DenseMatrix, b: DenseMatrix, counters=None) -> DenseMatrix:
     """Elementwise sum. Additions cost 0 MACs; tallied as elementwise ops."""
-    _check_same_shape("add", a, b)
+    size = _same_size("add", a, b)
     if counters is not None:
-        counters.add_elementwise(a.rows * a.cols)
+        counters.add_elementwise(size)
     return DenseMatrix._wrap(a.data + b.data)
 
 
 def sub(a: DenseMatrix, b: DenseMatrix, counters=None) -> DenseMatrix:
-    _check_same_shape("sub", a, b)
+    size = _same_size("sub", a, b)
     if counters is not None:
-        counters.add_elementwise(a.rows * a.cols)
+        counters.add_elementwise(size)
     return DenseMatrix._wrap(a.data - b.data)
 
 
 def add_scaled(a: DenseMatrix, b: DenseMatrix, alpha: float, counters=None) -> DenseMatrix:
     """a + alpha * b, as one elementwise pass (0 MACs) and one temporary."""
-    _check_same_shape("add_scaled", a, b)
+    size = _same_size("add_scaled", a, b)
     if counters is not None:
-        counters.add_elementwise(a.rows * a.cols)
+        counters.add_elementwise(size)
     out = b.data * alpha
     out += a.data
     return DenseMatrix._wrap(out)
@@ -158,7 +159,7 @@ def add_scaled(a: DenseMatrix, b: DenseMatrix, alpha: float, counters=None) -> D
 
 def scale(a: DenseMatrix, alpha: float, counters=None) -> DenseMatrix:
     if counters is not None:
-        counters.add_elementwise(a.rows * a.cols)
+        counters.add_elementwise(a.data.size)
     return DenseMatrix._wrap(a.data * alpha)
 
 
@@ -169,25 +170,25 @@ def transpose(a: DenseMatrix) -> DenseMatrix:
 
 def add_bias(a: DenseMatrix, bias: DenseMatrix, counters=None) -> DenseMatrix:
     """Add a column vector (rows x 1) to every column of a (rows x L)."""
-    if bias.cols != 1 or bias.rows != a.rows:
-        raise ShapeError(
-            f"add_bias: bias must be {a.rows}x1 to match {a.rows}x{a.cols}, got {bias.rows}x{bias.cols}"
-        )
+    (rows, cols), (brows, bcols) = a.data.shape, bias.data.shape
+    if (brows, bcols) != (rows, 1):
+        raise ShapeError(f"add_bias: bias must be {rows}x1 to match {rows}x{cols}, "
+                         f"got {brows}x{bcols}")
     if counters is not None:
-        counters.add_elementwise(a.rows * a.cols)
+        counters.add_elementwise(rows * cols)
     return DenseMatrix._wrap(a.data + bias.data)
 
 
 def reduce_sum_rows(a: DenseMatrix, counters=None) -> DenseMatrix:
     """Sum over columns, returning a rows x 1 vector. Pure additions: 0 MACs."""
     if counters is not None:
-        counters.add_elementwise(a.rows * a.cols)
+        counters.add_elementwise(a.data.size)
     return DenseMatrix._wrap(a.data.sum(axis=1, keepdims=True))
 
 
 def relu(a: DenseMatrix, counters=None) -> DenseMatrix:
     if counters is not None:
-        counters.add_elementwise(a.rows * a.cols)
+        counters.add_elementwise(a.data.size)
     return DenseMatrix._wrap(np.maximum(a.data, 0.0))
 
 
@@ -212,7 +213,7 @@ def l2_norm(v: np.ndarray) -> float:
 
 
 def max_abs_diff(a: DenseMatrix, b: DenseMatrix) -> float:
-    _check_same_shape("max_abs_diff", a, b)
+    _same_size("max_abs_diff", a, b)
     return float(np.max(np.abs(a.data - b.data)))
 
 
@@ -226,16 +227,20 @@ def bitwise_equal(a: DenseMatrix, b: DenseMatrix) -> bool:
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-_MIX_A = 0xBF58476D1CE4E5B9
-_MIX_B = 0x94D049BB133111EB
+_GOLDEN_U64 = np.uint64(_GOLDEN)
+_MIX_A = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_B = np.uint64(0x94D049BB133111EB)
+_SHIFT_11, _SHIFT_27, _SHIFT_30, _SHIFT_31 = (np.uint64(k) for k in (11, 27, 30, 31))
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer, a bijective scramble of each 64-bit word of a
-    uint64 array; the arithmetic wraps mod 2^64 silently."""
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-    return z ^ (z >> np.uint64(31))
+    uint64 array, into a new array; the arithmetic wraps mod 2^64 silently."""
+    z = z ^ (z >> _SHIFT_30)
+    z *= _MIX_A
+    z ^= z >> _SHIFT_27
+    z *= _MIX_B
+    return z ^ (z >> _SHIFT_31)
 
 
 class Rng:
@@ -265,8 +270,9 @@ class Rng:
         return Rng(int(_mix64_array(state)[0]), 0)
 
     def _raw_block(self, n: int) -> np.ndarray:
-        idx = np.arange(self.position + 1, self.position + n + 1, dtype=np.uint64)
-        state = np.uint64(self.seed) + idx * np.uint64(_GOLDEN)
+        state = np.arange(self.position + 1, self.position + n + 1, dtype=np.uint64)
+        state *= _GOLDEN_U64
+        state += np.uint64(self.seed)
         self.position += n
         return _mix64_array(state)
 
@@ -278,14 +284,14 @@ class Rng:
         return (self.next_u64() >> 11) * 2.0**-53
 
     def uniforms(self, n: int) -> np.ndarray:
-        return (self._raw_block(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return (self._raw_block(n) >> _SHIFT_11).astype(np.float64) * 2.0**-53
 
     def normals(self, n: int) -> np.ndarray:
         """n standard normals; consumes exactly 2n raw draws (Box-Muller)."""
         raw = self._raw_block(2 * n)
         # u1 in (0, 1] so the log is finite; u2 in [0, 1).
-        u1 = ((raw[:n] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (raw[n:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        u1 = ((raw[:n] >> _SHIFT_11).astype(np.float64) + 1.0) * 2.0**-53
+        u2 = (raw[n:] >> _SHIFT_11).astype(np.float64) * 2.0**-53
         return np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * math.pi * u2)
 
     def normal_matrix(self, rows: int, cols: int, mean: float = 0.0, std: float = 1.0) -> DenseMatrix:
@@ -296,8 +302,9 @@ class Rng:
         """n integers uniform in [0, bound)."""
         if bound < 1:
             raise ArgumentError(f"integers bound must be positive, got {bound}")
-        u = (self._raw_block(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return np.minimum((u * bound).astype(np.int64), bound - 1)
+        u = (self._raw_block(n) >> _SHIFT_11).astype(np.float64) * 2.0**-53
+        u *= bound
+        return np.minimum(u.astype(np.int64), bound - 1)
 
 
 def fill_random_normal(m: DenseMatrix, rng: Rng, mean: float = 0.0, std: float = 1.0) -> DenseMatrix:

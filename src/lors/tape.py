@@ -5,8 +5,8 @@ its output value, the ids of its inputs, a backward closure, and the list of
 tensors it saved for the backward pass. ``backward`` walks the nodes in
 reverse recording order exactly once, accumulating gradients for every node
 that participates in the loss (fan-out sums in tape order). A tape can be
-differentiated once: after ``backward`` starts, both ``backward`` and
-``record`` raise GraphError.
+differentiated once: after ``backward`` starts, ``backward``, ``record`` and
+every op raise GraphError, an op before it computes or tallies anything.
 
 Accounting rules (shared with the adapter layers):
 
@@ -61,9 +61,6 @@ class CostCounters:
         else:
             self.elementwise_backward += n
 
-    def add_saved(self, n: int) -> None:
-        self.saved_elements += n
-
     def backward_phase(self) -> _BackwardPhase:
         """Tally into the backward buckets inside the block, then restore the
         prior phase (also when the block raises)."""
@@ -100,14 +97,12 @@ class SavedContext:
 @dataclass(slots=True)
 class TapeNode:
     id: int
-    op: str
     value: DenseMatrix
     inputs: tuple[int, ...]
     backward_fn: Optional[Callable]
     saved: tuple[DenseMatrix, ...] = ()
     requires_grad: bool = False
     is_param: bool = False
-    name: str = ""
 
 
 class Tape:
@@ -125,36 +120,35 @@ class Tape:
 
     # -- construction -------------------------------------------------------
 
-    def leaf(self, value: DenseMatrix, requires_grad: bool = False,
-             is_param: bool = False, name: str = "") -> int:
-        node = TapeNode(
-            id=len(self.nodes), op="leaf", value=value, inputs=(),
-            backward_fn=None, requires_grad=requires_grad,
-            is_param=is_param, name=name,
-        )
-        self.nodes.append(node)
-        return node.id
+    def leaf(self, value: DenseMatrix, requires_grad: bool = False, is_param: bool = False) -> int:
+        node_id = len(self.nodes)
+        self.nodes.append(TapeNode(node_id, value, (), None, (), requires_grad, is_param))
+        return node_id
+
+    def _operands(self, op: str, *ids: int) -> list[TapeNode]:
+        """An op's input nodes; GraphError on a consumed tape, before any tally."""
+        if self.consumed:
+            raise GraphError(f"{op} on a consumed tape")
+        return [self.nodes[i] for i in ids]
 
     def record(self, op: str, inputs, value: DenseMatrix,
-               backward_fn: Optional[Callable], saved=(), name: str = "") -> int:
+               backward_fn: Optional[Callable], saved=()) -> int:
         if self.consumed:
             raise GraphError(f"record({op}) on a consumed tape")
         inputs = tuple(inputs)
+        nodes = self.nodes
         for i in inputs:
-            if not (0 <= i < len(self.nodes)):
+            if not (0 <= i < len(nodes)):
                 raise GraphError(f"record({op}): dangling input id {i}")
-        requires_grad = any(self.nodes[i].requires_grad for i in inputs)
-        node = TapeNode(
-            id=len(self.nodes), op=op, value=value, inputs=inputs,
-            backward_fn=backward_fn, saved=tuple(saved),
-            requires_grad=requires_grad, name=name,
-        )
-        self.nodes.append(node)
-        count = sum(t.rows * t.cols for t in node.saved)
+        saved = tuple(saved)
+        node_id = len(nodes)
+        nodes.append(TapeNode(node_id, value, inputs, backward_fn, saved,
+                              any(nodes[i].requires_grad for i in inputs)))
+        count = sum(t.data.size for t in saved)
         self.saved_ctx.peak += count
         if self.track_saved:
-            self.counters.add_saved(count)
-        return node.id
+            self.counters.saved_elements += count
+        return node_id
 
     def value(self, node_id: int) -> DenseMatrix:
         return self.nodes[node_id].value
@@ -172,18 +166,14 @@ class Tape:
             raise GraphError("backward on a consumed tape")
         if not (0 <= loss_id < len(self.nodes)):
             raise GraphError(f"backward: dangling loss id {loss_id}")
-        loss = self.nodes[loss_id]
+        loss = self.nodes[loss_id].value
         if seed is None:
-            if loss.value.shape != (1, 1):
-                raise ShapeError(
-                    f"backward: loss must be 1x1, got {loss.value.rows}x{loss.value.cols}"
-                )
-            seed = DenseMatrix([[1.0]])
-        elif seed.shape != loss.value.shape:
-            raise ShapeError(
-                f"backward: seed shape {seed.rows}x{seed.cols} does not match "
-                f"node shape {loss.value.rows}x{loss.value.cols}"
-            )
+            if loss.shape != (1, 1):
+                raise ShapeError(f"backward: loss must be 1x1, got {loss.rows}x{loss.cols}")
+            seed = DenseMatrix._wrap(np.ones((1, 1)))
+        elif seed.shape != loss.shape:
+            raise ShapeError(f"backward: seed shape {seed.rows}x{seed.cols} does not match "
+                             f"node shape {loss.rows}x{loss.cols}")
         self.consumed = True
         grads: dict[int, DenseMatrix] = {loss_id: seed}
         with self.counters.backward_phase():
@@ -202,15 +192,14 @@ class Tape:
 
     # -- primitive differentiable ops ----------------------------------------
 
-    def _product(self, op: str, a_id: int, b_id: int, name: str,
-                 forward, grad_a, grad_b) -> int:
+    def _product(self, op: str, a_id: int, b_id: int, forward, grad_a, grad_b) -> int:
         """Record out = forward(a, b); backward gives grad_a(dy, b), grad_b(dy, a).
 
         The one product rule: each operand is saved when the other operand
         needs a gradient, unless it is a parameter, and the backward forms
         gradients only for inputs that need them.
         """
-        a_node, b_node = self.nodes[a_id], self.nodes[b_id]
+        a_node, b_node = self._operands(op, a_id, b_id)
         a, b = a_node.value, b_node.value
         c = self.counters
         out = forward(a, b, c)
@@ -225,29 +214,28 @@ class Tape:
             return (grad_a(dy, b, c) if need_da else None,
                     grad_b(dy, a, c) if need_db else None)
 
-        return self.record(op, (a_id, b_id), out, bwd, saved=saved, name=name)
+        return self.record(op, (a_id, b_id), out, bwd, saved=saved)
 
-    def matmul(self, a_id: int, b_id: int, name: str = "") -> int:
-        return self._product("matmul", a_id, b_id, name, mx.matmul,
+    def matmul(self, a_id: int, b_id: int) -> int:
+        return self._product("matmul", a_id, b_id, mx.matmul,
                              lambda dy, b, c: mx.matmul(dy, mx.transpose(b), c),
                              lambda dy, a, c: mx.matmul(mx.transpose(a), dy, c))
 
-    def hadamard(self, a_id: int, b_id: int, name: str = "") -> int:
-        return self._product("hadamard", a_id, b_id, name,
-                             mx.hadamard, mx.hadamard, mx.hadamard)
+    def hadamard(self, a_id: int, b_id: int) -> int:
+        return self._product("hadamard", a_id, b_id, mx.hadamard, mx.hadamard, mx.hadamard)
 
-    def add(self, a_id: int, b_id: int, name: str = "") -> int:
-        a_node, b_node = self.nodes[a_id], self.nodes[b_id]
+    def add(self, a_id: int, b_id: int) -> int:
+        a_node, b_node = self._operands("add", a_id, b_id)
         out = mx.add(a_node.value, b_node.value, self.counters)
 
         def bwd(dy):
             return (dy if a_node.requires_grad else None,
                     dy if b_node.requires_grad else None)
 
-        return self.record("add", (a_id, b_id), out, bwd, name=name)
+        return self.record("add", (a_id, b_id), out, bwd)
 
-    def sub(self, a_id: int, b_id: int, name: str = "") -> int:
-        a_node, b_node = self.nodes[a_id], self.nodes[b_id]
+    def sub(self, a_id: int, b_id: int) -> int:
+        a_node, b_node = self._operands("sub", a_id, b_id)
         out = mx.sub(a_node.value, b_node.value, self.counters)
         c = self.counters
 
@@ -256,21 +244,21 @@ class Tape:
             db = mx.scale(dy, -1.0, c) if b_node.requires_grad else None
             return (da, db)
 
-        return self.record("sub", (a_id, b_id), out, bwd, name=name)
+        return self.record("sub", (a_id, b_id), out, bwd)
 
-    def scale(self, a_id: int, alpha: float, name: str = "") -> int:
-        a_node = self.nodes[a_id]
+    def scale(self, a_id: int, alpha: float) -> int:
+        a_node, = self._operands("scale", a_id)
         out = mx.scale(a_node.value, alpha, self.counters)
         c = self.counters
 
         def bwd(dy):
             return (mx.scale(dy, alpha, c) if a_node.requires_grad else None,)
 
-        return self.record("scale", (a_id,), out, bwd, name=name)
+        return self.record("scale", (a_id,), out, bwd)
 
-    def square(self, a_id: int, name: str = "") -> int:
+    def square(self, a_id: int) -> int:
         """Elementwise square; saves its input once (vs twice for hadamard(a, a))."""
-        a_node = self.nodes[a_id]
+        a_node, = self._operands("square", a_id)
         a = a_node.value
         out = mx.hadamard(a, a, self.counters)
         saved = [a] if (a_node.requires_grad and not a_node.is_param) else []
@@ -281,10 +269,10 @@ class Tape:
                 return (None,)
             return (mx.scale(mx.hadamard(dy, a, c), 2.0, c),)
 
-        return self.record("square", (a_id,), out, bwd, saved=saved, name=name)
+        return self.record("square", (a_id,), out, bwd, saved=saved)
 
-    def relu(self, a_id: int, name: str = "") -> int:
-        a_node = self.nodes[a_id]
+    def relu(self, a_id: int) -> int:
+        a_node, = self._operands("relu", a_id)
         a = a_node.value
         out = mx.relu(a, self.counters)
         gate = DenseMatrix._wrap((a.data > 0.0).astype(np.float64))
@@ -296,17 +284,17 @@ class Tape:
                 return (None,)
             return (mx.hadamard(dy, gate, c),)
 
-        return self.record("relu", (a_id,), out, bwd, saved=saved, name=name)
+        return self.record("relu", (a_id,), out, bwd, saved=saved)
 
-    def tile(self, a_id: int, rows: int, cols: int, name: str = "") -> int:
+    def tile(self, a_id: int, rows: int, cols: int) -> int:
         """np.tile(a, (rows, cols)): out[i, j] = a[i mod m, j mod n] for m x n a.
 
         The backward sums the rows x cols blocks of dY (dY-sized elementwise).
         """
-        a_node = self.nodes[a_id]
-        a = a_node.value
         if rows < 1 or cols < 1:
             raise ArgumentError(f"tile: repeats must be positive, got ({rows}, {cols})")
+        a_node, = self._operands("tile", a_id)
+        a = a_node.value
         out = DenseMatrix._wrap(np.tile(a.data, (rows, cols)))
         c = self.counters
 
@@ -317,15 +305,15 @@ class Tape:
             acc = dy.data.reshape(rows, a.rows, cols, a.cols).sum(axis=(0, 2))
             return (DenseMatrix._wrap(acc),)
 
-        return self.record("tile", (a_id,), out, bwd, name=name)
+        return self.record("tile", (a_id,), out, bwd)
 
-    def block_diag_rows(self, b_id: int, r: int, name: str = "") -> int:
+    def block_diag_rows(self, b_id: int, r: int) -> int:
         """Scatter a 1 x C row into an r x C matrix with out[q mod r, q] = b[q].
 
         Column blocks of width r are then diagonal sub-blocks holding the
         corresponding segment of b. Pure data movement (0 MACs).
         """
-        b_node = self.nodes[b_id]
+        b_node, = self._operands("block_diag_rows", b_id)
         b = b_node.value
         if b.rows != 1:
             raise ShapeError(f"block_diag_rows: expected a 1xC row, got {b.rows}x{b.cols}")
@@ -343,29 +331,54 @@ class Tape:
             c.add_elementwise(r * cols)
             return (DenseMatrix._wrap(dy.data[idx % r, idx].reshape(1, cols)),)
 
-        return self.record("block_diag_rows", (b_id,), DenseMatrix._wrap(out), bwd, name=name)
+        return self.record("block_diag_rows", (b_id,), DenseMatrix._wrap(out), bwd)
 
-    def sum_all(self, a_id: int, name: str = "") -> int:
-        a_node = self.nodes[a_id]
-        a = a_node.value
-        self.counters.add_elementwise(a.rows * a.cols)
-        out = DenseMatrix._wrap(np.array([[a.data.sum()]]))
+    def sum_all(self, a_id: int) -> int:
+        a_node, = self._operands("sum_all", a_id)
+        a = a_node.value.data
+        self.counters.add_elementwise(a.size)
+        out = DenseMatrix._wrap(np.array([[a.sum()]]))
         c = self.counters
 
         def bwd(dy):
             if not a_node.requires_grad:
                 return (None,)
-            c.add_elementwise(a.rows * a.cols)
-            return (DenseMatrix._wrap(np.full((a.rows, a.cols), dy.data[0, 0])),)
+            c.add_elementwise(a.size)
+            return (DenseMatrix._wrap(np.full(a.shape, dy.data[0, 0])),)
 
-        return self.record("sum_all", (a_id,), out, bwd, name=name)
+        return self.record("sum_all", (a_id,), out, bwd)
 
-    def softmax_cross_entropy(self, logits_id: int, labels: np.ndarray, name: str = "") -> int:
+    def squared_error(self, y_id: int, targets: DenseMatrix) -> int:
+        """0.5 * sum((Y - T)^2) / L for R x L outputs Y and fixed targets T: one
+        node with the bits, tallies and saved Y - T of the op chain
+        scale(sum_all(square(sub(y, t))), 0.5 / L)."""
+        y_node, = self._operands("squared_error", y_id)
+        c = self.counters
+        diff = mx.sub(y_node.value, targets, c)
+        d = diff.data
+        alpha = 0.5 / d.shape[1]
+        c.add_macs(d.size)                   # the square
+        c.add_elementwise(d.size + 1)        # the sum and the scaling
+        out = DenseMatrix._wrap(np.array([[(d * d).sum()]]) * alpha)
+
+        def bwd(dy):
+            if not y_node.requires_grad:
+                return (None,)
+            c.add_elementwise(1 + 2 * d.size)
+            c.add_macs(d.size)
+            g = d * (dy.data[0, 0] * alpha)
+            g *= 2.0
+            return (DenseMatrix._wrap(g),)
+
+        saved = (diff,) if y_node.requires_grad else ()
+        return self.record("squared_error", (y_id,), out, bwd, saved=saved)
+
+    def softmax_cross_entropy(self, logits_id: int, labels: np.ndarray) -> int:
         """Mean cross-entropy over columns of K x L logits; labels in [0, K).
 
         Saves the K x L probability matrix for the backward pass.
         """
-        logits_node = self.nodes[logits_id]
+        logits_node, = self._operands("softmax_cross_entropy", logits_id)
         z = logits_node.value
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (z.cols,):
@@ -394,5 +407,4 @@ class Tape:
             g *= dy.data[0, 0] / n
             return (DenseMatrix._wrap(g),)
 
-        return self.record("softmax_cross_entropy", (logits_id,), out, bwd,
-                           saved=saved, name=name)
+        return self.record("softmax_cross_entropy", (logits_id,), out, bwd, saved=saved)

@@ -58,17 +58,14 @@ class ToyModel:
         return self.layers[-1].out_features
 
     def forward(self, tape: Tape, x_id: int) -> int:
-        h = x_id
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            h = apply_layer(tape, layer, h)
-            if i < last:
-                h = tape.relu(h)
+        h = apply_layer(tape, self.layers[0], x_id)
+        for layer in self.layers[1:]:
+            h = apply_layer(tape, layer, tape.relu(h))
         return h
 
     def forward_loss(self, tape: Tape, probe: ProbeBatch) -> int:
         """Record the forward pass plus the probe's loss; returns the loss node."""
-        x_id = tape.leaf(probe.inputs, name="input")
+        x_id = tape.leaf(probe.inputs)
         loss_id = record_loss(tape, self.forward(tape, x_id), probe)
         with located(layer=self.layers[-1].name):
             mx.check_finite(tape.value(loss_id).data, "loss")
@@ -79,11 +76,8 @@ class ToyModel:
         return tape.value(self.forward(tape, tape.leaf(x)))
 
     def named_trainable(self) -> dict[str, DenseMatrix]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for key, m in layer.trainable().items():
-                out[f"layers.{i}.{key}"] = m
-        return out
+        return {f"layers.{i}.{key}": m for i, layer in enumerate(self.layers)
+                for key, m in layer.trainable().items()}
 
     def gather_grads(self, grads: dict[int, DenseMatrix]) -> dict[str, DenseMatrix]:
         """Map a tape gradient dict onto parameter names via each layer's node ids."""
@@ -104,8 +98,9 @@ class ToyModel:
         return h.hexdigest()
 
 
-# Elements per optimizer bucket: 64 KiB of float64, so no per-step temporary
-# crosses the allocator's 128 KiB mmap threshold and pays fresh page faults.
+# Elements per optimizer bucket and batch indices per finetune draw: 64 KiB of
+# float64 or int64, so no per-step temporary crosses the allocator's 128 KiB
+# mmap threshold and pays fresh page faults.
 BUCKET = 8192
 
 # The adaptive method's moment decays and denominator guard.
@@ -253,11 +248,11 @@ class Dataset(ProbeBatch):
 
     def batch(self, indices) -> ProbeBatch:
         idx = np.asarray(indices, dtype=np.int64)
-        # The gather is F-contiguous; the copy makes it C-contiguous, and
-        # BLAS results (so every downstream bit) depend on operand layout.
-        inputs = DenseMatrix._wrap(self.inputs.data[:, idx].copy())
+        # np.take gathers C-contiguous (fancy indexing gives F order), and BLAS
+        # results, so every downstream bit, depend on operand layout.
+        inputs = DenseMatrix._wrap(np.take(self.inputs.data, idx, axis=1))
         if self.loss == "regression":
-            targets = DenseMatrix._wrap(self.targets.data[:, idx].copy())
+            targets = DenseMatrix._wrap(np.take(self.targets.data, idx, axis=1))
         else:
             targets = self.targets[idx]
         return ProbeBatch(inputs, targets, self.loss)
@@ -314,17 +309,21 @@ def finetune(model: ToyModel, dataset: Dataset, config: TrainConfig):
 
     The init probe is the first 32 dataset columns; batches are drawn with
     replacement from a generator seeded by config.seed, so identical configs
-    give bitwise-identical traces.
+    give bitwise-identical traces. One draw of k * batch_size indices, sliced
+    per step, is k single-step draws of the counter-based generator.
     """
     apply_init(model, config.init, probe=dataset.head(32))
     optim = make_optimizer(config)
     counters = CostCounters()
     rng = Rng(config.seed)
+    chunk = max(1, BUCKET // config.batch_size)
     rows = []
-    for step in range(config.steps):
-        idx = rng.integers(config.batch_size, dataset.size)
-        loss, peak = _run_step(model, dataset.batch(idx), optim, counters)
-        rows.append((step, loss, counters.macs_forward, counters.macs_backward, peak))
+    for first in range(0, config.steps, chunk):
+        n = min(chunk, config.steps - first)
+        drawn = rng.integers(n * config.batch_size, dataset.size).reshape(n, -1)
+        for step, idx in enumerate(drawn, first):
+            loss, peak = _run_step(model, dataset.batch(idx), optim, counters)
+            rows.append((step, loss, counters.macs_forward, counters.macs_backward, peak))
     return model, MetricsTrace(rows)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lors import matrix as mx
+from lors import adapters, matrix as mx
 from lors.adapters import (
     COST_MODELS,
     FAULT_INJECTION,
@@ -513,15 +513,16 @@ def _overflow_layer(w, a, b, alpha):
     (1.7e308, 1e154, [[1e154, 0.0]], 1.0),  # W + alpha * masked overflows
 ])
 def test_fused_merge_keeps_finiteness_checks(w00, a0, b, alpha):
-    """The one-buffer merge raises wherever the per-op scans did."""
+    """The one-buffer merge raises wherever the per-op scans did, at both
+    boundaries that read it: the forward and merge(), which checks before it
+    zeroes the pruned entries."""
     w = np.array([[w00, 0.0], [0.0, 1.0]])
     a = np.array([[a0], [0.0]])
     layer = _overflow_layer(w, a, np.array(b), alpha)
-    pair = layer.adapter
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericError):
-            merged_weight(layer.base.values, pair.a, pair.b, alpha, layer.original_mask)
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match="non-finite merged weight"):
+            merge(layer)
+        with pytest.raises(NumericError, match="non-finite merged weight"):
             variant_forward(layer, DenseMatrix(np.ones((2, 1))))
 
 
@@ -555,3 +556,29 @@ def test_merged_weight_tallies_and_bool_mask_bits():
         assert (c.macs_forward, c.elementwise_forward) == ((0, 0) if backward else tallies)
     with pytest.raises(ShapeError):
         merged_weight(w, a, b, alpha, mask[:, :1])
+
+
+@pytest.mark.parametrize("variant", ["lors", "sqft_gc"])
+@pytest.mark.parametrize("R, C, L, r, seed", [(5, 7, 3, 2, 0), (16, 12, 9, 4, 1),
+                                              (64, 64, 32, 16, 2), (33, 48, 1, 8, 3)])
+def test_backward_recompute_is_the_forward_merge_bitwise(monkeypatch, variant, R, C, L, r, seed):
+    """The merged weight the backward rebuilds is the forward's, bit for bit,
+    which is why only the forward checks it for finiteness."""
+    merges = []
+    real = adapters.merged_weight
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        merges.append(out.data.tobytes())
+        return out
+
+    monkeypatch.setattr(adapters, "merged_weight", spy)
+    layer = random_layer(seed, variant, R, C, r, bias=True)
+    rng = np.random.default_rng(seed + 100)
+    x, dy = DenseMatrix(rng.normal(size=(C, L))), DenseMatrix(rng.normal(size=(R, L)))
+    _, ctx = variant_forward(layer, x, CostCounters())
+    variant_backward(layer, dy, ctx, CostCounters())
+    assert len(merges) == 2 and merges[0] == merges[1]
+    pair = layer.adapter
+    assert merges[0] == real(layer.base.values, pair.a, pair.b, pair.alpha,
+                             layer.original_mask).data.tobytes()

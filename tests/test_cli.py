@@ -119,6 +119,8 @@ _MALFORMED = [
     (["bench", "--shapes", "4,4,4,0"], None, EXIT_IO, "dimensions must be positive"),
     (["bench", "--shapes", "4,4,4,1", "--repeats", "0"], None, EXIT_IO,
      "repeats must be positive"),
+    (["bench", "--predict-only", "--repeats", "0", "--shapes", "4,4,4,1", "--variants", "lors"],
+     None, EXIT_IO, "--repeats must be positive"),
     (["bench", "--variants", ""], None, EXIT_IO, "no variant named"),
     (["bench", "--variants", ","], None, EXIT_IO, "no variant named"),
     (["bench", "--variants", "lors,nope"], None, EXIT_IO, "unknown variant 'nope'"),

@@ -383,3 +383,68 @@ def test_identical_graphs_give_bitwise_identical_grads():
 
     assert np.array_equal(run(), run())
 
+
+_OPS = {
+    "matmul": lambda t, ids: t.matmul(ids["a"], ids["c"]),
+    "hadamard": lambda t, ids: t.hadamard(ids["a"], ids["b"]),
+    "add": lambda t, ids: t.add(ids["a"], ids["b"]),
+    "sub": lambda t, ids: t.sub(ids["a"], ids["b"]),
+    "scale": lambda t, ids: t.scale(ids["a"], 3.0),
+    "square": lambda t, ids: t.square(ids["a"]),
+    "relu": lambda t, ids: t.relu(ids["a"]),
+    "tile": lambda t, ids: t.tile(ids["a"], 2, 3),
+    "block_diag_rows": lambda t, ids: t.block_diag_rows(ids["r"], 2),
+    "sum_all": lambda t, ids: t.sum_all(ids["a"]),
+    "squared_error": lambda t, ids: t.squared_error(ids["a"], DenseMatrix(np.ones((2, 4)))),
+    "softmax_cross_entropy": lambda t, ids: t.softmax_cross_entropy(ids["a"], [0, 1, 1, 0]),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_op_on_consumed_tape_raises_before_it_tallies(op):
+    """Every op fetches its inputs through one guard: on a consumed tape it
+    raises GraphError before anything is computed, tallied or recorded."""
+    rng = np.random.default_rng(3)
+    c = CostCounters()
+    t = Tape(c)
+    ids = {k: t.leaf(DenseMatrix(rng.normal(size=shape)), requires_grad=True)
+           for k, shape in (("a", (2, 4)), ("b", (2, 4)), ("c", (4, 2)), ("r", (1, 4)))}
+    _OPS[op](t, ids)  # the op works on a live tape
+    t.backward(t.sum_all(ids["a"]))
+    before = (c.macs_forward, c.macs_backward, c.saved_elements,
+              c.elementwise_forward, c.elementwise_backward, len(t.nodes), t.saved_ctx.peak)
+    with pytest.raises(GraphError, match=f"{op} on a consumed tape"):
+        _OPS[op](t, ids)
+    assert (c.macs_forward, c.macs_backward, c.saved_elements,
+            c.elementwise_forward, c.elementwise_backward, len(t.nodes),
+            t.saved_ctx.peak) == before
+
+
+@pytest.mark.parametrize("requires_grad", [False, True])
+def test_squared_error_is_the_four_op_chain(requires_grad):
+    """squared_error gives the loss, the gradient, every tally and the saved
+    count of scale(sum_all(square(sub(y, t))), 0.5 / L), bit for bit."""
+    rng = np.random.default_rng(11)
+    y0, t0 = rng.normal(size=(5, 7)), rng.normal(size=(5, 7))
+    t0[0, 0] = y0[0, 0]  # a zero residual keeps the sign of zero visible
+
+    def run(fused):
+        c = CostCounters()
+        tape = Tape(c)
+        w = tape.leaf(DenseMatrix(np.eye(5)), requires_grad=requires_grad)
+        y = tape.matmul(w, tape.leaf(DenseMatrix(y0)))
+        if fused:
+            loss = tape.squared_error(y, DenseMatrix(t0))
+        else:
+            d = tape.sub(y, tape.leaf(DenseMatrix(t0)))
+            loss = tape.scale(tape.sum_all(tape.square(d)), 0.5 / 7)
+        grads = tape.backward(loss)
+        g = grads[y].data.tobytes() if requires_grad else None
+        return (tape.value(loss).data.tobytes(), g, c.macs_forward, c.macs_backward,
+                c.elementwise_forward, c.elementwise_backward, c.saved_elements,
+                tape.saved_ctx.peak)
+
+    assert run(True) == run(False)
+    tape = Tape()
+    with pytest.raises(ShapeError):
+        tape.squared_error(tape.leaf(DenseMatrix(y0)), DenseMatrix(t0[:, :1]))

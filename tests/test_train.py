@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lors import adapters, train as train_module
 from lors.adapters import (
     VARIANTS,
     AdaptedLayer,
@@ -586,3 +587,74 @@ def test_nonfinite_init_gradient_names_the_layer():
         finetune(model, data, config)
     assert str(info.value) == "non-finite svd input of layers.1"
     assert (info.value.step, info.value.layer) == (None, "layers.1")
+
+
+@pytest.mark.parametrize("where", [0, -1])
+@pytest.mark.parametrize("variant", ["lors", "sqft_gc"])
+def test_nonfinite_merged_weight_raises_before_any_backward(monkeypatch, variant, where):
+    """The forward is the one finiteness boundary of the merged weight: an
+    overflowing merge raises there, and no backward (whose recompute is not
+    scanned) runs."""
+    model = small_model(variant=variant)
+    batch = small_data(model).head(8)
+    optim = OptimState(kind="adaptive", lr=1e-3)
+    train_step(model, batch, optim)
+    layer = model.layers[where]
+    layer.adapter.a.data[:] = 1e200
+    layer.adapter.b.data[:] = 1e200
+    backward_calls = []
+    real = adapters.variant_backward
+    monkeypatch.setattr(adapters, "variant_backward",
+                        lambda *args, **kw: backward_calls.append(args) or real(*args, **kw))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as info:
+        train_step(model, batch, optim)
+    assert str(info.value) == f"step 1: non-finite merged weight of {layer.name}"
+    assert backward_calls == []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**64 - 1), k=st.integers(1, 6), n=st.integers(0, 40),
+       bound=st.integers(1, 2**40))
+def test_one_draw_of_k_n_indices_is_k_draws_of_n(seed, k, n, bound):
+    """Rng is counter-based: one integers(k * n) call gives the values of k
+    consecutive integers(n) calls and leaves the generator at the same place."""
+    whole, parts = Rng(seed), Rng(seed)
+    drawn = whole.integers(k * n, bound)
+    expected = np.concatenate([parts.integers(n, bound) for _ in range(k)])
+    assert drawn.tobytes() == expected.tobytes()
+    assert whole.state() == parts.state()
+
+
+def _finetune_per_step_draw(model, dataset, config):
+    """finetune with one index draw per step: the reference for the chunked draw."""
+    apply_init(model, config.init, probe=dataset.head(32))
+    optim = make_optimizer(config)
+    counters = CostCounters()
+    rng = Rng(config.seed)
+    rows = []
+    for step in range(config.steps):
+        idx = rng.integers(config.batch_size, dataset.size)
+        batch = dataset.batch(idx)
+        assert batch.inputs.data.flags.c_contiguous
+        assert batch.inputs.data.tobytes() == dataset.inputs.data[:, idx].tobytes()
+        loss, peak = train_module._run_step(model, batch, optim, counters)
+        rows.append((step, loss, counters.macs_forward, counters.macs_backward, peak))
+    return model, MetricsTrace(rows)
+
+
+@pytest.mark.parametrize("bucket, steps, batch_size",
+                         [(10, 7, 4), (None, 260, 32), (None, 3, 9000)])
+def test_chunked_index_draw_matches_per_step_draws(monkeypatch, bucket, steps, batch_size):
+    """Runs whose steps cross chunk boundaries (2 steps a chunk, 256 steps a
+    chunk at the default size, a batch larger than a chunk) give the metrics
+    CSV and adapters of one draw per step, bit for bit."""
+    if bucket is not None:
+        monkeypatch.setattr(train_module, "BUCKET", bucket)
+    config = TrainConfig(steps=steps, batch_size=batch_size, lr=1e-2, optimizer="adaptive",
+                         init=InitSpec("zero_A_random_B"), seed=5)
+    runs = []
+    for run in (finetune, _finetune_per_step_draw):
+        model = small_model(seed=2)
+        _, trace = run(model, small_data(model, n=50), config)
+        runs.append((trace.csv_text(), [p.data.tobytes() for p in model.named_trainable().values()]))
+    assert runs[0] == runs[1]
