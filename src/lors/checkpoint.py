@@ -37,7 +37,7 @@ def save_checkpoint(path, tensors: Dict[str, DenseMatrix]) -> None:
         if not isinstance(name, str) or not name:
             raise CheckpointFormatError(f"tensor name must be a nonempty string, got {name!r}")
         check_finite(m.data, f"tensor {name!r}")
-        raw = np.ascontiguousarray(m.data, dtype="<f8").tobytes()
+        raw = memoryview(np.ascontiguousarray(m.data, dtype="<f8")).cast("B")
         manifest.append({
             "name": name,
             "shape": [m.rows, m.cols],
@@ -82,7 +82,7 @@ def load_checkpoint(path) -> Dict[str, DenseMatrix]:
     if not isinstance(manifest, list):
         raise CheckpointFormatError("manifest must be a JSON list")
 
-    payload = blob[manifest_end:]
+    payload = memoryview(blob)[manifest_end:]
     tensors: Dict[str, DenseMatrix] = {}
     spans = []
     for entry in manifest:
@@ -92,6 +92,8 @@ def load_checkpoint(path) -> Dict[str, DenseMatrix]:
         if missing:
             raise CheckpointFormatError(f"manifest entry missing fields {sorted(missing)}")
         name = entry["name"]
+        if not isinstance(name, str) or not name:
+            raise CheckpointFormatError(f"tensor name must be a nonempty string, got {name!r}")
         shape = entry["shape"]
         if entry["dtype"] != "f64":
             raise CheckpointFormatError(
@@ -110,9 +112,10 @@ def load_checkpoint(path) -> Dict[str, DenseMatrix]:
                 f"the {len(payload)}-byte payload"
             )
         spans.append((offset, offset + nbytes, name))
-        arr = np.frombuffer(payload, dtype="<f8", count=shape[0] * shape[1],
-                            offset=offset).reshape(shape)
-        tensors[name] = DenseMatrix(arr)
+        # DenseMatrix copies the view: one aligned, writable array per tensor,
+        # whatever the payload offset's alignment
+        tensors[name] = DenseMatrix(np.frombuffer(
+            payload, dtype="<f8", count=shape[0] * shape[1], offset=offset).reshape(shape))
 
     spans.sort()
     for (s0, e0, n0), (s1, e1, n1) in zip(spans, spans[1:]):

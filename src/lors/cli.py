@@ -117,11 +117,10 @@ def _load_model(path, variant: str, rank: int, alpha: float,
     names = model_weight_names(tensors)
     layers = []
     for i, name in enumerate(names):
-        base = SparseWeight(tensors[name].copy())
-        bias_name = f"layers.{i}.bias"
-        bias = tensors[bias_name].copy() if bias_name in tensors else None
-        layers.append(make_layer(base, rank=rank, variant=variant, alpha=alpha,
-                                 bias=bias, name=f"layers.{i}"))
+        # each loaded tensor is its own array, so the layers take them uncopied
+        layers.append(make_layer(SparseWeight(tensors[name]), rank=rank, variant=variant,
+                                 alpha=alpha, bias=tensors.get(f"layers.{i}.bias"),
+                                 name=f"layers.{i}"))
     return ToyModel(layers, head=head)
 
 
@@ -282,80 +281,86 @@ def cmd_init_inspect(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+# subcommand -> help text; _define holds each one's handler and flags
+COMMANDS = {
+    "prune": "prune '.weight' tensors in a checkpoint",
+    "train": "finetune adapters over a sparse checkpoint",
+    "bench": "compare measured counters with formulas",
+    "verify": "run oracle suites and print a pass/fail table",
+    "init-inspect": "dump per-layer SVD residuals for gradient-based init",
+}
+
+
+def _define(p, name: str, seed: int):
+    """Give parser p the handler and the flags of subcommand ``name``: the one
+    definition behind both the full parser and a single subcommand's."""
+    p.add_argument("--config", default=None,
+                   help="JSON file of flag defaults (explicit flags win)")
+    if name == "prune":
+        p.set_defaults(handler=cmd_prune)
+        p.add_argument("--input", required=True)
+        p.add_argument("--output", required=True)
+        p.add_argument("--method", choices=("magnitude", "activation", "two_four"),
+                       default="magnitude")
+        p.add_argument("--ratio", type=float, default=0.5,
+                       help="fraction removed, in [0, 1); two_four takes only 0.5")
+        p.add_argument("--calib", default=None,
+                       help="checkpoint holding a 'calib' tensor (method activation only)")
+    elif name == "train":
+        p.set_defaults(handler=cmd_train)
+        p.add_argument("--ckpt", required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--metrics", default=None, help="metrics CSV path")
+        p.add_argument("--variant", choices=VARIANTS, default="lors")
+        p.add_argument("--init", choices=STRATEGIES, default="zero_A_zero_B")
+        p.add_argument("--task", choices=("teacher", "clusters"), default="teacher")
+        p.add_argument("--steps", type=int, default=100)
+        p.add_argument("--batch-size", type=int, default=32)
+        p.add_argument("--samples", type=int, default=512,
+                       help="synthetic dataset size")
+        p.add_argument("--lr", type=float, default=1e-2)
+        p.add_argument("--optimizer", choices=("sgd", "adaptive"), default="sgd")
+        p.add_argument("--rank", type=int, default=4)
+        p.add_argument("--alpha", type=float, default=2.0)
+        p.add_argument("--std", type=float, default=0.02,
+                       help="random-init standard deviation")
+        p.add_argument("--seed", type=int, default=seed)
+    elif name == "bench":
+        p.set_defaults(handler=cmd_bench)
+        p.add_argument("--shapes", default="64,64,64,16",
+                       help="semicolon-separated R,C,L,r tuples")
+        p.add_argument("--variants", default=",".join(VARIANTS))
+        p.add_argument("--repeats", type=int, default=1)
+        p.add_argument("--csv", default=None)
+        p.add_argument("--json", default=None)
+        p.add_argument("--predict-only", action="store_true",
+                       help="emit only closed-form predictions (no measurement)")
+        p.add_argument("--seed", type=int, default=seed)
+    elif name == "verify":
+        p.set_defaults(handler=cmd_verify)
+        p.add_argument("--suite", default="all",
+                       help=f"comma-separated subset of {sorted(SUITES)}, or 'all'")
+    elif name == "init-inspect":
+        p.set_defaults(handler=cmd_init_inspect)
+        p.add_argument("--ckpt", required=True)
+        p.add_argument("--rank", type=int, default=4)
+        p.add_argument("--alpha", type=float, default=2.0)
+        p.add_argument("--task", choices=("teacher", "clusters"), default="teacher")
+        p.add_argument("--samples", type=int, default=64)
+        p.add_argument("--seed", type=int, default=seed)
+    if name in ("bench", "verify"):
+        p.add_argument("--inject-fault", choices=sorted(FAULTS), default=None,
+                       help="debug hook: corrupt a computation to test failure paths")
+    return p
+
+
 def build_parser():
     seed = _env_seed()
     parser = argparse.ArgumentParser(
-        prog="lors",
-        description="Sparsity-preserving low-rank adapter toolkit",
-    )
+        prog="lors", description="Sparsity-preserving low-rank adapter toolkit")
     subparsers = parser.add_subparsers(dest="command")
-    submap = {}
-
-    def add(name, handler, help_text):
-        sub = subparsers.add_parser(name, help=help_text)
-        sub.set_defaults(handler=handler)
-        sub.add_argument("--config", default=None,
-                         help="JSON file of flag defaults (explicit flags win)")
-        submap[name] = sub
-        return sub
-
-    p = add("prune", cmd_prune, "prune '.weight' tensors in a checkpoint")
-    p.add_argument("--input", required=True)
-    p.add_argument("--output", required=True)
-    p.add_argument("--method", choices=("magnitude", "activation", "two_four"),
-                   default="magnitude")
-    p.add_argument("--ratio", type=float, default=0.5,
-                   help="fraction removed, in [0, 1); two_four takes only 0.5")
-    p.add_argument("--calib", default=None,
-                   help="checkpoint holding a 'calib' tensor (method activation only)")
-
-    t = add("train", cmd_train, "finetune adapters over a sparse checkpoint")
-    t.add_argument("--ckpt", required=True)
-    t.add_argument("--out", required=True)
-    t.add_argument("--metrics", default=None, help="metrics CSV path")
-    t.add_argument("--variant", choices=VARIANTS, default="lors")
-    t.add_argument("--init", choices=STRATEGIES, default="zero_A_zero_B")
-    t.add_argument("--task", choices=("teacher", "clusters"), default="teacher")
-    t.add_argument("--steps", type=int, default=100)
-    t.add_argument("--batch-size", type=int, default=32)
-    t.add_argument("--samples", type=int, default=512,
-                   help="synthetic dataset size")
-    t.add_argument("--lr", type=float, default=1e-2)
-    t.add_argument("--optimizer", choices=("sgd", "adaptive"), default="sgd")
-    t.add_argument("--rank", type=int, default=4)
-    t.add_argument("--alpha", type=float, default=2.0)
-    t.add_argument("--std", type=float, default=0.02,
-                   help="random-init standard deviation")
-    t.add_argument("--seed", type=int, default=seed)
-
-    b = add("bench", cmd_bench, "compare measured counters with formulas")
-    b.add_argument("--shapes", default="64,64,64,16",
-                   help="semicolon-separated R,C,L,r tuples")
-    b.add_argument("--variants", default=",".join(VARIANTS))
-    b.add_argument("--repeats", type=int, default=1)
-    b.add_argument("--csv", default=None)
-    b.add_argument("--json", default=None)
-    b.add_argument("--predict-only", action="store_true",
-                   help="emit only closed-form predictions (no measurement)")
-    b.add_argument("--seed", type=int, default=seed)
-    b.add_argument("--inject-fault", choices=sorted(FAULTS), default=None,
-                   help="debug hook: corrupt a computation to test failure paths")
-
-    v = add("verify", cmd_verify, "run oracle suites and print a pass/fail table")
-    v.add_argument("--suite", default="all",
-                   help=f"comma-separated subset of {sorted(SUITES)}, or 'all'")
-    v.add_argument("--inject-fault", choices=sorted(FAULTS), default=None,
-                   help="debug hook: corrupt a computation to test failure paths")
-
-    i = add("init-inspect", cmd_init_inspect,
-            "dump per-layer SVD residuals for gradient-based init")
-    i.add_argument("--ckpt", required=True)
-    i.add_argument("--rank", type=int, default=4)
-    i.add_argument("--alpha", type=float, default=2.0)
-    i.add_argument("--task", choices=("teacher", "clusters"), default="teacher")
-    i.add_argument("--samples", type=int, default=64)
-    i.add_argument("--seed", type=int, default=seed)
-
+    submap = {name: _define(subparsers.add_parser(name, help=help_text), name, seed)
+              for name, help_text in COMMANDS.items()}
     return parser, submap
 
 
@@ -392,20 +397,32 @@ def _with_config(argv: list, submap) -> list:
     return argv[:1] + tokens + argv[1:]
 
 
+def _parse(argv: list):
+    """The namespace of argv. A call builds only its subcommand's parser; the
+    full parser handles the rest: no or an unknown subcommand, top-level help,
+    unrecognized arguments (SystemExit wherever argparse stops)."""
+    if argv and argv[0] in COMMANDS:
+        name = argv[0]
+        lean = _define(argparse.ArgumentParser(prog=f"lors {name}"), name, _env_seed())
+        args, extra = lean.parse_known_args(_with_config(argv, {name: lean})[1:])
+        if not extra:
+            return args
+    parser, submap = build_parser()
+    args = parser.parse_args(_with_config(argv, submap))
+    if args.command is None:
+        parser.print_help()
+        parser.exit(EXIT_IO)
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        parser, submap = build_parser()
-        args = parser.parse_args(
-            _with_config(sys.argv[1:] if argv is None else list(argv), submap))
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_IO
-
-    if args.command is None:
-        parser.print_help()
-        return EXIT_IO
 
     # The check_finite boundaries catch every non-finite value and name it, so
     # numpy's floating-point warnings would only repeat them, with source paths.

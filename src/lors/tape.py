@@ -126,9 +126,12 @@ class Tape:
         return node_id
 
     def _operands(self, op: str, *ids: int) -> list[TapeNode]:
-        """An op's input nodes; GraphError on a consumed tape, before any tally."""
+        """An op's inputs; GraphError on a consumed tape or a dangling id, before any tally."""
         if self.consumed:
             raise GraphError(f"{op} on a consumed tape")
+        for i in ids:
+            if not 0 <= i < len(self.nodes):
+                raise GraphError(f"{op}: dangling input id {i}")
         return [self.nodes[i] for i in ids]
 
     def record(self, op: str, inputs, value: DenseMatrix,

@@ -13,7 +13,8 @@ from lors.checkpoint import (
     save_checkpoint,
 )
 from lors.errors import CheckpointFormatError, NumericError
-from lors.matrix import DenseMatrix
+from lors.matrix import DenseMatrix, transpose
+from lors.prune import SparseWeight
 
 _HEADER = struct.Struct("<4sIQ")
 
@@ -220,3 +221,62 @@ def test_single_byte_damage_is_refused_or_round_trips(tmp_path_factory, kind, at
         return
     save_checkpoint(work / "again.lors", loaded)
     assert _tensor_bytes(load_checkpoint(work / "again.lors")) == _tensor_bytes(loaded)
+
+
+def _oracle_bytes(tensors):
+    """The documented layout, built independently of save_checkpoint."""
+    manifest, chunks, offset = [], [], 0
+    for name, m in tensors.items():
+        raw = m.data.astype("<f8").tobytes(order="C")
+        manifest.append({"name": name, "shape": list(m.data.shape), "dtype": "f64",
+                         "offset": offset})
+        chunks.append(raw)
+        offset += len(raw)
+    mb = json.dumps(manifest).encode("utf-8")
+    return struct.pack("<4sIQ", b"LORS", 1, len(mb)) + mb + b"".join(chunks)
+
+
+def test_save_writes_the_documented_bytes_for_any_layout(tmp_path):
+    """A C-ordered tensor, an F-ordered one (a transpose view) and a sliced
+    non-contiguous one are each written as row-major little-endian doubles."""
+    rng = np.random.default_rng(5)
+    base = rng.normal(size=(6, 9))
+    base[0, 0] = -0.0
+    c_ordered = DenseMatrix(base)
+    f_ordered = transpose(DenseMatrix(base[:4, :5]))
+    sliced = DenseMatrix(np.ones((1, 1)))
+    sliced.data = base[::2, 1::3]
+    assert f_ordered.data.flags.f_contiguous and not f_ordered.data.flags.c_contiguous
+    assert not (sliced.data.flags.c_contiguous or sliced.data.flags.f_contiguous)
+    tensors = {"c": c_ordered, "f": f_ordered, "sliced": sliced}
+    save_checkpoint(tmp_path / "t.lors", tensors)
+    assert (tmp_path / "t.lors").read_bytes() == _oracle_bytes(tensors)
+    loaded = load_checkpoint(tmp_path / "t.lors")
+    for name, m in tensors.items():
+        assert loaded[name].data.tobytes() == m.data.tobytes(), name
+
+
+@pytest.mark.parametrize("pad", range(8))
+def test_loaded_tensors_are_aligned_writable_and_separate(tmp_path, pad):
+    """Whatever the payload offset modulo 8 (trailing manifest whitespace
+    moves it), every loaded tensor is its own aligned, writable, C-contiguous
+    float64 array, and SparseWeight normalizes a loaded weight in place."""
+    w = np.array([[-0.0, 1.5, -2.0], [3.25, 0.0, -0.0]])
+    bias = np.array([[0.5], [-1.0]])
+    manifest = [{"name": "layers.0.weight", "shape": [2, 3], "dtype": "f64", "offset": 0},
+                {"name": "layers.0.bias", "shape": [2, 1], "dtype": "f64", "offset": 48}]
+    mb = json.dumps(manifest).encode() + b" " * pad
+    path = tmp_path / "t.lors"
+    path.write_bytes(_HEADER.pack(MAGIC, VERSION, len(mb)) + mb + w.tobytes() + bias.tobytes())
+    loaded = load_checkpoint(path)
+    arrays = [m.data for m in loaded.values()]
+    for arr in arrays:
+        assert arr.dtype == np.float64
+        assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous
+    assert not np.shares_memory(arrays[0], arrays[1])
+    assert loaded["layers.0.weight"].data.tobytes() == w.tobytes()
+    assert loaded["layers.0.bias"].data.tobytes() == bias.tobytes()
+    weight = loaded["layers.0.weight"]
+    sw = SparseWeight(weight)
+    assert sw.values is weight
+    assert np.array_equal(np.signbit(weight.data), w < 0.0)

@@ -1,11 +1,14 @@
 import json
 import struct
+import sys
 
 import numpy as np
 import pytest
 
 from lors.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
+from lors import cli
 from lors.cli import EXIT_COUNTER, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY, main
+from lors.errors import ArgumentError
 from lors.matrix import DenseMatrix
 
 
@@ -109,9 +112,13 @@ _SUBCOMMANDS = {
     "init-inspect": ["init-inspect", "--ckpt", "base.lors"],
 }
 
+# manifest names that are not nonempty strings, by file label
+_BAD_NAMES = {"list": [1], "int": 5, "null": None, "empty": ""}
+
 # (argv, LORS_SEED, exit code, stderr fragment); paths are relative to a
 # directory that holds base.lors (a dense checkpoint with no 'calib' tensor),
-# empty.json (an empty file) and list.json (a JSON list), and no missing.lors.
+# empty.json (an empty file), list.json (a JSON list) and name-<label>.lors
+# (a 1x1 tensor named by _BAD_NAMES[label]), and no missing.lors.
 _MALFORMED = [
     (["bench", "--shapes", "4,4,4"], None, EXIT_IO, "must be R,C,L,r"),
     (["bench", "--shapes", "4,4,x,1"], None, EXIT_IO, "non-integer entries"),
@@ -142,6 +149,10 @@ _MALFORMED = [
     (["prune", "--input", "missing.lors", "--output", "o.lors", "--method", method,
       "--ratio", ratio], None, EXIT_IO, message)
     for method, ratio, message in _BAD_RATIOS
+] + [
+    (["prune", "--input", f"name-{label}.lors", "--output", "o.lors"], None, EXIT_IO,
+     f"tensor name must be a nonempty string, got {name!r}")
+    for label, name in _BAD_NAMES.items()
 ]
 
 
@@ -157,6 +168,11 @@ def test_malformed_input_exits_with_documented_code(tmp_path, capsys, monkeypatc
     make_ckpt(tmp_path / "base.lors", dims=(4, 4))
     (tmp_path / "empty.json").write_text("")
     (tmp_path / "list.json").write_text("[1, 2]")
+    for label, name in _BAD_NAMES.items():
+        manifest = json.dumps([{"name": name, "shape": [1, 1], "dtype": "f64",
+                                "offset": 0}]).encode()
+        (tmp_path / f"name-{label}.lors").write_bytes(
+            struct.pack("<4sIQ", MAGIC, VERSION, len(manifest)) + manifest + bytes(8))
     if seed is not None:
         monkeypatch.setenv("LORS_SEED", seed)
     assert main(argv) == code
@@ -520,3 +536,85 @@ def test_no_command_prints_help(capsys):
 def test_unknown_flag_exits_two(capsys):
     assert main(["bench", "--warp-factor", "9"]) == 2
     capsys.readouterr()
+
+
+def _full_parser_exit(argv):
+    """The oracle: argv parsed by the full build_parser() alone, with main's
+    mapping of a parse that stops to an exit code."""
+    try:
+        parser, submap = cli.build_parser()
+        args = parser.parse_args(cli._with_config(argv, submap))
+    except ArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else EXIT_IO
+    assert args.command is None, "every oracle case stops in the parser"
+    parser.print_help()
+    return EXIT_IO
+
+
+# per subcommand: a flag whose choices refuse "nope", one whose type refuses
+# "x", and a call that lacks a required flag (None: the subcommand has none)
+_CHECKED_FLAGS = {
+    "prune": ("--method", "--ratio", ["prune", "--input", "base.lors"]),
+    "train": ("--variant", "--steps", ["train", "--out", "o.lors"]),
+    "bench": ("--inject-fault", "--repeats", None),
+    "verify": ("--inject-fault", None, None),
+    "init-inspect": ("--task", "--rank", ["init-inspect", "--rank", "2"]),
+}
+
+
+def _parse_cases(cmd, choice_flag, typed_flag, missing):
+    base = _SUBCOMMANDS[cmd]
+    cases = [[cmd, "-h"], base + ["-h"], [cmd, "--warp-factor", "9"],
+             base + ["--warp-factor", "9"], base + ["stray"], base + ["--", "stray"],
+             base + [choice_flag, "nope"], base + [choice_flag], base + ["--config"]]
+    cases += [base + ["--config", cfg] for cfg in
+              ("empty.json", "list.json", "missing.json", "unknown.json", "badvalue.json")]
+    cases.append(base + ["--config", "unknown.json", "--warp-factor", "9"])
+    cases += [base + [typed_flag, "x"]] if typed_flag else []
+    cases += [missing, missing + ["--warp-factor", "9"]] if missing else []
+    return cases
+
+
+_PARSE_CASES = [[], ["-h"], ["--help"], ["nope"], ["nope", "-h"], ["--warp", "prune"]] + [
+    case for cmd, flags in _CHECKED_FLAGS.items() for case in _parse_cases(cmd, *flags)]
+
+
+@pytest.mark.parametrize("argv", _PARSE_CASES, ids=lambda argv: " ".join(argv) or "(none)")
+def test_lean_parse_matches_full_parser(tmp_path, capsys, monkeypatch, argv):
+    """A call builds only its subcommand's parser, yet every argument error,
+    help text and exit code is the full parser's, byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "empty.json").write_text("")
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "unknown.json").write_text('{"warp_factor": 9}')
+    (tmp_path / "badvalue.json").write_text('{"config": 1, "seed": [1]}')
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert "Traceback" not in err
+    assert (code, out, err) == (_full_parser_exit(argv), *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [
+    _SUBCOMMANDS["prune"] + ["--method", "two_four", "--rat", "0.5"],
+    _SUBCOMMANDS["train"] + ["--batch-size", "8", "--seed=3", "--variant", "sqft"],
+    ["bench", "--predict-only", "--shapes", "4,4,4,1;8,8,8,2", "--inject-fault",
+     "lors-backward-sign"],
+    ["verify", "--suite", "grad,cost"],
+    ["init-inspect", "--ckpt", "base.lors", "--rank", "2", "--config", "cfg.json"],
+])
+def test_lean_parse_gives_the_full_namespace(tmp_path, monkeypatch, argv):
+    """A well-formed call parses to the full parser's namespace (less its
+    subcommand name) without building the full parser."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text('{"samples": 16, "task": "clusters"}')
+    parser, submap = cli.build_parser()
+    full = vars(parser.parse_args(cli._with_config(argv, submap)))
+    assert full.pop("command") == argv[0]
+
+    def refuse():
+        raise AssertionError("the full parser was built")
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert vars(cli._parse(argv)) == full

@@ -400,20 +400,27 @@ _OPS = {
 }
 
 
+@pytest.mark.parametrize("fault", ["consumed", -1, 5])
 @pytest.mark.parametrize("op", sorted(_OPS))
-def test_op_on_consumed_tape_raises_before_it_tallies(op):
-    """Every op fetches its inputs through one guard: on a consumed tape it
+def test_op_on_consumed_tape_raises_before_it_tallies(op, fault):
+    """Every op fetches its inputs through one guard: on a consumed tape, or
+    given an input id that names no node (-1 would index the last node), it
     raises GraphError before anything is computed, tallied or recorded."""
     rng = np.random.default_rng(3)
     c = CostCounters()
     t = Tape(c)
     ids = {k: t.leaf(DenseMatrix(rng.normal(size=shape)), requires_grad=True)
            for k, shape in (("a", (2, 4)), ("b", (2, 4)), ("c", (4, 2)), ("r", (1, 4)))}
-    _OPS[op](t, ids)  # the op works on a live tape
-    t.backward(t.sum_all(ids["a"]))
+    if fault == "consumed":
+        _OPS[op](t, ids)  # the op works on a live tape
+        t.backward(t.sum_all(ids["a"]))
+        message = f"{op} on a consumed tape"
+    else:
+        ids = dict.fromkeys(ids, fault)
+        message = f"{op}: dangling input id {fault}"
     before = (c.macs_forward, c.macs_backward, c.saved_elements,
               c.elementwise_forward, c.elementwise_backward, len(t.nodes), t.saved_ctx.peak)
-    with pytest.raises(GraphError, match=f"{op} on a consumed tape"):
+    with pytest.raises(GraphError, match=f"^{message}$"):
         _OPS[op](t, ids)
     assert (c.macs_forward, c.macs_backward, c.saved_elements,
             c.elementwise_forward, c.elementwise_backward, len(t.nodes),
