@@ -60,7 +60,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ArgumentError, GraphError, ShapeError, located
+from .errors import ArgumentError, GraphError, NumericError, ShapeError
 from . import matrix as mx
 from .matrix import DenseMatrix
 from .prune import SparseWeight
@@ -243,14 +243,15 @@ def merged_weight(w: DenseMatrix, a: DenseMatrix, b: DenseMatrix, alpha: float,
     if mask.shape != shape or (a.data.shape[0], b.data.shape[1]) != shape:
         raise ShapeError(f"merged_weight: W is {w.rows}x{w.cols}, A @ B is "
                          f"{a.rows}x{b.cols}, mask is {mask.shape}")
-    out = mx.matmul(a, b, counters).data         # rRC
+    merged = mx.matmul(a, b, counters)           # rRC
+    out = merged.data
     out *= mask                                  # RC
     out *= alpha
     out += w.data
     if counters is not None:
         counters.add_macs(out.size)
         counters.add_elementwise(out.size)
-    return DenseMatrix._wrap(out)
+    return merged
 
 
 def _merge(layer: AdaptedLayer, counters) -> DenseMatrix:
@@ -436,13 +437,13 @@ def _lors_backward(ctx: _Context, grad_y: DenseMatrix, counters):
     the products plus rRC + RC for the recompute.
     """
     pair = ctx.layer.adapter
-    x = ctx.x
+    xt = mx.transpose(ctx.x)
     merged = _merge(ctx.layer, counters)
     dx = mx.matmul(mx.transpose(merged), grad_y, counters)                  # RCL
-    xt_bt = mx.matmul(mx.transpose(x), mx.transpose(pair.b), counters)      # rCL
+    xt_bt = mx.matmul(xt, mx.transpose(pair.b), counters)                   # rCL
     at_dy = mx.matmul(mx.transpose(pair.a), grad_y, counters)               # rRL
     da = mx.scale(mx.matmul(grad_y, xt_bt, counters), pair.alpha, counters)  # rRL
-    db = mx.scale(mx.matmul(at_dy, mx.transpose(x), counters), pair.alpha, counters)  # rCL
+    db = mx.scale(mx.matmul(at_dy, xt, counters), pair.alpha, counters)      # rCL
     if FAULT_INJECTION["lors_backward_sign_flip"]:
         da = mx.scale(da, -1.0)
     return da, db, dx
@@ -482,6 +483,9 @@ _FORWARD = {
     "lors": lors_forward,
 }
 
+# variant_backward's block when the counters need no phase switch (reusable)
+_NO_SWITCH = nullcontext()
+
 _BACKWARD = {
     "lora": _lora_backward,
     "sqft": _sqft_backward,
@@ -498,15 +502,17 @@ def variant_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
 
 def variant_backward(layer: AdaptedLayer, grad_y: DenseMatrix, ctx, counters=None) -> VariantGrads:
     """Consume ctx once, check dY, and run the variant's backward body with
-    the counters in the backward phase; dbias is the row sum of dY."""
+    the counters in the backward phase (switched here unless a tape backward
+    already did); dbias is the row sum of dY."""
     ctx.consume()
     want = (ctx.layer.base.values.data.shape[0], ctx.x.data.shape[1])
     if grad_y.data.shape != want:
         raise ShapeError(f"gradient must be {want[0]}x{want[1]}, got {grad_y.rows}x{grad_y.cols}")
-    with counters.backward_phase() if counters is not None else nullcontext():
+    in_phase = counters is None or counters.phase == "backward"  # e.g. in Tape.backward
+    with _NO_SWITCH if in_phase else counters.backward_phase():
         da, db, dx = _BACKWARD[layer.variant](ctx, grad_y, counters)
         dbias = mx.reduce_sum_rows(grad_y, counters) if ctx.layer.bias is not None else None
-    return VariantGrads(da=da, db=db, dx=dx, dbias=dbias)
+    return VariantGrads(da, db, dx, dbias)
 
 
 def counted_saved(layer: AdaptedLayer, ctx: _Context) -> list[DenseMatrix]:
@@ -524,16 +530,19 @@ def apply_layer(tape: Tape, layer: AdaptedLayer, x_id: int) -> int:
     params = {key: tape.leaf(m, requires_grad=True, is_param=True)
               for key, m in layer.trainable().items()}
     inputs = (x_id, *params.values())
-    with located(layer=layer.name):
+    try:
         y, ctx = variant_forward(layer, x, tape.counters)
         mx.check_finite(y.data, "output")
+    except NumericError as exc:
+        exc.layer = layer.name
+        raise
     c = tape.counters
 
     def bwd(dy):
         g = variant_backward(layer, dy, ctx, c)
         return (g.dx, g.da, g.db, g.dbias)[:len(inputs)]
 
-    y_id = tape.record(layer.variant, inputs, y, bwd, saved=counted_saved(layer, ctx))
+    y_id = tape.record(layer.variant, inputs, y, bwd, saved=ctx.saved)
     layer.last_nodes = {"in": x_id, "out": y_id, **params}
     return y_id
 

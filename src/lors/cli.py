@@ -106,13 +106,15 @@ def _injected(fault):
         FAULT_INJECTION[FAULTS[fault]] = False
 
 
-def _load_model(path, variant: str, rank: int, alpha: float,
+def _load_model(path, variant: str, rank: int, alpha: float, samples: int,
                 head: str = "regression") -> ToyModel:
-    """Zeroed adapters over a checkpoint's weights; alpha and rank are
-    checked before the file is read."""
+    """Zeroed adapters over a checkpoint's weights; alpha, rank and the
+    dataset's sample count are checked before the file is read."""
     check_alpha(alpha)
     if rank < 1:
         raise ArgumentError(f"--rank must be >= 1, got {rank}")
+    if samples < 1:
+        raise ArgumentError(f"--samples must be >= 1, got {samples}")
     tensors = load_checkpoint(path)
     names = model_weight_names(tensors)
     layers = []
@@ -190,7 +192,7 @@ def cmd_train(args) -> int:
                          lr=args.lr, optimizer=args.optimizer,
                          variant=args.variant, init=init, seed=args.seed)
     head = "classification" if args.task == "clusters" else "regression"
-    model = _load_model(args.ckpt, args.variant, args.rank, args.alpha, head=head)
+    model = _load_model(args.ckpt, args.variant, args.rank, args.alpha, args.samples, head=head)
     dataset = _task_dataset(args.task, model, args.seed, args.samples)
     _, trace = finetune(model, dataset, config)
 
@@ -260,7 +262,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_init_inspect(args) -> int:
-    model = _load_model(args.ckpt, "lors", args.rank, args.alpha)
+    model = _load_model(args.ckpt, "lors", args.rank, args.alpha, args.samples)
     dataset = _task_dataset(args.task, model, args.seed, max(args.samples, 32))
     probe = dataset.head(32)
     gauge = MemoryGauge()
@@ -367,7 +369,10 @@ def build_parser():
 def _with_config(argv: list, submap) -> list:
     """argv with the --config file's entries inserted as flags after the
     subcommand, so argparse checks them like typed flags and explicit ones win."""
-    if not argv or argv[0] not in submap:
+    # only a token "--c" through "--config", alone or as "--x=value", can name it
+    flags = (token.split("=", 1)[0] for token in argv[1:])
+    if not argv or argv[0] not in submap or not any(
+            len(flag) > 2 and "--config".startswith(flag) for flag in flags):
         return argv
     pre = argparse.ArgumentParser(prog=f"lors {argv[0]}", add_help=False)
     pre.add_argument("--config", default=None)

@@ -12,8 +12,8 @@ class ArgumentError(ValueError):
 class NumericError(ArithmeticError):
     """Raised when a computation fails numerically (non-convergence, non-finite).
 
-    ``located`` sets ``layer`` (a layer or parameter name) and ``step``, which
-    ``str`` adds: ``step 3: non-finite output of layers.1``.
+    The handlers it passes through set ``layer`` (a layer or parameter name)
+    and ``step``, which ``str`` adds: ``step 3: non-finite output of layers.1``.
     """
 
     step = None
@@ -24,31 +24,6 @@ class NumericError(ArithmeticError):
         if self.layer is not None:
             text = f"{text} of {self.layer}"
         return text if self.step is None else f"step {self.step}: {text}"
-
-
-class located:
-    """Set ``step`` or ``layer`` on a NumericError raised inside the block.
-
-    A plain class rather than a generator context manager: a training step
-    enters about fifteen of these.
-    """
-
-    __slots__ = ("step", "layer")
-
-    def __init__(self, *, step=None, layer=None):
-        self.step = step
-        self.layer = layer
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, exc_type, exc, tb):
-        if isinstance(exc, NumericError):
-            if self.step is not None:
-                exc.step = self.step
-            if self.layer is not None:
-                exc.layer = self.layer
-        return False
 
 
 class GraphError(RuntimeError):

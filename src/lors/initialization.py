@@ -31,7 +31,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ArgumentError, ShapeError, located
+from .errors import ArgumentError, NumericError, ShapeError
 from . import matrix as mx
 from .matrix import DenseMatrix, Rng
 from .svd import SvdResult, svd
@@ -213,8 +213,11 @@ def init_gradient_svd(model, probe: ProbeBatch, r: int, *,
         if gauge is not None:
             gauge.alloc(n_elems)
         dw = mx.matmul(dy, mx.transpose(x))
-        with located(layer=layer.name):
+        try:
             result = svd(dw)
+        except NumericError as exc:
+            exc.layer = layer.name
+            raise
         b = _top_rows(result, r)
         if diagnostics is not None:
             diagnostics.append({

@@ -75,9 +75,13 @@ class DenseMatrix:
         return f"DenseMatrix({self.rows}x{self.cols})"
 
 
+_new = object.__new__
+
+
 def check_finite(arr: np.ndarray, what: str) -> None:
     """Raise ``NumericError("non-finite <what>")`` unless every entry is finite."""
-    if not np.isfinite(arr).all():
+    # ndarray.all's own reduction, without its Python-level trampoline
+    if not np.logical_and.reduce(np.isfinite(arr), axis=None):
         raise NumericError(f"non-finite {what}")
 
 
@@ -105,10 +109,11 @@ def matmul(a: DenseMatrix, b: DenseMatrix, counters=None) -> DenseMatrix:
     (m, k), (k2, n) = a.data.shape, b.data.shape
     if k != k2:
         raise ShapeError(f"matmul: inner dimensions disagree, {m}x{k} @ {k2}x{n}")
-    out = a.data @ b.data
+    out = _new(DenseMatrix)  # DenseMatrix._wrap, inlined on the hottest op
+    out.data = a.data @ b.data
     if counters is not None:
         counters.add_macs(m * k * n)
-    return DenseMatrix._wrap(out)
+    return out
 
 
 def hadamard(a: DenseMatrix, b: DenseMatrix, counters=None) -> DenseMatrix:
@@ -165,7 +170,9 @@ def scale(a: DenseMatrix, alpha: float, counters=None) -> DenseMatrix:
 
 def transpose(a: DenseMatrix) -> DenseMatrix:
     """Transpose as a view of a's data: no copy, no MACs, no elementwise tally."""
-    return DenseMatrix._wrap(a.data.T)
+    out = _new(DenseMatrix)
+    out.data = a.data.T
+    return out
 
 
 def add_bias(a: DenseMatrix, bias: DenseMatrix, counters=None) -> DenseMatrix:

@@ -28,6 +28,7 @@ cost tallies respect what a given graph actually needs.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -61,27 +62,15 @@ class CostCounters:
         else:
             self.elementwise_backward += n
 
-    def backward_phase(self) -> _BackwardPhase:
+    @contextmanager
+    def backward_phase(self):
         """Tally into the backward buckets inside the block, then restore the
         prior phase (also when the block raises)."""
-        return _BackwardPhase(self)
-
-
-class _BackwardPhase:
-    """The context manager ``CostCounters.backward_phase`` returns."""
-
-    __slots__ = ("counters", "prior")
-
-    def __init__(self, counters: CostCounters):
-        self.counters = counters
-
-    def __enter__(self) -> CostCounters:
-        self.prior, self.counters.phase = self.counters.phase, "backward"
-        return self.counters
-
-    def __exit__(self, exc_type, exc, tb):
-        self.counters.phase = self.prior
-        return False
+        prior, self.phase = self.phase, "backward"
+        try:
+            yield self
+        finally:
+            self.phase = prior
 
 
 class SavedContext:
@@ -132,22 +121,21 @@ class Tape:
         for i in ids:
             if not 0 <= i < len(self.nodes):
                 raise GraphError(f"{op}: dangling input id {i}")
-        return [self.nodes[i] for i in ids]
+        return list(map(self.nodes.__getitem__, ids))
 
     def record(self, op: str, inputs, value: DenseMatrix,
                backward_fn: Optional[Callable], saved=()) -> int:
         if self.consumed:
             raise GraphError(f"record({op}) on a consumed tape")
-        inputs = tuple(inputs)
-        nodes = self.nodes
+        inputs, saved, nodes = tuple(inputs), tuple(saved), self.nodes
+        node_id, requires_grad, count = len(nodes), False, 0
         for i in inputs:
-            if not (0 <= i < len(nodes)):
+            if not 0 <= i < node_id:
                 raise GraphError(f"record({op}): dangling input id {i}")
-        saved = tuple(saved)
-        node_id = len(nodes)
-        nodes.append(TapeNode(node_id, value, inputs, backward_fn, saved,
-                              any(nodes[i].requires_grad for i in inputs)))
-        count = sum(t.data.size for t in saved)
+            requires_grad = requires_grad or nodes[i].requires_grad
+        for t in saved:
+            count += t.data.size
+        nodes.append(TapeNode(node_id, value, inputs, backward_fn, saved, requires_grad))
         self.saved_ctx.peak += count
         if self.track_saved:
             self.counters.saved_elements += count
@@ -173,7 +161,7 @@ class Tape:
         if seed is None:
             if loss.shape != (1, 1):
                 raise ShapeError(f"backward: loss must be 1x1, got {loss.rows}x{loss.cols}")
-            seed = DenseMatrix._wrap(np.ones((1, 1)))
+            seed = DenseMatrix._wrap(np.array([[1.0]]))
         elif seed.shape != loss.shape:
             raise ShapeError(f"backward: seed shape {seed.rows}x{seed.cols} does not match "
                              f"node shape {loss.rows}x{loss.cols}")
@@ -362,7 +350,7 @@ class Tape:
         alpha = 0.5 / d.shape[1]
         c.add_macs(d.size)                   # the square
         c.add_elementwise(d.size + 1)        # the sum and the scaling
-        out = DenseMatrix._wrap(np.array([[(d * d).sum()]]) * alpha)
+        out = DenseMatrix._wrap(np.array([[np.add.reduce(d * d, axis=None) * alpha]]))
 
         def bwd(dy):
             if not y_node.requires_grad:

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .errors import ArgumentError, ShapeError, located
+from .errors import ArgumentError, NumericError, ShapeError
 from . import matrix as mx
 from .matrix import DenseMatrix, Rng
 from .prune import SparseWeight, prune_magnitude
@@ -67,8 +68,11 @@ class ToyModel:
         """Record the forward pass plus the probe's loss; returns the loss node."""
         x_id = tape.leaf(probe.inputs)
         loss_id = record_loss(tape, self.forward(tape, x_id), probe)
-        with located(layer=self.layers[-1].name):
+        try:
             mx.check_finite(tape.value(loss_id).data, "loss")
+        except NumericError as exc:
+            exc.layer = self.layers[-1].name
+            raise
         return loss_id
 
     def predict(self, x: DenseMatrix) -> DenseMatrix:
@@ -182,19 +186,22 @@ class OptimState:
         ``grads`` (backward order), and parameters, moments and
         ``step_count`` keep their values.
         """
-        layout = tuple((name, p.data.shape) for name, p in params.items())
+        layout = tuple(zip(params, map(operator.attrgetter("data.shape"), params.values())))
         if layout == self._layout:
             runs = self._runs
         else:
             runs, m_views, v_views = self._plan(layout)
         flat = []
         for members, _, _ in runs:
-            gs = [grads[name].data.reshape(-1) for name, *_ in members]
-            flat.append(gs[0] if len(gs) == 1 else np.concatenate(gs))
-        if not all(np.isfinite(g).all() for g in flat):
-            for name, g in reversed(grads.items()):  # backward order: last layer first
-                with located(layer=name):
-                    mx.check_finite(g.data, "gradient")
+            gs = [grads[name].data for name, *_ in members]
+            flat.append(gs[0].reshape(-1) if len(gs) == 1 else np.concatenate(gs, axis=None))
+            if not np.logical_and.reduce(np.isfinite(flat[-1])):
+                for name, g in reversed(grads.items()):  # backward order: last layer first
+                    try:
+                        mx.check_finite(g.data, "gradient")
+                    except NumericError as exc:
+                        exc.layer = name
+                        raise
         if runs is not self._runs:
             self._layout, self._runs, self.m, self.v = layout, runs, m_views, v_views
         self.step_count += 1
@@ -243,19 +250,34 @@ class TrainConfig:
 
 
 class Dataset(ProbeBatch):
-    """Fixed input columns with regression targets or integer labels: the
-    whole set is one batch, and ``batch`` gathers a subset of its columns."""
+    """Fixed inputs with regression targets or integer labels, kept as one
+    contiguous row per sample (the only copy), so ``batch`` gathers rows; the
+    whole set is one batch. ``inputs``, ``targets`` and every batch read as
+    C-contiguous columns (C x L): BLAS results, so every bit, depend on layout."""
+
+    def __init__(self, inputs: DenseMatrix, targets, loss: str = "regression"):
+        whole = ProbeBatch(inputs, targets, loss)
+        self.loss, self._x = loss, whole.inputs.data.T.copy()
+        self._y = whole.targets.data.T.copy() if loss == "regression" else whole.targets
+
+    @property
+    def inputs(self) -> DenseMatrix:
+        return DenseMatrix._wrap(self._x.T.copy())
+
+    @property
+    def targets(self):
+        return DenseMatrix._wrap(self._y.T.copy()) if self.loss == "regression" else self._y
+
+    @property
+    def size(self) -> int:
+        return self._x.shape[0]
 
     def batch(self, indices) -> ProbeBatch:
         idx = np.asarray(indices, dtype=np.int64)
-        # np.take gathers C-contiguous (fancy indexing gives F order), and BLAS
-        # results, so every downstream bit, depend on operand layout.
-        inputs = DenseMatrix._wrap(np.take(self.inputs.data, idx, axis=1))
+        inputs = DenseMatrix._wrap(self._x.take(idx, axis=0).T.copy())
         if self.loss == "regression":
-            targets = DenseMatrix._wrap(np.take(self.targets.data, idx, axis=1))
-        else:
-            targets = self.targets[idx]
-        return ProbeBatch(inputs, targets, self.loss)
+            return ProbeBatch(inputs, DenseMatrix._wrap(self._y.take(idx, axis=0).T.copy()))
+        return ProbeBatch(inputs, self._y[idx], self.loss)
 
     def head(self, n: int) -> ProbeBatch:
         return self.batch(np.arange(min(n, self.size)))
@@ -263,10 +285,13 @@ class Dataset(ProbeBatch):
 
 def _run_step(model: ToyModel, batch: ProbeBatch, optim: OptimState,
               counters: CostCounters):
-    tape = Tape(counters=counters)
-    with located(step=optim.step_count):
+    tape, step = Tape(counters=counters), optim.step_count
+    try:
         loss_id = model.forward_loss(tape, batch)
         optim.apply(model.named_trainable(), model.gather_grads(tape.backward(loss_id)))
+    except NumericError as exc:
+        exc.step = step
+        raise
     return float(tape.value(loss_id).data[0, 0]), tape.saved_ctx.peak
 
 

@@ -1,6 +1,7 @@
 import json
 import struct
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -135,6 +136,14 @@ _MALFORMED = [
      EXIT_IO, "--rank must be >= 1, got 0"),
     (["init-inspect", "--ckpt", "missing.lors", "--rank", "-1"], None,
      EXIT_IO, "--rank must be >= 1, got -1"),
+    (["train", "--ckpt", "missing.lors", "--out", "o.lors", "--samples", "0"], None,
+     EXIT_IO, "--samples must be >= 1, got 0"),
+    (["train", "--ckpt", "missing.lors", "--out", "o.lors", "--samples", "-5"], None,
+     EXIT_IO, "--samples must be >= 1, got -5"),
+    (["init-inspect", "--ckpt", "missing.lors", "--samples", "0"], None,
+     EXIT_IO, "--samples must be >= 1, got 0"),
+    (["init-inspect", "--ckpt", "missing.lors", "--samples", "-5"], None,
+     EXIT_IO, "--samples must be >= 1, got -5"),
     (["prune", "--input", "base.lors", "--output", "o.lors", "--method", "activation",
       "--calib", "base.lors"], None, EXIT_IO, "has no 'calib' tensor"),
 ] + [
@@ -579,7 +588,13 @@ def _parse_cases(cmd, choice_flag, typed_flag, missing):
 
 
 _PARSE_CASES = [[], ["-h"], ["--help"], ["nope"], ["nope", "-h"], ["--warp", "prune"]] + [
-    case for cmd, flags in _CHECKED_FLAGS.items() for case in _parse_cases(cmd, *flags)]
+    case for cmd, flags in _CHECKED_FLAGS.items() for case in _parse_cases(cmd, *flags)] + [
+    # abbreviated and "=" forms of --config, and a --calib that names no config
+    _SUBCOMMANDS["prune"] + ["--conf", "unknown.json"],
+    _SUBCOMMANDS["train"] + ["--c", "list.json"],
+    _SUBCOMMANDS["bench"] + ["--config=badvalue.json"],
+    _SUBCOMMANDS["prune"] + ["--method", "activation", "--calib", "c.lors", "--warp-factor", "9"],
+]
 
 
 @pytest.mark.parametrize("argv", _PARSE_CASES, ids=lambda argv: " ".join(argv) or "(none)")
@@ -595,6 +610,30 @@ def test_lean_parse_matches_full_parser(tmp_path, capsys, monkeypatch, argv):
     out, err = capsys.readouterr()
     assert "Traceback" not in err
     assert (code, out, err) == (_full_parser_exit(argv), *capsys.readouterr())
+
+
+@pytest.mark.parametrize("tokens, reads_config", [
+    (["--method", "activation", "--calib", "c.lors", "--calib=c.lors", "--", "-c"], False),
+    (["--c", "missing.json"], True),
+    (["--conf", "missing.json"], True),
+    (["--config=missing.json"], True),
+    (["--calib", "c.lors", "--co=missing.json"], True),
+])
+def test_config_preparser_runs_only_when_a_token_can_name_config(monkeypatch, tokens,
+                                                                 reads_config):
+    """_with_config builds its --config pre-parser only when some token is
+    "--c" through "--config", alone or with "=value"; otherwise argv passes
+    through untouched."""
+    built, real = [], cli.argparse.ArgumentParser
+    monkeypatch.setattr(cli, "argparse", types.SimpleNamespace(
+        ArgumentParser=lambda *args, **kw: built.append(args) or real(*args, **kw)))
+    argv = _SUBCOMMANDS["prune"] + tokens
+    if reads_config:
+        with pytest.raises(ArgumentError, match="cannot read config missing.json"):
+            cli._with_config(argv, {"prune": None})
+    else:
+        assert cli._with_config(argv, {"prune": None}) == argv
+    assert len(built) == reads_config
 
 
 @pytest.mark.parametrize("argv", [

@@ -448,6 +448,34 @@ def test_dataset_batch_and_head():
     assert data.head(99).inputs.shape == (4, 10)
 
 
+@pytest.mark.parametrize("loss", ["regression", "classification"])
+def test_dataset_batches_are_the_column_gather(loss):
+    """batch and head give the bytes and the C-contiguous layout of np.take
+    over the C x N columns (repeated indices, and head past the dataset
+    size, included), and a dataset keeps one N x (C + K) copy of its samples."""
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((5, 12))
+    y = rng.standard_normal((3, 12)) if loss == "regression" else np.arange(12) % 4
+    data = Dataset(DenseMatrix(x), DenseMatrix(y) if loss == "regression" else y, loss)
+    for idx, got in [(i, data.batch(i)) for i in ([3, 0, 11], [2, 2, 2, 7], [5], range(12))] + [
+            (range(4), data.head(4)), (range(12), data.head(99)), (range(12), data)]:
+        want_x = np.take(x, list(idx), axis=1)
+        assert got.inputs.data.flags.c_contiguous and got.inputs.shape == want_x.shape
+        assert got.inputs.data.tobytes() == want_x.tobytes()
+        if loss == "regression":
+            want_y = np.take(y, list(idx), axis=1)
+            assert got.targets.data.flags.c_contiguous
+            assert got.targets.shape == want_y.shape
+            assert got.targets.data.tobytes() == want_y.tobytes()
+        else:
+            assert got.targets.dtype == np.int64
+            assert got.targets.tobytes() == y[list(idx)].astype(np.int64).tobytes()
+    assert data.size == 12
+    held = [v.data if isinstance(v, DenseMatrix) else v for v in vars(data).values()]
+    k = 3 if loss == "regression" else 1
+    assert sum(a.nbytes for a in held if isinstance(a, np.ndarray)) == 12 * (5 + k) * 8
+
+
 def test_config_validation():
     with pytest.raises(ArgumentError):
         TrainConfig(steps=-1)
@@ -658,3 +686,75 @@ def test_chunked_index_draw_matches_per_step_draws(monkeypatch, bucket, steps, b
         _, trace = run(model, small_data(model, n=50), config)
         runs.append((trace.csv_text(), [p.data.tobytes() for p in model.named_trainable().values()]))
     assert runs[0] == runs[1]
+
+
+def _bare_lors_step(ws, masks, pairs, moments, x, y_true, kind, lr, alpha=2.0):
+    """One lors step of a ReLU stack in plain numpy, updating ``pairs`` in
+    place; returns the loss. This is the evaluation order the step path keeps,
+    bit for bit: merge, forward, squared error, recompute-and-reorder
+    backward, then one bucketed update of every A and B."""
+    def merge(i):
+        out = pairs[i][0] @ pairs[i][1]
+        out *= masks[i]
+        out *= alpha
+        out += ws[i]
+        return out
+    hs = [x]
+    for i in range(len(ws)):
+        y = merge(i) @ hs[-1]
+        hs.append(np.maximum(y, 0.0))
+    d = y - y_true
+    scale = 0.5 / d.shape[1]
+    loss = float((d * d).sum() * scale)
+    g = d * scale
+    g *= 2.0
+    grads = [None] * len(ws)
+    for i in reversed(range(len(ws))):
+        (a, b), h = pairs[i], hs[i]
+        dx = merge(i).T @ g
+        grads[i] = ((g @ (h.T @ b.T)) * alpha, ((a.T @ g) @ h.T) * alpha)
+        g = dx * (hs[i] > 0.0).astype(np.float64)
+    flat = np.concatenate([d.reshape(-1) for pair in grads for d in pair])
+    if kind == "sgd":
+        upd = flat * lr
+    else:
+        m, v, t = moments
+        moments[2] = t = t + 1
+        m *= train_module.BETA1
+        m += (1.0 - train_module.BETA1) * flat
+        v *= train_module.BETA2
+        v += (1.0 - train_module.BETA2) * flat * flat
+        upd = m / (1.0 - train_module.BETA1 ** t) * lr
+        upd /= np.sqrt(v / (1.0 - train_module.BETA2 ** t)) + train_module.EPS
+    start = 0
+    for p in (p for pair in pairs for p in pair):
+        p -= upd[start:start + p.size].reshape(p.shape)
+        start += p.size
+    return loss
+
+
+@pytest.mark.parametrize("kind", OPTIMIZERS)
+def test_recovery_step_is_bitwise_a_bare_numpy_step(kind):
+    """At the recovery shapes (3 layers of 64, rank 16, batch 32), 24 lors
+    steps give the losses and every A and B of ``_bare_lors_step``."""
+    weights = random_dense_weights(3, (64,) * 4)
+    teacher = model_from_weights(weights, variant="lors", rank=1)
+    data = make_teacher_data(teacher, seed=4, n=512, latent_dim=8)
+    student = model_from_weights(weights, variant="lors", rank=16, prune_ratio=0.5)
+    apply_init(student, InitSpec("gradient_svd"), probe=data.head(32))
+    ws = [layer.base.values.data.copy() for layer in student.layers]
+    masks = [layer.original_mask.copy() for layer in student.layers]
+    pairs = [(layer.adapter.a.data.copy(), layer.adapter.b.data.copy())
+             for layer in student.layers]
+    moments = [np.zeros(6 * 64 * 16), np.zeros(6 * 64 * 16), 0]
+    x_all, y_all = data.inputs.data, data.targets.data
+    optim, rng = OptimState(kind=kind, lr=3e-4), Rng(5)
+    for _ in range(24):
+        idx = rng.integers(32, data.size)
+        loss = train_step(student, data.batch(idx), optim)
+        bare = _bare_lors_step(ws, masks, pairs, moments, np.take(x_all, idx, axis=1),
+                               np.take(y_all, idx, axis=1), kind, 3e-4)
+        assert loss == bare
+        for layer, (a, b) in zip(student.layers, pairs):
+            assert layer.adapter.a.data.tobytes() == a.tobytes()
+            assert layer.adapter.b.data.tobytes() == b.tobytes()
