@@ -158,9 +158,7 @@ class AdaptedLayer:
         self.variant = variant
         self.bias = bias
         self.name = name
-        # Captured once; merge() reuses this even if a kept weight later
-        # happens to land on exact zero.
-        self.original_mask = base.mask_bool().copy()
+        self.original_mask = base.mask_bool()  # the base's mask, fixed at first use
         self.last_nodes: dict[str, int] = {}
 
     @property
@@ -324,15 +322,14 @@ def _record_spp_delta(tape: Tape, layer: AdaptedLayer):
     """Record the leaves W, A, B and the Repeat expression
     delta = W . tile(A, 1, C/r) . tile(B, R, 1); returns (w, a, b, delta) ids.
 
-    Column q of tile(A, 1, C/r) is A[:, q mod r] and every row of
-    tile(B, R, 1) is B. spp_forward and merge() both evaluate delta here.
+    Column q of tile(A, 1, C/r) is A[:, q mod r]; only tile(B, R, 1), which
+    the saved set counts, is built. spp_forward and merge() evaluate delta here.
     """
     adapter = layer.adapter
     w_id = tape.leaf(layer.base.values, requires_grad=False, is_param=True)
     a_id = tape.leaf(adapter.a, requires_grad=True, is_param=True)
     b_id = tape.leaf(adapter.b, requires_grad=True, is_param=True)
-    t1 = tape.hadamard(w_id, tape.tile(a_id, 1, layer.in_features // adapter.rank))
-    delta = tape.hadamard(t1, tape.tile(b_id, layer.out_features, 1))
+    delta = tape.hadamard(tape.hadamard_tiled(w_id, a_id), tape.tile(b_id, layer.out_features, 1))
     return w_id, a_id, b_id, delta
 
 

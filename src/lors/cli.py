@@ -92,6 +92,12 @@ def _parse_shapes(text: str):
     return shapes
 
 
+def _output_path(path: str) -> str:
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise argparse.ArgumentTypeError(f"cannot write {path}: no such directory")
+    return path
+
+
 @contextmanager
 def _injected(fault):
     """Switch the named ``--inject-fault`` hook on inside the block and off
@@ -301,7 +307,7 @@ def _define(p, name: str, seed: int):
     if name == "prune":
         p.set_defaults(handler=cmd_prune)
         p.add_argument("--input", required=True)
-        p.add_argument("--output", required=True)
+        p.add_argument("--output", required=True, type=_output_path)
         p.add_argument("--method", choices=("magnitude", "activation", "two_four"),
                        default="magnitude")
         p.add_argument("--ratio", type=float, default=0.5,
@@ -311,8 +317,8 @@ def _define(p, name: str, seed: int):
     elif name == "train":
         p.set_defaults(handler=cmd_train)
         p.add_argument("--ckpt", required=True)
-        p.add_argument("--out", required=True)
-        p.add_argument("--metrics", default=None, help="metrics CSV path")
+        p.add_argument("--out", required=True, type=_output_path)
+        p.add_argument("--metrics", default=None, type=_output_path, help="metrics CSV path")
         p.add_argument("--variant", choices=VARIANTS, default="lors")
         p.add_argument("--init", choices=STRATEGIES, default="zero_A_zero_B")
         p.add_argument("--task", choices=("teacher", "clusters"), default="teacher")
@@ -333,8 +339,8 @@ def _define(p, name: str, seed: int):
                        help="semicolon-separated R,C,L,r tuples")
         p.add_argument("--variants", default=",".join(VARIANTS))
         p.add_argument("--repeats", type=int, default=1)
-        p.add_argument("--csv", default=None)
-        p.add_argument("--json", default=None)
+        p.add_argument("--csv", default=None, type=_output_path)
+        p.add_argument("--json", default=None, type=_output_path)
         p.add_argument("--predict-only", action="store_true",
                        help="emit only closed-form predictions (no measurement)")
         p.add_argument("--seed", type=int, default=seed)

@@ -18,7 +18,7 @@ applies the removal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -54,6 +54,7 @@ class SparseWeight:
     values: DenseMatrix
     pattern: str = "unstructured"
     ratio: float = 0.0
+    _mask: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Normalize -0.0 to +0.0 so mask logic and bitwise comparisons are
@@ -74,7 +75,11 @@ class SparseWeight:
         return self.values.cols
 
     def mask_bool(self) -> np.ndarray:
-        return self.values.data != 0.0
+        """values != 0, built on first use and read-only: layers share it."""
+        if self._mask is None:
+            self._mask = self.values.data != 0.0
+            self._mask.flags.writeable = False
+        return self._mask
 
     def mask(self) -> DenseMatrix:
         """The 0/1 float mask M = (values != 0), RC extra elements."""
@@ -203,5 +208,4 @@ def prune_two_four(w: DenseMatrix, score: str = "magnitude",
 
 def sparsity(sw: SparseWeight) -> float:
     """Fraction of zero entries."""
-    total = sw.rows * sw.cols
-    return 1.0 - sw.nonzeros() / total
+    return 1.0 - sw.nonzeros() / sw.values.data.size

@@ -215,6 +215,23 @@ class Tape:
     def hadamard(self, a_id: int, b_id: int) -> int:
         return self._product("hadamard", a_id, b_id, mx.hadamard, mx.hadamard, mx.hadamard)
 
+    def hadamard_tiled(self, w_id: int, a_id: int) -> int:
+        """W . tile(A, 1, C/r) for R x r A; A broadcasts over W's column groups, untiled."""
+        (rows, cols), (k, r) = [n.value.shape for n in self._operands("hadamard_tiled", w_id, a_id)]
+        if k != rows or cols % r:
+            raise ShapeError(f"hadamard_tiled: A is {k}x{r}, W is {rows}x{cols}")
+
+        def tiled(m, a, c):  # m . tile(a): RC MACs
+            c.add_macs(m.data.size)
+            out = m.data.reshape(rows, -1, r) * a.data[:, None]
+            return DenseMatrix._wrap(out.reshape(rows, cols))
+
+        def group_sum(dy, w, c):  # dA = dY . W summed over the groups: + RC elementwise
+            c.add_elementwise(dy.data.size)
+            return DenseMatrix._wrap(mx.hadamard(dy, w, c).data.reshape(rows, -1, r).sum(axis=1))
+
+        return self._product("hadamard_tiled", w_id, a_id, tiled, tiled, group_sum)
+
     def add(self, a_id: int, b_id: int) -> int:
         a_node, b_node = self._operands("add", a_id, b_id)
         out = mx.add(a_node.value, b_node.value, self.counters)

@@ -582,3 +582,73 @@ def test_backward_recompute_is_the_forward_merge_bitwise(monkeypatch, variant, R
     pair = layer.adapter
     assert merges[0] == real(layer.base.values, pair.a, pair.b, pair.alpha,
                              layer.original_mask).data.tobytes()
+
+
+def spp_tile_oracle(layer, x, dy):
+    """spp's (dA, dB, dX, dbias) and five tallies for one apply_layer pass, as
+    the graph of materialized tiles gives them: delta = (W . np.tile(A)) .
+    np.tile(B), each product's backward a hadamard, each tile's a block sum."""
+    w, a, b = layer.base.values.data, layer.adapter.a.data, layer.adapter.b.data
+    (R, C), r, L = w.shape, a.shape[1], x.shape[1]
+    t1 = w * np.tile(a, (1, C // r))
+    tb = np.tile(b, (R, 1))
+    delta = t1 * tb
+    d_delta = dy @ x.T
+    da = ((d_delta * tb) * w).reshape(1, R, C // r, r).sum(axis=(0, 2))
+    db = (d_delta * t1).reshape(R, 1, 1, C).sum(axis=(0, 2))
+    dx = w.T @ dy + delta.T @ dy
+    bias = layer.bias is not None
+    dbias = dy.sum(axis=1, keepdims=True) if bias else None
+    tallies = (2 * R * C * L + 2 * R * C, 3 * R * C * L + 3 * R * C, 3 * R * C + C * L,
+               R * L * (1 + bias), 2 * R * C + C * L + R * L * bias)
+    return (da, db, dx, dbias), tallies
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("R, C, L, r", [(4, 8, 3, 2), (7, 12, 5, 3), (16, 32, 9, 16),
+                                        (9, 10, 1, 1), (64, 64, 32, 16)])
+def test_spp_backward_is_bitwise_the_tiled_graph(R, C, L, r, bias):
+    """spp broadcasts A over W's column groups instead of tiling it; dA, dB,
+    dX, dbias and all five tallies are still those of the tiled graph."""
+    layer = random_layer(R * C + r, "spp", R, C, r, bias=bias)
+    rng = np.random.default_rng(L)
+    x, dy = rng.normal(size=(C, L)), rng.normal(size=(R, L))
+    c = CostCounters()
+    tape = Tape(c)
+    x_id = tape.leaf(DenseMatrix(x), requires_grad=True)
+    y_id = apply_layer(tape, layer, x_id)
+    grads = tape.backward(y_id, seed=DenseMatrix(dy))
+    ids = layer.last_nodes
+    want, tallies = spp_tile_oracle(layer, x, dy)
+    got = [g.data for g in (grads[ids["a"]], grads[ids["b"]], grads[x_id])]
+    got.append(grads[ids["bias"]].data if bias else None)
+    for name, g, w in zip(("dA", "dB", "dX", "dbias"), got, want):
+        assert (g is None) == (w is None) and (w is None or g.tobytes() == w.tobytes()), name
+    assert (c.macs_forward, c.macs_backward, c.saved_elements,
+            c.elementwise_forward, c.elementwise_backward) == tallies
+
+
+def test_layers_over_one_base_share_its_read_only_mask():
+    """Every layer over a frozen base holds the base's one bool keep-mask,
+    computed when first asked for; the mask cannot be written, and merge()
+    still stays inside the pattern it had when the layers were built."""
+    base = random_layer(31, "lors", R=6, C=8, r=2).base
+    layers = [make_layer(base, rank=2, variant=v) for v in VARIANTS]
+    mask = base.mask_bool()
+    assert np.array_equal(mask, base.values.data != 0.0)
+    assert base.mask_bool() is mask
+    for layer in layers:
+        assert np.shares_memory(layer.original_mask, mask), layer.variant
+    with pytest.raises(ValueError):
+        mask[0, 0] = not mask[0, 0]
+    assert np.array_equal(mask, base.values.data != 0.0)
+    assert np.array_equal(base.mask().data, mask.astype(np.float64))
+    for layer in layers:
+        layer.adapter.a = DenseMatrix(np.random.default_rng(32).normal(size=layer.adapter.a.shape))
+        layer.adapter.b = DenseMatrix(np.random.default_rng(33).normal(size=layer.adapter.b.shape))
+    kept = np.argwhere(mask)[0]
+    base.values.data[tuple(kept)] = 0.0  # a kept weight lands on exact zero
+    for layer in layers:
+        merged = merge(layer).values.data
+        assert np.all(merged[~mask] == 0.0), layer.variant
+        assert np.array_equal(layer.original_mask, mask), layer.variant

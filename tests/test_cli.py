@@ -146,6 +146,21 @@ _MALFORMED = [
      EXIT_IO, "--samples must be >= 1, got -5"),
     (["prune", "--input", "base.lors", "--output", "o.lors", "--method", "activation",
       "--calib", "base.lors"], None, EXIT_IO, "has no 'calib' tensor"),
+    # an output whose directory is missing, or is a file, fails before any work
+    (["train", "--ckpt", "base.lors", "--out", "o.lors", "--metrics", "nodir/m.csv",
+      "--steps", "1", "--samples", "8", "--batch-size", "4", "--rank", "1"], None, EXIT_IO,
+     "argument --metrics: cannot write nodir/m.csv: no such directory"),
+    (["train", "--ckpt", "base.lors", "--out", "nodir/x.lors", "--steps", "1", "--samples", "8",
+      "--batch-size", "4", "--rank", "1"], None, EXIT_IO,
+     "argument --out: cannot write nodir/x.lors: no such directory"),
+    (["train", "--ckpt", "missing.lors", "--out", "base.lors/x.lors"], None, EXIT_IO,
+     "argument --out: cannot write base.lors/x.lors: no such directory"),
+    (["prune", "--input", "base.lors", "--output", "nodir/o.lors"], None, EXIT_IO,
+     "argument --output: cannot write nodir/o.lors: no such directory"),
+    (["bench", "--shapes", "4,4,4,1", "--variants", "lors", "--csv", "nodir/b.csv"], None,
+     EXIT_IO, "argument --csv: cannot write nodir/b.csv: no such directory"),
+    (["bench", "--shapes", "4,4,4,1", "--variants", "lors", "--json", "base.lors/b.json"],
+     None, EXIT_IO, "argument --json: cannot write base.lors/b.json: no such directory"),
 ] + [
     (_SUBCOMMANDS[cmd] + ["--config", cfg], None, EXIT_IO, message)
     for cmd in _SUBCOMMANDS

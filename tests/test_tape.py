@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -149,6 +152,35 @@ def test_tile_backward_sums_blocks_and_rejects_nonpositive_repeats():
     for rows, cols in ((0, 1), (1, 0), (-1, 2)):
         with pytest.raises(ArgumentError):
             t.tile(i, rows, cols)
+
+
+@pytest.mark.parametrize("w_kind", ["param", "grad"])
+def test_hadamard_tiled_is_the_tile_then_hadamard_chain_bitwise(w_kind):
+    """W . tile(A, 1, C/r) without the tile: the product, both gradients and
+    every MAC and elementwise tally are the chain hadamard(W, tile(A))'s, bit
+    for bit; the chain saves the RC tile where the op saves A."""
+    rng = np.random.default_rng(12)
+    w0, a0, dy0 = rng.normal(size=(3, 8)), rng.normal(size=(3, 2)), rng.normal(size=(3, 8))
+
+    def run(fused):
+        c = CostCounters()
+        t = Tape(c)
+        w = t.leaf(DenseMatrix(w0), requires_grad=w_kind == "grad", is_param=w_kind == "param")
+        a = t.leaf(DenseMatrix(a0), requires_grad=True)
+        out = t.hadamard_tiled(w, a) if fused else t.hadamard(w, t.tile(a, 1, 4))
+        grads = t.backward(out, seed=DenseMatrix(dy0))
+        dw = grads[w].data.tobytes() if w_kind == "grad" else None
+        return (t.value(out).data.tobytes(), dw, grads[a].data.tobytes(), c.macs_forward,
+                c.macs_backward, c.elementwise_forward, c.elementwise_backward), c.saved_elements
+
+    (fused, fused_saved), (chain, chain_saved) = run(True), run(False)
+    assert fused == chain
+    assert (fused_saved, chain_saved) == ((0, 0) if w_kind == "param" else (30, 48))
+    t = Tape()
+    w = t.leaf(DenseMatrix(w0))
+    for shape in ((3, 3), (2, 2)):
+        with pytest.raises(ShapeError):
+            t.hadamard_tiled(w, t.leaf(DenseMatrix(rng.normal(size=shape))))
 
 
 def test_block_diag_rows_scatter_and_gather():
@@ -393,6 +425,7 @@ _OPS = {
     "square": lambda t, ids: t.square(ids["a"]),
     "relu": lambda t, ids: t.relu(ids["a"]),
     "tile": lambda t, ids: t.tile(ids["a"], 2, 3),
+    "hadamard_tiled": lambda t, ids: t.hadamard_tiled(ids["a"], ids["q"]),
     "block_diag_rows": lambda t, ids: t.block_diag_rows(ids["r"], 2),
     "sum_all": lambda t, ids: t.sum_all(ids["a"]),
     "squared_error": lambda t, ids: t.squared_error(ids["a"], DenseMatrix(np.ones((2, 4)))),
@@ -410,7 +443,8 @@ def test_op_on_consumed_tape_raises_before_it_tallies(op, fault):
     c = CostCounters()
     t = Tape(c)
     ids = {k: t.leaf(DenseMatrix(rng.normal(size=shape)), requires_grad=True)
-           for k, shape in (("a", (2, 4)), ("b", (2, 4)), ("c", (4, 2)), ("r", (1, 4)))}
+           for k, shape in (("a", (2, 4)), ("b", (2, 4)), ("c", (4, 2)), ("r", (1, 4)),
+                             ("q", (2, 2)))}
     if fault == "consumed":
         _OPS[op](t, ids)  # the op works on a live tape
         t.backward(t.sum_all(ids["a"]))
@@ -455,3 +489,23 @@ def test_squared_error_is_the_four_op_chain(requires_grad):
     tape = Tape()
     with pytest.raises(ShapeError):
         tape.squared_error(tape.leaf(DenseMatrix(y0)), DenseMatrix(t0[:, :1]))
+
+
+@pytest.mark.parametrize("op", sorted(_OPS))
+def test_tape_is_freed_by_reference_counting(op):
+    """No op's backward refers back to its tape, so a step's tape and every
+    RC array it holds are freed when the step drops it, not at a later pass
+    of the cycle collector."""
+    rng = np.random.default_rng(4)
+    gc.disable()
+    try:
+        t = Tape()
+        ids = {k: t.leaf(DenseMatrix(rng.normal(size=shape)), requires_grad=True)
+               for k, shape in (("a", (2, 4)), ("b", (2, 4)), ("c", (4, 2)), ("r", (1, 4)),
+                                 ("q", (2, 2)))}
+        _OPS[op](t, ids)
+        tape = weakref.ref(t)
+        del t
+        assert tape() is None
+    finally:
+        gc.enable()

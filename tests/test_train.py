@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -758,3 +760,31 @@ def test_recovery_step_is_bitwise_a_bare_numpy_step(kind):
         for layer, (a, b) in zip(student.layers, pairs):
             assert layer.adapter.a.data.tobytes() == a.tobytes()
             assert layer.adapter.b.data.tobytes() == b.tobytes()
+
+
+def test_step_transient_peaks_follow_the_memory_model():
+    """tracemalloc gate on one warm train_step of three 256-wide layers (L = 32,
+    r = 16): lors's rank-r reordering holds less than sqft_gc, which holds less
+    than sqft; spp holds at most its counted saved set plus 7 RC (it builds
+    tile(B), which it counts, and not tile(A)). Deterministic for a given numpy."""
+    width, L, r = 256, 32, 16
+    rng = np.random.default_rng(0)
+    bases = [prune_magnitude(DenseMatrix(rng.normal(size=(width, width))), 0.5)
+             for _ in range(3)]
+    batch = ProbeBatch(DenseMatrix(rng.normal(size=(width, L))),
+                       DenseMatrix(rng.normal(size=(width, L))))
+    peak, saved = {}, {}
+    for variant in ("lors", "sqft_gc", "sqft", "spp"):
+        model = ToyModel([make_layer(base, rank=r, variant=variant) for base in bases])
+        optim, counters = OptimState(kind="sgd", lr=1e-3), CostCounters()
+        train_step(model, batch, optim)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            train_step(model, batch, optim, counters)
+            peak[variant] = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        saved[variant] = 8 * counters.saved_elements
+    assert peak["lors"] < peak["sqft_gc"] < peak["sqft"], peak
+    assert peak["spp"] <= saved["spp"] + 7 * 8 * width * width, (peak["spp"], saved["spp"])
