@@ -523,7 +523,7 @@ def apply_layer(tape: Tape, layer: AdaptedLayer, x_id: int) -> int:
     Inputs are (x, a, b[, bias]) so the gradient map exposes every trainable
     parameter; node ids are remembered on the layer for the optimizer.
     """
-    x = tape.value(x_id)
+    x = tape._operands("apply_layer", x_id)[0].value
     params = {key: tape.leaf(m, requires_grad=True, is_param=True)
               for key, m in layer.trainable().items()}
     inputs = (x_id, *params.values())

@@ -286,10 +286,6 @@ class Rng:
     def next_u64(self) -> int:
         return int(self._raw_block(1)[0])
 
-    def uniform(self) -> float:
-        """One double in [0, 1)."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
     def uniforms(self, n: int) -> np.ndarray:
         return (self._raw_block(n) >> _SHIFT_11).astype(np.float64) * 2.0**-53
 

@@ -26,9 +26,6 @@ class SvdResult:
     s: np.ndarray   # k singular values, nonincreasing
     v: DenseMatrix  # n x k, orthonormal columns
 
-    def reconstruct(self) -> DenseMatrix:
-        return DenseMatrix(self.u.data @ np.diag(self.s) @ self.v.data.T)
-
 
 def svd(m: DenseMatrix) -> SvdResult:
     """Thin SVD: m = u diag(s) v^T with k = min(rows, cols)."""

@@ -5,8 +5,14 @@ its output value, the ids of its inputs, a backward closure, and the list of
 tensors it saved for the backward pass. ``backward`` walks the nodes in
 reverse recording order exactly once, accumulating gradients for every node
 that participates in the loss (fan-out sums in tape order). A tape can be
-differentiated once: after ``backward`` starts, ``backward``, ``record`` and
-every op raise GraphError, an op before it computes or tallies anything.
+differentiated once: after ``backward`` starts, ``backward``, ``record``,
+``leaf`` and every op raise GraphError, an op before it computes or tallies
+anything.
+
+The requires-grad rule is stated here once: a node needs a gradient when an
+input does; one that needs none saves nothing (no peak, no counters) and
+``backward`` never runs its closure. A one-input op's closure may therefore
+assume its input needs a gradient; two-operand ops check each operand.
 
 Accounting rules (shared with the adapter layers):
 
@@ -21,9 +27,6 @@ Accounting rules (shared with the adapter layers):
   captured by backward closures without being counted: they are resident for
   the optimizer regardless, so saving them costs no extra memory. Only
   genuinely materialized activations and intermediates count.
-
-Backward closures compute gradients only for inputs that require them, so
-cost tallies respect what a given graph actually needs.
 """
 
 from __future__ import annotations
@@ -110,6 +113,8 @@ class Tape:
     # -- construction -------------------------------------------------------
 
     def leaf(self, value: DenseMatrix, requires_grad: bool = False, is_param: bool = False) -> int:
+        if self.consumed:
+            raise GraphError("leaf on a consumed tape")
         node_id = len(self.nodes)
         self.nodes.append(TapeNode(node_id, value, (), None, (), requires_grad, is_param))
         return node_id
@@ -133,6 +138,8 @@ class Tape:
             if not 0 <= i < node_id:
                 raise GraphError(f"record({op}): dangling input id {i}")
             requires_grad = requires_grad or nodes[i].requires_grad
+        if not requires_grad:
+            backward_fn, saved = None, ()
         for t in saved:
             count += t.data.size
         nodes.append(TapeNode(node_id, value, inputs, backward_fn, saved, requires_grad))
@@ -150,7 +157,8 @@ class Tape:
         """Reverse pass from loss_id; returns node id -> gradient.
 
         Without an explicit seed the loss must be a 1x1 scalar and is seeded
-        with 1.0. Each node's backward closure runs at most once; gradients
+        with 1.0. Each node's backward closure runs at most once, and never
+        for a node that needs no gradient (``record`` dropped it); gradients
         fan in by summation in reverse tape order.
         """
         if self.consumed:
@@ -242,57 +250,16 @@ class Tape:
 
         return self.record("add", (a_id, b_id), out, bwd)
 
-    def sub(self, a_id: int, b_id: int) -> int:
-        a_node, b_node = self._operands("sub", a_id, b_id)
-        out = mx.sub(a_node.value, b_node.value, self.counters)
-        c = self.counters
-
-        def bwd(dy):
-            da = dy if a_node.requires_grad else None
-            db = mx.scale(dy, -1.0, c) if b_node.requires_grad else None
-            return (da, db)
-
-        return self.record("sub", (a_id, b_id), out, bwd)
-
-    def scale(self, a_id: int, alpha: float) -> int:
-        a_node, = self._operands("scale", a_id)
-        out = mx.scale(a_node.value, alpha, self.counters)
-        c = self.counters
-
-        def bwd(dy):
-            return (mx.scale(dy, alpha, c) if a_node.requires_grad else None,)
-
-        return self.record("scale", (a_id,), out, bwd)
-
-    def square(self, a_id: int) -> int:
-        """Elementwise square; saves its input once (vs twice for hadamard(a, a))."""
-        a_node, = self._operands("square", a_id)
-        a = a_node.value
-        out = mx.hadamard(a, a, self.counters)
-        saved = [a] if (a_node.requires_grad and not a_node.is_param) else []
-        c = self.counters
-
-        def bwd(dy):
-            if not a_node.requires_grad:
-                return (None,)
-            return (mx.scale(mx.hadamard(dy, a, c), 2.0, c),)
-
-        return self.record("square", (a_id,), out, bwd, saved=saved)
-
     def relu(self, a_id: int) -> int:
-        a_node, = self._operands("relu", a_id)
-        a = a_node.value
+        a = self._operands("relu", a_id)[0].value
         out = mx.relu(a, self.counters)
         gate = DenseMatrix._wrap((a.data > 0.0).astype(np.float64))
-        saved = [gate] if a_node.requires_grad else []
         c = self.counters
 
         def bwd(dy):
-            if not a_node.requires_grad:
-                return (None,)
             return (mx.hadamard(dy, gate, c),)
 
-        return self.record("relu", (a_id,), out, bwd, saved=saved)
+        return self.record("relu", (a_id,), out, bwd, saved=(gate,))
 
     def tile(self, a_id: int, rows: int, cols: int) -> int:
         """np.tile(a, (rows, cols)): out[i, j] = a[i mod m, j mod n] for m x n a.
@@ -301,14 +268,11 @@ class Tape:
         """
         if rows < 1 or cols < 1:
             raise ArgumentError(f"tile: repeats must be positive, got ({rows}, {cols})")
-        a_node, = self._operands("tile", a_id)
-        a = a_node.value
+        a = self._operands("tile", a_id)[0].value
         out = DenseMatrix._wrap(np.tile(a.data, (rows, cols)))
         c = self.counters
 
         def bwd(dy):
-            if not a_node.requires_grad:
-                return (None,)
             c.add_elementwise(dy.rows * dy.cols)
             acc = dy.data.reshape(rows, a.rows, cols, a.cols).sum(axis=(0, 2))
             return (DenseMatrix._wrap(acc),)
@@ -321,8 +285,7 @@ class Tape:
         Column blocks of width r are then diagonal sub-blocks holding the
         corresponding segment of b. Pure data movement (0 MACs).
         """
-        b_node, = self._operands("block_diag_rows", b_id)
-        b = b_node.value
+        b = self._operands("block_diag_rows", b_id)[0].value
         if b.rows != 1:
             raise ShapeError(f"block_diag_rows: expected a 1xC row, got {b.rows}x{b.cols}")
         if b.cols % r != 0:
@@ -334,35 +297,33 @@ class Tape:
         c = self.counters
 
         def bwd(dy):
-            if not b_node.requires_grad:
-                return (None,)
             c.add_elementwise(r * cols)
             return (DenseMatrix._wrap(dy.data[idx % r, idx].reshape(1, cols)),)
 
         return self.record("block_diag_rows", (b_id,), DenseMatrix._wrap(out), bwd)
 
     def sum_all(self, a_id: int) -> int:
-        a_node, = self._operands("sum_all", a_id)
-        a = a_node.value.data
+        a = self._operands("sum_all", a_id)[0].value.data
         self.counters.add_elementwise(a.size)
         out = DenseMatrix._wrap(np.array([[a.sum()]]))
         c = self.counters
 
         def bwd(dy):
-            if not a_node.requires_grad:
-                return (None,)
             c.add_elementwise(a.size)
             return (DenseMatrix._wrap(np.full(a.shape, dy.data[0, 0])),)
 
         return self.record("sum_all", (a_id,), out, bwd)
 
     def squared_error(self, y_id: int, targets: DenseMatrix) -> int:
-        """0.5 * sum((Y - T)^2) / L for R x L outputs Y and fixed targets T: one
-        node with the bits, tallies and saved Y - T of the op chain
-        scale(sum_all(square(sub(y, t))), 0.5 / L)."""
-        y_node, = self._operands("squared_error", y_id)
+        """0.5 * sum((Y - T)^2) / L for R x L outputs Y and fixed targets T, as
+        one node that saves D = Y - T; dY = 2 * (D * (dy * 0.5 / L)).
+
+        Forward: RL elementwise for D, RL MACs for the square, RL + 1
+        elementwise for the sum and the scaling. Backward: RL MACs and
+        2RL + 1 elementwise."""
+        y = self._operands("squared_error", y_id)[0].value
         c = self.counters
-        diff = mx.sub(y_node.value, targets, c)
+        diff = mx.sub(y, targets, c)
         d = diff.data
         alpha = 0.5 / d.shape[1]
         c.add_macs(d.size)                   # the square
@@ -370,24 +331,20 @@ class Tape:
         out = DenseMatrix._wrap(np.array([[np.add.reduce(d * d, axis=None) * alpha]]))
 
         def bwd(dy):
-            if not y_node.requires_grad:
-                return (None,)
             c.add_elementwise(1 + 2 * d.size)
             c.add_macs(d.size)
             g = d * (dy.data[0, 0] * alpha)
             g *= 2.0
             return (DenseMatrix._wrap(g),)
 
-        saved = (diff,) if y_node.requires_grad else ()
-        return self.record("squared_error", (y_id,), out, bwd, saved=saved)
+        return self.record("squared_error", (y_id,), out, bwd, saved=(diff,))
 
     def softmax_cross_entropy(self, logits_id: int, labels: np.ndarray) -> int:
         """Mean cross-entropy over columns of K x L logits; labels in [0, K).
 
         Saves the K x L probability matrix for the backward pass.
         """
-        logits_node, = self._operands("softmax_cross_entropy", logits_id)
-        z = logits_node.value
+        z = self._operands("softmax_cross_entropy", logits_id)[0].value
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (z.cols,):
             raise ShapeError(
@@ -401,18 +358,15 @@ class Tape:
         picked = probs[labels, np.arange(z.cols)]
         loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
         out = DenseMatrix([[loss]])
-        probs_m = DenseMatrix._wrap(probs)
-        saved = [probs_m] if logits_node.requires_grad else []
         c = self.counters
         n = z.cols
 
         def bwd(dy):
-            if not logits_node.requires_grad:
-                return (None,)
             c.add_elementwise(z.rows * z.cols)
             g = probs.copy()
             g[labels, np.arange(n)] -= 1.0
             g *= dy.data[0, 0] / n
             return (DenseMatrix._wrap(g),)
 
-        return self.record("softmax_cross_entropy", (logits_id,), out, bwd, saved=saved)
+        return self.record("softmax_cross_entropy", (logits_id,), out, bwd,
+                           saved=(DenseMatrix._wrap(probs),))

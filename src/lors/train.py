@@ -251,22 +251,24 @@ class TrainConfig:
 
 class Dataset(ProbeBatch):
     """Fixed inputs with regression targets or integer labels, kept as one
-    contiguous row per sample (the only copy), so ``batch`` gathers rows; the
-    whole set is one batch. ``inputs``, ``targets`` and every batch read as
-    C-contiguous columns (C x L): BLAS results, so every bit, depend on layout."""
+    read-only contiguous row per sample (the only copy), so ``batch`` gathers
+    rows; the whole set is one batch. Every batch reads as C-contiguous
+    columns (C x L), since BLAS results, so every bit, depend on layout;
+    ``inputs`` and ``targets`` are read-only transposed views of the rows."""
 
     def __init__(self, inputs: DenseMatrix, targets, loss: str = "regression"):
         whole = ProbeBatch(inputs, targets, loss)
         self.loss, self._x = loss, whole.inputs.data.T.copy()
-        self._y = whole.targets.data.T.copy() if loss == "regression" else whole.targets
+        self._y = whole.targets.data.T.copy() if loss == "regression" else whole.targets.copy()
+        self._x.flags.writeable = self._y.flags.writeable = False
 
     @property
     def inputs(self) -> DenseMatrix:
-        return DenseMatrix._wrap(self._x.T.copy())
+        return DenseMatrix._wrap(self._x.T)
 
     @property
     def targets(self):
-        return DenseMatrix._wrap(self._y.T.copy()) if self.loss == "regression" else self._y
+        return DenseMatrix._wrap(self._y.T) if self.loss == "regression" else self._y
 
     @property
     def size(self) -> int:

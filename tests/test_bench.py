@@ -1,3 +1,6 @@
+import functools
+import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -13,8 +16,10 @@ from lors.bench import (
     run_variant_bench,
 )
 from lors.errors import ArgumentError
+from lors.initialization import init_gradient_svd
 from lors.matrix import DenseMatrix, Rng
 from lors.prune import two_four_valid
+from lors.tape import Tape
 
 
 def test_fd_grad_quadratic():
@@ -98,3 +103,21 @@ def test_random_sparse_base_patterns():
     assert two_four_valid(tf.values)
     dense = random_sparse_base(Rng(2), 4, 4, zero_fraction=0.0)
     assert np.all(dense.values.data != 0.0)
+
+
+def test_every_name_the_perfbench_spans_read_resolves_in_lors():
+    """perfbench/spans.py wraps and reads these program names by string; a
+    deletion or rename in lors would break the benchmark, not a test of its own."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = list(spans.HOOKS) + [f"{m}.{a}" for m, a in spans._EXTRA_FUNCTIONS]
+    for name in names:
+        module, *attrs = name.split(".")
+        target = functools.reduce(getattr, attrs, importlib.import_module(f"lors.{module}"))
+        assert callable(target), name
+    for attr in ("counted_saved", "predict_cost", "VARIANTS"):  # read by the layer hooks
+        assert hasattr(spans.adapters, attr), attr
+    assert "gauge" in inspect.signature(init_gradient_svd).parameters
+    assert Tape().saved_ctx.peak == 0

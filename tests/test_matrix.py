@@ -222,7 +222,7 @@ def test_rng_block_and_scalar_draws_agree():
     a = Rng(7)
     b = Rng(7)
     block = a.uniforms(50)
-    singles = np.array([b.uniform() for _ in range(50)])
+    singles = np.array([(b.next_u64() >> 11) * 2.0**-53 for _ in range(50)])
     assert np.array_equal(block, singles)
 
 
@@ -254,7 +254,7 @@ def test_rng_block_draws_wrap_silently_and_match_scalar_stream():
     assert integers.tobytes() == want_integers.tobytes()
     assert rng.state() == scalar.state() == (seed, pos + 23)
     fresh = Rng(child.seed)
-    assert child_uniforms.tobytes() == np.array([fresh.uniform() for _ in range(4)]).tobytes()
+    assert child_uniforms.tobytes() == np.array([(fresh.next_u64() >> 11) * 2.0**-53 for _ in range(4)]).tobytes()
 
 
 def test_rng_uniform_range_and_coverage():

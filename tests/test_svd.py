@@ -139,12 +139,6 @@ def test_nonfinite_input_raises_numeric_error(bad):
         svd(m)
 
 
-def test_reconstruct_helper():
-    a = np.random.default_rng(10).normal(size=(4, 5))
-    res = svd(DenseMatrix(a))
-    assert np.max(np.abs(res.reconstruct().data - a)) < 1e-10
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.data())
 def test_property_shapes_and_ranks(data):

@@ -4,8 +4,10 @@ import weakref
 import numpy as np
 import pytest
 
+from lors.adapters import VARIANTS, apply_layer, make_layer
 from lors.errors import ArgumentError, GraphError, ShapeError
 from lors.matrix import DenseMatrix
+from lors.prune import SparseWeight
 from lors.tape import CostCounters, Tape
 
 
@@ -18,6 +20,12 @@ def fd(f, x, h=1e-6):
             xm = x.copy(); xm[i, j] -= h
             g[i, j] = (f(xp) - f(xm)) / (2 * h)
     return g
+
+
+def sq_loss(tape, y_id):
+    """squared_error of y_id against fixed targets that depend only on its shape."""
+    shape = tape.value(y_id).shape
+    return tape.squared_error(y_id, DenseMatrix(np.sin(np.arange(np.prod(shape))).reshape(shape)))
 
 
 def test_composed_graph_matches_finite_differences():
@@ -33,8 +41,7 @@ def test_composed_graph_matches_finite_differences():
         y = tape.matmul(w_id, x_id)
         y = tape.relu(y)
         y = tape.hadamard(y, m_id)
-        y = tape.square(y)
-        return (w_id, x_id), tape.sum_all(y)
+        return (w_id, x_id), sq_loss(tape, y)
 
     tape = Tape()
     ids, loss_id = build(tape, x0)
@@ -55,9 +62,8 @@ def test_every_primitive_against_finite_differences():
     a0 = rng.normal(size=(2, 6))
 
     cases = {
-        "scale": lambda t, i: t.scale(i, -1.7),
-        "square": lambda t, i: t.square(i),
         "relu": lambda t, i: t.relu(i),
+        "sum_all": lambda t, i: t.sum_all(i),
         "tile_cols": lambda t, i: t.tile(i, 1, 3),
         "tile_rows_and_cols": lambda t, i: t.tile(i, 2, 3),
     }
@@ -66,12 +72,12 @@ def test_every_primitive_against_finite_differences():
             t = Tape()
             i = t.leaf(DenseMatrix(av), requires_grad=True)
             out = op(t, i)
-            return t.value(t.sum_all(t.square(out))).data[0, 0]
+            return t.value(sq_loss(t, out)).data[0, 0]
 
         t = Tape()
         i = t.leaf(DenseMatrix(a0), requires_grad=True)
         out = op(t, i)
-        loss = t.sum_all(t.square(out))
+        loss = sq_loss(t, out)
         g = t.backward(loss)[i].data
         assert np.allclose(g, fd(f, a0), rtol=1e-5, atol=1e-8), name
 
@@ -80,13 +86,13 @@ def test_two_operand_primitives_against_finite_differences():
     rng = np.random.default_rng(2)
     a0 = rng.normal(size=(3, 4))
     b0 = rng.normal(size=(3, 4))
-    for opname in ("add", "sub", "hadamard"):
+    for opname in ("add", "hadamard"):
         def run(av, bv):
             t = Tape()
             ia = t.leaf(DenseMatrix(av), requires_grad=True)
             ib = t.leaf(DenseMatrix(bv), requires_grad=True)
             out = getattr(t, opname)(ia, ib)
-            loss = t.sum_all(t.square(out))
+            loss = sq_loss(t, out)
             return t, ia, ib, loss
 
         t, ia, ib, loss = run(a0, b0)
@@ -98,11 +104,11 @@ def test_two_operand_primitives_against_finite_differences():
 
 
 def test_fan_out_gradients_sum():
-    # x used twice: loss = sum(x*x) + sum(x), dL/dx = 2x + 1
+    # x used three times: loss = sum(x*x) + sum(x), dL/dx = 2x + 1
     x0 = np.random.default_rng(3).normal(size=(3, 3))
     t = Tape()
     x = t.leaf(DenseMatrix(x0), requires_grad=True)
-    s1 = t.sum_all(t.square(x))
+    s1 = t.sum_all(t.hadamard(x, x))
     s2 = t.sum_all(x)
     loss = t.add(s1, s2)
     g = t.backward(loss)[x].data
@@ -124,13 +130,13 @@ def test_repeat_rows_forward_and_backward():
     i = t.leaf(DenseMatrix(b0), requires_grad=True)
     out_id = t.tile(i, 3, 1)
     assert np.array_equal(t.value(out_id).data, np.tile(b0, (3, 1)))
-    loss = t.sum_all(t.square(out_id))
+    loss = sq_loss(t, out_id)
     g = t.backward(loss)[i].data
 
     def f(bv):
         t2 = Tape()
         i2 = t2.leaf(DenseMatrix(bv), requires_grad=True)
-        return t2.value(t2.sum_all(t2.square(t2.tile(i2, 3, 1)))).data[0, 0]
+        return t2.value(sq_loss(t2, t2.tile(i2, 3, 1))).data[0, 0]
 
     assert np.allclose(g, fd(f, b0), rtol=1e-5, atol=1e-8)
 
@@ -194,13 +200,13 @@ def test_block_diag_rows_scatter_and_gather():
         col = out.data[:, q]
         assert col[q % 4] == b0[0, q]
         assert np.count_nonzero(col) == 1
-    loss = t.sum_all(t.square(out_id))
+    loss = sq_loss(t, out_id)
     g = t.backward(loss)[i].data
 
     def f(bv):
         t2 = Tape()
         i2 = t2.leaf(DenseMatrix(bv), requires_grad=True)
-        return t2.value(t2.sum_all(t2.square(t2.block_diag_rows(i2, 4)))).data[0, 0]
+        return t2.value(sq_loss(t2, t2.block_diag_rows(i2, 4))).data[0, 0]
 
     assert np.allclose(g, fd(f, b0), rtol=1e-5, atol=1e-8)
 
@@ -305,8 +311,7 @@ def test_ops_that_save_nothing():
     b = t.leaf(DenseMatrix(np.ones((3, 3))), requires_grad=True)
     before = t.counters.saved_elements
     t.add(a, b)
-    t.sub(a, b)
-    t.scale(a, 2.0)
+    t.tile(a, 2, 1)
     t.sum_all(a)
     assert t.counters.saved_elements == before
 
@@ -316,19 +321,18 @@ def test_phase_routing_forward_vs_backward_macs():
     a = t.leaf(DenseMatrix(np.ones((2, 3))), requires_grad=True)
     b = t.leaf(DenseMatrix(np.ones((3, 4))))
     y = t.matmul(a, b)          # 24 forward MACs
-    loss = t.sum_all(t.square(y))  # square: 8 forward MACs
+    loss = t.squared_error(y, DenseMatrix(np.zeros((2, 4))))  # the square: 8 forward MACs
     t.backward(loss)
     assert t.counters.macs_forward == 24 + 8
-    # backward: square bwd hadamard 8, matmul da = dy b^T -> 24
+    # backward: dY = 2 D alpha, 8 MACs; matmul da = dy b^T -> 24
     assert t.counters.macs_backward == 8 + 24
 
 
 def test_saved_peak_is_the_forward_total():
     t = Tape()
     a = t.leaf(DenseMatrix(np.ones((4, 4))), requires_grad=True)
-    y = t.square(a)     # saves a: 16
-    z = t.square(y)     # saves y: 16
-    loss = t.sum_all(z)
+    y = t.relu(a)       # saves the gate: 16
+    loss = sq_loss(t, y)  # saves Y - T: 16
     assert t.saved_ctx.peak == 32
     t.backward(loss)
     assert t.saved_ctx.peak == 32
@@ -338,7 +342,7 @@ def test_track_saved_false_keeps_counters_clean():
     c = CostCounters()
     t = Tape(c, track_saved=False)
     a = t.leaf(DenseMatrix(np.ones((4, 4))), requires_grad=True)
-    t.square(a)
+    t.relu(a)
     assert c.saved_elements == 0
     assert t.saved_ctx.peak == 16  # the tape still totals it
 
@@ -356,12 +360,14 @@ def test_record_on_consumed_tape_raises():
     """Nothing is recorded once backward starts, so the saved total stays the peak."""
     t = Tape()
     a = t.leaf(DenseMatrix(np.ones((2, 2))), requires_grad=True)
-    t.backward(t.sum_all(t.square(a)))
+    t.backward(sq_loss(t, a))
     with pytest.raises(GraphError, match="consumed tape"):
-        t.square(a)
+        t.relu(a)
     with pytest.raises(GraphError, match="consumed tape"):
         t.record("bogus", (a,), DenseMatrix([[1.0]]), None)
-    assert len(t.nodes) == 3
+    with pytest.raises(GraphError, match="^leaf on a consumed tape$"):
+        t.leaf(DenseMatrix([[1.0]]))
+    assert len(t.nodes) == 2
     assert t.saved_ctx.peak == 4
 
 
@@ -387,7 +393,7 @@ def test_explicit_seed_propagates():
     x0 = np.random.default_rng(5).normal(size=(3, 4))
     t = Tape()
     x = t.leaf(DenseMatrix(x0), requires_grad=True)
-    y = t.scale(x, 2.0)
+    y = t.hadamard(x, t.leaf(DenseMatrix(np.full((3, 4), 2.0))))
     seed = DenseMatrix(np.full((3, 4), 0.5))
     g = t.backward(y, seed=seed)[x].data
     assert np.allclose(g, np.full((3, 4), 1.0), atol=1e-15)
@@ -410,8 +416,8 @@ def test_identical_graphs_give_bitwise_identical_grads():
     def run():
         t = Tape()
         x = t.leaf(DenseMatrix(x0), requires_grad=True)
-        y = t.square(t.scale(t.square(x), 3.0))
-        return t.backward(t.sum_all(y))[x].data
+        y = t.hadamard(t.matmul(x, x), t.relu(x))
+        return t.backward(sq_loss(t, y))[x].data
 
     assert np.array_equal(run(), run())
 
@@ -420,9 +426,6 @@ _OPS = {
     "matmul": lambda t, ids: t.matmul(ids["a"], ids["c"]),
     "hadamard": lambda t, ids: t.hadamard(ids["a"], ids["b"]),
     "add": lambda t, ids: t.add(ids["a"], ids["b"]),
-    "sub": lambda t, ids: t.sub(ids["a"], ids["b"]),
-    "scale": lambda t, ids: t.scale(ids["a"], 3.0),
-    "square": lambda t, ids: t.square(ids["a"]),
     "relu": lambda t, ids: t.relu(ids["a"]),
     "tile": lambda t, ids: t.tile(ids["a"], 2, 3),
     "hadamard_tiled": lambda t, ids: t.hadamard_tiled(ids["a"], ids["q"]),
@@ -431,14 +434,20 @@ _OPS = {
     "squared_error": lambda t, ids: t.squared_error(ids["a"], DenseMatrix(np.ones((2, 4)))),
     "softmax_cross_entropy": lambda t, ids: t.softmax_cross_entropy(ids["a"], [0, 1, 1, 0]),
 }
+# apply_layer[v] records a 3 x 2 layer of variant v on the 2 x 4 input a.
+_OPS.update({
+    f"apply_layer[{v}]": lambda t, ids, v=v: apply_layer(
+        t, make_layer(SparseWeight(DenseMatrix(np.ones((3, 2)))), 1, v), ids["a"])
+    for v in VARIANTS})
 
 
 @pytest.mark.parametrize("fault", ["consumed", -1, 5])
 @pytest.mark.parametrize("op", sorted(_OPS))
 def test_op_on_consumed_tape_raises_before_it_tallies(op, fault):
-    """Every op fetches its inputs through one guard: on a consumed tape, or
-    given an input id that names no node (-1 would index the last node), it
-    raises GraphError before anything is computed, tallied or recorded."""
+    """Every op, and apply_layer, fetches its inputs through one guard: on a
+    consumed tape, or given an input id that names no node (-1 would index
+    the last node), it raises GraphError before anything is computed,
+    tallied or recorded."""
     rng = np.random.default_rng(3)
     c = CostCounters()
     t = Tape(c)
@@ -448,10 +457,10 @@ def test_op_on_consumed_tape_raises_before_it_tallies(op, fault):
     if fault == "consumed":
         _OPS[op](t, ids)  # the op works on a live tape
         t.backward(t.sum_all(ids["a"]))
-        message = f"{op} on a consumed tape"
+        message = f"{op.split('[')[0]} on a consumed tape"
     else:
         ids = dict.fromkeys(ids, fault)
-        message = f"{op}: dangling input id {fault}"
+        message = f"{op.split('[')[0]}: dangling input id {fault}"
     before = (c.macs_forward, c.macs_backward, c.saved_elements,
               c.elementwise_forward, c.elementwise_backward, len(t.nodes), t.saved_ctx.peak)
     with pytest.raises(GraphError, match=f"^{message}$"):
@@ -464,31 +473,55 @@ def test_op_on_consumed_tape_raises_before_it_tallies(op, fault):
 @pytest.mark.parametrize("requires_grad", [False, True])
 def test_squared_error_is_the_four_op_chain(requires_grad):
     """squared_error gives the loss, the gradient, every tally and the saved
-    count of scale(sum_all(square(sub(y, t))), 0.5 / L), bit for bit."""
+    count of scale(sum_all(square(sub(y, t))), 0.5 / L), bit for bit: the
+    chain's numpy expressions and tallies, derived by hand below."""
     rng = np.random.default_rng(11)
     y0, t0 = rng.normal(size=(5, 7)), rng.normal(size=(5, 7))
     t0[0, 0] = y0[0, 0]  # a zero residual keeps the sign of zero visible
+    c = CostCounters()
+    tape = Tape(c)
+    w = tape.leaf(DenseMatrix(np.eye(5)), requires_grad=requires_grad)
+    y = tape.matmul(w, tape.leaf(DenseMatrix(y0)))
+    loss = tape.squared_error(y, DenseMatrix(t0))
+    grads = tape.backward(loss)
+    got = (tape.value(loss).data.tobytes(), grads[y].data.tobytes() if requires_grad else None,
+           c.macs_forward, c.macs_backward, c.elementwise_forward, c.elementwise_backward,
+           c.saved_elements, tape.saved_ctx.peak)
 
-    def run(fused):
-        c = CostCounters()
-        tape = Tape(c)
-        w = tape.leaf(DenseMatrix(np.eye(5)), requires_grad=requires_grad)
-        y = tape.matmul(w, tape.leaf(DenseMatrix(y0)))
-        if fused:
-            loss = tape.squared_error(y, DenseMatrix(t0))
-        else:
-            d = tape.sub(y, tape.leaf(DenseMatrix(t0)))
-            loss = tape.scale(tape.sum_all(tape.square(d)), 0.5 / 7)
-        grads = tape.backward(loss)
-        g = grads[y].data.tobytes() if requires_grad else None
-        return (tape.value(loss).data.tobytes(), g, c.macs_forward, c.macs_backward,
-                c.elementwise_forward, c.elementwise_backward, c.saved_elements,
-                tape.saved_ctx.peak)
-
-    assert run(True) == run(False)
+    alpha = 0.5 / 7
+    d = np.eye(5) @ y0 - t0                             # sub: 35 elementwise
+    want_loss = np.array([[(d * d).sum() * alpha]])     # square 35 MACs, sum 35, scale 1
+    want_grad = (np.full(d.shape, 1.0 * alpha) * d) * 2.0  # scale 1, sum 35, square 35 + 35
+    fwd = (5 * 5 * 7 + 35, 35 + 35 + 1)                 # matmul and square MACs, elementwise
+    # backward: the square's 35 MACs and dW = dY y0^T (175); saved: y0 for dW, D for the square
+    bwd, saved = ((35 + 175, 1 + 35 + 35), 35 + 35) if requires_grad else ((0, 0), 0)
+    assert got == (want_loss.tobytes(), want_grad.tobytes() if requires_grad else None,
+                   fwd[0], bwd[0], fwd[1], bwd[1], saved, saved)
     tape = Tape()
     with pytest.raises(ShapeError):
         tape.squared_error(tape.leaf(DenseMatrix(y0)), DenseMatrix(t0[:, :1]))
+
+
+def test_a_node_that_needs_no_gradient_saves_nothing_and_never_runs_backward():
+    """The tape's requires-grad rule: a node whose inputs need no gradient
+    keeps none of the tensors it was given to save, and backward never runs
+    its closure, even when seeded at that node."""
+    c = CostCounters()
+    t = Tape(c)
+    x = t.leaf(DenseMatrix(np.ones((2, 2))), is_param=True)
+    calls = []
+
+    def bwd(dy):
+        calls.append(dy)
+        return (dy,)
+
+    big = [DenseMatrix(np.ones((64, 64)))] * 8
+    y = t.record("frozen", (x,), DenseMatrix(np.ones((2, 2))), bwd, saved=big)
+    assert (t.saved_ctx.peak, c.saved_elements) == (0, 0)
+    grads = t.backward(y, seed=DenseMatrix(np.ones((2, 2))))
+    assert calls == [] and x not in grads
+    assert (c.macs_forward, c.macs_backward, c.saved_elements, c.elementwise_forward,
+            c.elementwise_backward, t.saved_ctx.peak) == (0, 0, 0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("op", sorted(_OPS))

@@ -454,28 +454,37 @@ def test_dataset_batch_and_head():
 def test_dataset_batches_are_the_column_gather(loss):
     """batch and head give the bytes and the C-contiguous layout of np.take
     over the C x N columns (repeated indices, and head past the dataset
-    size, included), and a dataset keeps one N x (C + K) copy of its samples."""
+    size, included), the whole set reads as read-only views of the bytes of
+    its one N x (C + K) copy of the samples."""
     rng = np.random.default_rng(7)
     x = rng.standard_normal((5, 12))
     y = rng.standard_normal((3, 12)) if loss == "regression" else np.arange(12) % 4
     data = Dataset(DenseMatrix(x), DenseMatrix(y) if loss == "regression" else y, loss)
+    held = [v for v in vars(data).values() if isinstance(v, np.ndarray)]
+
+    def check_layout(a, whole):
+        if whole:
+            assert any(np.shares_memory(a, h) for h in held) and not a.flags.writeable
+        else:
+            assert a.flags.c_contiguous
+
     for idx, got in [(i, data.batch(i)) for i in ([3, 0, 11], [2, 2, 2, 7], [5], range(12))] + [
             (range(4), data.head(4)), (range(12), data.head(99)), (range(12), data)]:
         want_x = np.take(x, list(idx), axis=1)
-        assert got.inputs.data.flags.c_contiguous and got.inputs.shape == want_x.shape
+        check_layout(got.inputs.data, got is data)
+        assert got.inputs.shape == want_x.shape
         assert got.inputs.data.tobytes() == want_x.tobytes()
         if loss == "regression":
             want_y = np.take(y, list(idx), axis=1)
-            assert got.targets.data.flags.c_contiguous
+            check_layout(got.targets.data, got is data)
             assert got.targets.shape == want_y.shape
             assert got.targets.data.tobytes() == want_y.tobytes()
         else:
             assert got.targets.dtype == np.int64
             assert got.targets.tobytes() == y[list(idx)].astype(np.int64).tobytes()
     assert data.size == 12
-    held = [v.data if isinstance(v, DenseMatrix) else v for v in vars(data).values()]
     k = 3 if loss == "regression" else 1
-    assert sum(a.nbytes for a in held if isinstance(a, np.ndarray)) == 12 * (5 + k) * 8
+    assert sum(a.nbytes for a in held) == 12 * (5 + k) * 8
 
 
 def test_config_validation():
