@@ -67,6 +67,7 @@ from .prune import SparseWeight
 from .tape import Tape
 
 VARIANTS = ("lora", "sqft", "sqft_gc", "spp", "spp_gc", "lors")
+SPP_VARIANTS = ("spp", "spp_gc")  # the variants with an SppAdapter
 
 # Test hooks for negative-control verification runs. When a flag is set the
 # named computation is deliberately corrupted so oracle suites must fail.
@@ -80,6 +81,18 @@ def check_alpha(alpha: float) -> None:
     """Reject an adapter scaling that is not finite and positive."""
     if not (math.isfinite(alpha) and alpha > 0):
         raise ArgumentError(f"alpha must be finite and positive, got {alpha}")
+
+
+def check_rank(spp: bool, rows: int, cols: int, r: int) -> None:
+    """The rank rule of a rows x cols adapter: a pair needs 1 <= r <=
+    min(rows, cols), and spp's tiled A needs r to divide cols. Integer
+    comparisons alone (no ``min``, which builds an argument tuple), so a
+    passing check allocates nothing."""
+    if spp:
+        if r < 1 or cols % r:
+            raise ArgumentError(f"spp rank {r} must divide the input width {cols}")
+    elif r < 1 or r > rows or r > cols:
+        raise ArgumentError(f"rank {r} must satisfy 1 <= r <= min({rows}, {cols})")
 
 
 @dataclass
@@ -96,11 +109,7 @@ class AdapterPair:
                 f"adapter rank mismatch: a is {self.a.rows}x{self.a.cols}, "
                 f"b is {self.b.rows}x{self.b.cols}"
             )
-        r = self.a.cols
-        if r < 1 or r > min(self.a.rows, self.b.cols):
-            raise ArgumentError(
-                f"rank {r} must satisfy 1 <= r <= min({self.a.rows}, {self.b.cols})"
-            )
+        check_rank(False, self.a.rows, self.b.cols, self.a.cols)
         check_alpha(self.alpha)
 
     @property
@@ -118,11 +127,7 @@ class SppAdapter:
     def __post_init__(self):
         if self.b.rows != 1:
             raise ShapeError(f"spp b must be a 1xC row, got {self.b.rows}x{self.b.cols}")
-        r = self.a.cols
-        if self.b.cols % r != 0:
-            raise ArgumentError(
-                f"spp rank {r} must divide the input width {self.b.cols}"
-            )
+        check_rank(True, self.a.rows, self.b.cols, self.a.cols)
 
     @property
     def rank(self) -> int:
@@ -136,7 +141,7 @@ class AdaptedLayer:
                  bias: Optional[DenseMatrix] = None, name: str = ""):
         if variant not in VARIANTS:
             raise ArgumentError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-        spp_family = variant in ("spp", "spp_gc")
+        spp_family = variant in SPP_VARIANTS
         if spp_family and not isinstance(adapter, SppAdapter):
             raise ArgumentError(f"variant {variant} requires an SppAdapter")
         if not spp_family and not isinstance(adapter, AdapterPair):
@@ -183,7 +188,7 @@ class AdaptedLayer:
 def zero_adapter(variant: str, rows: int, cols: int, rank: int, alpha: float = 2.0):
     """Zeroed factors (A = 0, B = 0) for a rows x cols layer of ``variant``:
     an SppAdapter for spp and spp_gc (which have no alpha), else an AdapterPair."""
-    if variant in ("spp", "spp_gc"):
+    if variant in SPP_VARIANTS:
         return SppAdapter(a=mx.zeros(rows, rank), b=mx.zeros(1, cols))
     return AdapterPair(a=mx.zeros(rows, rank), b=mx.zeros(rank, cols), alpha=alpha)
 
@@ -583,11 +588,13 @@ COST_MODELS: dict[str, Callable[[int, int, int, int], CostPrediction]] = {
 
 
 def predict_cost(variant: str, R: int, C: int, L: int, r: int) -> CostPrediction:
-    """Evaluate the variant's cost model at a concrete shape."""
+    """Evaluate the variant's cost model at a concrete shape, which must be one
+    a layer of the variant can have."""
     if variant not in COST_MODELS:
         raise ArgumentError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     if min(R, C, L, r) < 1:
         raise ArgumentError(f"dimensions must be positive, got {(R, C, L, r)}")
+    check_rank(variant in SPP_VARIANTS, R, C, r)
     pred = COST_MODELS[variant](R, C, L, r)
     if FAULT_INJECTION["cost_model_off_by_one"]:
         pred.macs_backward += 1
@@ -614,4 +621,4 @@ def merge(layer: AdaptedLayer) -> SparseWeight:
         merged = _merge(layer, None)
         mx.check_finite(merged.data, "merged weight")
     merged.data[~layer.original_mask] = 0.0
-    return SparseWeight(merged, pattern=layer.base.pattern, ratio=layer.base.ratio)
+    return SparseWeight(merged, pattern=layer.base.pattern)

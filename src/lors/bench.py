@@ -24,6 +24,7 @@ from .matrix import DenseMatrix, Rng
 from .prune import SparseWeight, prune_two_four, sparsity, two_four_valid
 from .tape import CostCounters, Tape
 from .adapters import (
+    SPP_VARIANTS,
     VARIANTS,
     AdaptedLayer,
     AdapterPair,
@@ -402,7 +403,7 @@ def suite_cost() -> list[CheckResult]:
     rng = Rng(0)
     for k in range(24):
         variant = VARIANTS[k % len(VARIANTS)]
-        R, C, L, r = _dims(rng, spp=variant in ("spp", "spp_gc"))
+        R, C, L, r = _dims(rng, spp=variant in SPP_VARIANTS)
         row = run_variant_bench(variant, R, C, L, r, seed=k)
         bad = row.mismatches()
         results.append(CheckResult(
@@ -460,8 +461,7 @@ def suite_sparsity() -> list[CheckResult]:
     data = make_teacher_data(teacher, 1, 64)
     for variant in VARIANTS:
         student = model_from_weights(weights, variant, rank=2, prune_ratio=0.5)
-        config = TrainConfig(steps=steps, batch_size=16, lr=1e-2,
-                             optimizer="sgd", variant=variant,
+        config = TrainConfig(steps=steps, batch_size=16, lr=1e-2, optimizer="sgd",
                              init=InitSpec("zero_A_random_B", seed=0), seed=0)
         finetune(student, data, config)
         ok = True

@@ -31,7 +31,7 @@ from .prune import (
     prune_two_four,
     sparsity,
 )
-from .adapters import FAULT_INJECTION, VARIANTS, check_alpha, make_layer, merge
+from .adapters import FAULT_INJECTION, SPP_VARIANTS, VARIANTS, check_alpha, make_layer, merge
 from .initialization import (
     InitSpec,
     MemoryGauge,
@@ -112,8 +112,7 @@ def _injected(fault):
         FAULT_INJECTION[FAULTS[fault]] = False
 
 
-def _load_model(path, variant: str, rank: int, alpha: float, samples: int,
-                head: str = "regression") -> ToyModel:
+def _load_model(path, variant: str, rank: int, alpha: float, samples: int) -> ToyModel:
     """Zeroed adapters over a checkpoint's weights; alpha, rank and the
     dataset's sample count are checked before the file is read."""
     check_alpha(alpha)
@@ -129,7 +128,7 @@ def _load_model(path, variant: str, rank: int, alpha: float, samples: int,
         layers.append(make_layer(SparseWeight(tensors[name]), rank=rank, variant=variant,
                                  alpha=alpha, bias=tensors.get(f"layers.{i}.bias"),
                                  name=f"layers.{i}"))
-    return ToyModel(layers, head=head)
+    return ToyModel(layers)
 
 
 def _task_dataset(task: str, model: ToyModel, seed: int, n: int) -> Dataset:
@@ -193,12 +192,13 @@ def cmd_prune(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.init == "gradient_svd" and args.variant in SPP_VARIANTS:
+        raise ArgumentError(f"--init gradient_svd needs a low-rank pair variant, "
+                            f"not {args.variant!r}")
     init = InitSpec(strategy=args.init, seed=args.seed, std=args.std)
     config = TrainConfig(steps=args.steps, batch_size=args.batch_size,
-                         lr=args.lr, optimizer=args.optimizer,
-                         variant=args.variant, init=init, seed=args.seed)
-    head = "classification" if args.task == "clusters" else "regression"
-    model = _load_model(args.ckpt, args.variant, args.rank, args.alpha, args.samples, head=head)
+                         lr=args.lr, optimizer=args.optimizer, init=init, seed=args.seed)
+    model = _load_model(args.ckpt, args.variant, args.rank, args.alpha, args.samples)
     dataset = _task_dataset(args.task, model, args.seed, args.samples)
     _, trace = finetune(model, dataset, config)
 
@@ -273,8 +273,7 @@ def cmd_init_inspect(args) -> int:
     probe = dataset.head(32)
     gauge = MemoryGauge()
     diagnostics = []
-    init_gradient_svd(model, probe, r=args.rank, gauge=gauge,
-                      diagnostics=diagnostics)
+    init_gradient_svd(model, probe, gauge=gauge, diagnostics=diagnostics)
     report = {
         "layers": diagnostics,
         "peak_extra_elements": gauge.peak,

@@ -39,6 +39,7 @@ from .tape import Tape
 from .adapters import (
     AdaptedLayer,
     AdapterPair,
+    check_rank,
     merge,
     variant_backward,
     variant_forward,
@@ -135,10 +136,7 @@ class MemoryGauge:
 
 def fit_rank_r_rows(dw: DenseMatrix, r: int) -> DenseMatrix:
     """Best rank-r row basis for dw: the top-r right singular vectors as rows."""
-    if r < 1 or r > min(dw.rows, dw.cols):
-        raise ArgumentError(
-            f"rank {r} must satisfy 1 <= r <= min({dw.rows}, {dw.cols})"
-        )
+    check_rank(False, dw.rows, dw.cols, r)
     return _top_rows(svd(dw), r)
 
 
@@ -155,11 +153,7 @@ def projection_residual(dw: DenseMatrix, b: DenseMatrix) -> float:
 
 def singular_tail(dw: DenseMatrix, r: int) -> float:
     """sqrt(sum of squared singular values past the first r)."""
-    return _tail(svd(dw).s, r)
-
-
-def _tail(s: np.ndarray, r: int) -> float:
-    return mx.l2_norm(s[r:])
+    return mx.l2_norm(svd(dw).s[r:])
 
 
 def init_zero_zero(layer: AdaptedLayer):
@@ -176,28 +170,23 @@ def init_zero_random(layer: AdaptedLayer, seed: int, std: float):
     return adapter
 
 
-def init_gradient_svd(model, probe: ProbeBatch, r: int, *,
+def init_gradient_svd(model, probe: ProbeBatch, *,
                       gauge: Optional[MemoryGauge] = None,
                       diagnostics: Optional[list] = None) -> list[AdapterPair]:
     """Set every layer's B from the SVD of its first-step gradient; A = 0.
 
     Runs one probe forward/backward with all adapters zeroed, then walks the
     layers in order: form dW = dY X^T, take the top-r right singular vectors
-    as B, and drop dW before touching the next layer. When a ``diagnostics``
-    list is supplied, one dict per layer records the projection residual and
-    the singular tail, read off the same SVD that gave B.
+    as B, where r is the layer's own rank, and drop dW before touching the
+    next layer. When a ``diagnostics`` list is supplied, one dict per layer
+    records the projection residual and the singular tail, read off the same
+    SVD that gave B.
     """
-    layers = list(model.layers)
-    for layer in layers:
+    for layer in model.layers:
         if not isinstance(layer.adapter, AdapterPair):
             raise ArgumentError(
                 f"gradient_svd requires a low-rank pair adapter, layer {layer.name!r} "
                 f"has {type(layer.adapter).__name__}"
-            )
-        if r < 1 or r > min(layer.out_features, layer.in_features):
-            raise ArgumentError(
-                f"rank {r} out of range for layer {layer.name!r} "
-                f"({layer.out_features}x{layer.in_features})"
             )
         layer.adapter.a.data[:] = 0.0
 
@@ -206,7 +195,8 @@ def init_gradient_svd(model, probe: ProbeBatch, r: int, *,
     grads = tape.backward(loss_id)
 
     pairs = []
-    for layer in layers:
+    for layer in model.layers:
+        r = layer.rank
         dy = grads[layer.last_nodes["out"]]
         x = tape.value(layer.last_nodes["in"])
         n_elems = layer.out_features * layer.in_features
@@ -227,15 +217,14 @@ def init_gradient_svd(model, probe: ProbeBatch, r: int, *,
                 "rank": r,
                 "grad_norm": mx.frobenius_norm(dw),
                 "projection_residual": projection_residual(dw, b),
-                "singular_tail": _tail(result.s, r),
+                "singular_tail": mx.l2_norm(result.s[r:]),
             })
         dw = result = None
         if gauge is not None:
             gauge.free(n_elems)
-        pair = AdapterPair(a=mx.zeros(layer.out_features, r), b=b,
-                           alpha=layer.adapter.alpha)
-        layer.adapter = pair
-        pairs.append(pair)
+        layer.adapter = AdapterPair(a=mx.zeros(layer.out_features, r), b=b,
+                                    alpha=layer.adapter.alpha)
+        pairs.append(layer.adapter)
     return pairs
 
 
@@ -248,10 +237,7 @@ def apply_init(model, spec: InitSpec, probe: Optional[ProbeBatch] = None):
                 for i, layer in enumerate(model.layers)]
     if probe is None:
         raise ArgumentError("gradient_svd initialization requires a probe batch")
-    ranks = {layer.rank for layer in model.layers}
-    if len(ranks) != 1:
-        raise ArgumentError(f"layers disagree on rank: {sorted(ranks)}")
-    return init_gradient_svd(model, probe, r=ranks.pop())
+    return init_gradient_svd(model, probe)
 
 
 @dataclass
@@ -311,11 +297,10 @@ def first_step_update_check(layer: AdaptedLayer, probe: ProbeBatch,
     gap = mx.frobenius_norm(mx.sub(actual, predicted))
     update_residual = 0.0 if grad_norm == 0.0 else gap / grad_norm
 
-    r = work.rank
     return UpdateCheckReport(
         update_residual=update_residual,
         projection_residual=projection_residual(dw, b),
-        singular_tail=singular_tail(dw, r),
+        singular_tail=singular_tail(dw, work.rank),
         grad_norm=grad_norm,
         loss=loss,
     )

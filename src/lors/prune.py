@@ -46,14 +46,11 @@ class CalibrationBatch:
 
 @dataclass
 class SparseWeight:
-    """Pruned weight values plus a descriptor of how they were produced.
-
-    pattern is "unstructured" (with the removal ratio) or "two_four".
-    """
+    """Pruned weight values and their sparsity pattern, "unstructured" or
+    "two_four"."""
 
     values: DenseMatrix
     pattern: str = "unstructured"
-    ratio: float = 0.0
     _mask: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -153,7 +150,7 @@ def _activation_scores(w: DenseMatrix, calib: CalibrationBatch) -> np.ndarray:
     return scores
 
 
-def _pruned(w: DenseMatrix, keep, pattern: str, ratio: float = 0.0) -> SparseWeight:
+def _pruned(w: DenseMatrix, keep, pattern: str) -> SparseWeight:
     """W with the entries outside the bool ``keep`` set to zero, in one multiply.
 
     A removed negative entry becomes -0.0, which ``SparseWeight`` normalizes.
@@ -161,7 +158,7 @@ def _pruned(w: DenseMatrix, keep, pattern: str, ratio: float = 0.0) -> SparseWei
     is wrapped, not scanned again; it is C-ordered whatever W's layout.
     """
     out = np.multiply(w.data, keep, order="C")
-    return SparseWeight(DenseMatrix._wrap(out), pattern=pattern, ratio=ratio)
+    return SparseWeight(DenseMatrix._wrap(out), pattern=pattern)
 
 
 def prune_magnitude(w: DenseMatrix, ratio: float) -> SparseWeight:
@@ -172,7 +169,7 @@ def prune_magnitude(w: DenseMatrix, ratio: float) -> SparseWeight:
     keep = True
     if n_remove:
         keep = ~_lowest(np.abs(w.data).reshape(1, -1), n_remove).reshape(w.data.shape)
-    return _pruned(w, keep, "unstructured", ratio)
+    return _pruned(w, keep, "unstructured")
 
 
 def prune_activation_scaled(w: DenseMatrix, calib: CalibrationBatch, ratio: float) -> SparseWeight:
@@ -187,7 +184,7 @@ def prune_activation_scaled(w: DenseMatrix, calib: CalibrationBatch, ratio: floa
     scores = _activation_scores(w, calib)
     n_remove = int(ratio * w.cols)
     keep = ~_lowest(scores, n_remove) if n_remove else True
-    return _pruned(w, keep, "unstructured", ratio)
+    return _pruned(w, keep, "unstructured")
 
 
 def prune_two_four(w: DenseMatrix, score: str = "magnitude",

@@ -25,7 +25,7 @@ from . import matrix as mx
 from .matrix import DenseMatrix, Rng
 from .prune import SparseWeight, prune_magnitude
 from .tape import CostCounters, Tape
-from .adapters import VARIANTS, AdaptedLayer, apply_layer, make_layer
+from .adapters import apply_layer, make_layer
 from .initialization import InitSpec, ProbeBatch, apply_init, record_loss
 
 OPTIMIZERS = ("sgd", "adaptive")
@@ -34,21 +34,20 @@ CSV_HEADER = "step,loss,macs_fwd,macs_bwd,saved_peak"
 
 
 class ToyModel:
-    """Adapted layers with ReLU between them and a regression or K-way head."""
+    """Adapted layers with ReLU between them. The layers own their variant,
+    rank and alpha; the data's loss kind ("regression" or "classification")
+    picks the head in ``forward_loss``."""
 
-    def __init__(self, layers, head: str = "regression"):
+    def __init__(self, layers):
         layers = list(layers)
         if not layers:
             raise ArgumentError("model needs at least one layer")
-        if head not in ("regression", "classification"):
-            raise ArgumentError(f"unknown head {head!r}")
         for prev, nxt in zip(layers, layers[1:]):
             if nxt.in_features != prev.out_features:
                 raise ShapeError(
                     f"layer shapes do not compose: {prev.out_features} -> {nxt.in_features}"
                 )
         self.layers = layers
-        self.head = head
 
     @property
     def in_features(self) -> int:
@@ -129,6 +128,10 @@ class OptimState:
 
     (b1, b2, eps = ``BETA1``, ``BETA2``, ``EPS``; sgd: p = p - lr g), so the
     result is bitwise equal to it.
+
+    The first ``apply`` fixes the layout ((name, shape) of each parameter, in
+    order) and zeroes the moments; a later call with another layout raises
+    ShapeError before anything moves.
     """
 
     kind: str = "sgd"
@@ -145,13 +148,12 @@ class OptimState:
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ArgumentError(f"lr must be finite and nonnegative, got {self.lr}")
 
-    def _plan(self, layout: tuple) -> tuple[list, dict, dict]:
-        """Runs for ``layout`` ((name, shape) pairs) plus their m and v views.
+    def _plan(self, layout: tuple) -> list:
+        """Runs for ``layout`` ((name, shape) pairs), with zeroed moments.
 
         A run is (members, m, v): (name, start, stop, shape) per member, and
-        the run's flat moments (None for sgd). Surviving names keep their
-        moments and new names start at zero; a name whose shape changed raises
-        ShapeError. Nothing is committed.
+        the run's flat moments (None for sgd); ``m`` and ``v`` map each member
+        to its view of them.
         """
         groups, size = [], 0
         for name, shape in layout:
@@ -161,22 +163,16 @@ class OptimState:
                 size = 0
             groups[-1].append((name, size, size + n, shape))
             size += n
-        runs, m_views, v_views = [], {}, {}
+        runs = []
         for members in groups:
             m = v = None
             if self.kind == "adaptive":
                 m, v = np.zeros(members[-1][2]), np.zeros(members[-1][2])
                 for name, start, stop, shape in members:
-                    for flat, old, views in ((m, self.m, m_views), (v, self.v, v_views)):
-                        view = flat[start:stop].reshape(shape)
-                        if name in old:
-                            if old[name].shape != shape:
-                                raise ShapeError(f"optimizer buffer {name} has shape "
-                                                 f"{old[name].shape}, parameter {shape}")
-                            view[...] = old[name]
-                        views[name] = view
+                    self.m[name] = m[start:stop].reshape(shape)
+                    self.v[name] = v[start:stop].reshape(shape)
             runs.append((members, m, v))
-        return runs, m_views, v_views
+        return runs
 
     def apply(self, params: dict[str, DenseMatrix], grads: dict[str, DenseMatrix]) -> None:
         """One update of every parameter from its gradient.
@@ -187,11 +183,12 @@ class OptimState:
         ``step_count`` keep their values.
         """
         layout = tuple(zip(params, map(operator.attrgetter("data.shape"), params.values())))
-        if layout == self._layout:
-            runs = self._runs
-        else:
-            runs, m_views, v_views = self._plan(layout)
-        flat = []
+        if self._layout is None:
+            self._layout, self._runs = layout, self._plan(layout)
+        elif layout != self._layout:
+            raise ShapeError(f"optimizer layout is fixed at the first update: "
+                             f"planned {self._layout}, got {layout}")
+        runs, flat = self._runs, []
         for members, _, _ in runs:
             gs = [grads[name].data for name, *_ in members]
             flat.append(gs[0].reshape(-1) if len(gs) == 1 else np.concatenate(gs, axis=None))
@@ -202,8 +199,6 @@ class OptimState:
                     except NumericError as exc:
                         exc.layer = name
                         raise
-        if runs is not self._runs:
-            self._layout, self._runs, self.m, self.v = layout, runs, m_views, v_views
         self.step_count += 1
         b1, b2, lr = BETA1, BETA2, self.lr
         c1 = 1.0 - b1 ** self.step_count
@@ -235,7 +230,6 @@ class TrainConfig:
     batch_size: int = 32
     lr: float = 2e-5
     optimizer: str = "sgd"
-    variant: str = "lors"
     init: InitSpec = field(default_factory=InitSpec)
     seed: int = 0
 
@@ -245,8 +239,6 @@ class TrainConfig:
         if self.batch_size < 1:
             raise ArgumentError(f"batch_size must be positive, got {self.batch_size}")
         make_optimizer(self)  # rejects a bad optimizer kind or lr up front
-        if self.variant not in VARIANTS:
-            raise ArgumentError(f"unknown variant {self.variant!r}")
 
 
 class Dataset(ProbeBatch):
@@ -380,8 +372,7 @@ def random_dense_weights(seed: int, dims) -> list[DenseMatrix]:
     return weights
 
 
-def model_from_weights(weights, variant: str, rank: int, prune_ratio: float = 0.0,
-                       head: str = "regression") -> ToyModel:
+def model_from_weights(weights, variant: str, rank: int, prune_ratio: float = 0.0) -> ToyModel:
     """Wrap dense weights as (optionally pruned) frozen bases with fresh
     zero adapters (alpha 2 for the pair variants)."""
     layers = []
@@ -391,7 +382,7 @@ def model_from_weights(weights, variant: str, rank: int, prune_ratio: float = 0.
         else:
             base = SparseWeight(w.copy())
         layers.append(make_layer(base, rank=rank, variant=variant, name=f"layers.{i}"))
-    return ToyModel(layers, head=head)
+    return ToyModel(layers)
 
 
 def make_teacher_data(teacher: ToyModel, seed: int, n: int,
@@ -478,8 +469,7 @@ def run_recovery(seed: int, variant: str, init: InitSpec, steps: int = 500) -> R
     val_pruned = evaluate(student, val_data)["loss"]
 
     config = TrainConfig(steps=steps, batch_size=32, lr=3e-4,
-                         optimizer="adaptive", variant=variant, init=init,
-                         seed=seed)
+                         optimizer="adaptive", init=init, seed=seed)
     finetune(student, train_data, config)
     val_final = evaluate(student, val_data)["loss"]
     return RecoveryResult(seed=seed, variant=variant, val_dense=val_dense,

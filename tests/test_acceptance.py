@@ -256,7 +256,6 @@ def test_criterion_05_sparsity_preservation():
     for variant in ALL_VARIANTS:
         student = model_from_weights(weights, variant, rank=2, prune_ratio=0.5)
         config = TrainConfig(steps=200, batch_size=16, lr=1e-2, optimizer="sgd",
-                             variant=variant,
                              init=InitSpec("zero_A_random_B", seed=0), seed=0)
         finetune(student, data, config)
         for layer in student.layers:
@@ -374,7 +373,6 @@ def test_criterion_10_frozen_base_and_determinism():
     teacher = model_from_weights(weights, "lors", rank=2)
     data = make_teacher_data(teacher, seed=4, n=96)
     config = TrainConfig(steps=40, batch_size=16, lr=1e-2, optimizer="adaptive",
-                         variant="lors",
                          init=InitSpec("zero_A_random_B", seed=3), seed=3)
 
     student = model_from_weights(weights, "lors", rank=2, prune_ratio=0.5)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,11 +8,13 @@ from lors import adapters, matrix as mx
 from lors.adapters import (
     COST_MODELS,
     FAULT_INJECTION,
+    SPP_VARIANTS,
     VARIANTS,
     AdaptedLayer,
     AdapterPair,
     SppAdapter,
     apply_layer,
+    check_rank,
     counted_saved,
     make_layer,
     merge,
@@ -439,6 +443,40 @@ def test_predict_cost_validation():
         predict_cost("lora", 0, 4, 4, 1)
     with pytest.raises(ArgumentError):
         predict_cost("lora", 4, 4, 4, 0)
+
+
+def test_predict_cost_accepts_exactly_the_shapes_a_layer_can_have():
+    """Over every variant, R and C in 1..5 and r in 1..6, predict_cost raises
+    the error that building the layer raises, or none when the layer builds.
+    The rank check they share allocates nothing when it passes: its traced
+    peak is no higher than that of a function that does nothing."""
+    passing = [(True, 4096, 4096, 64), (False, 4096, 4096, 64)]
+    for variant in VARIANTS:
+        for R in range(1, 6):
+            for C in range(1, 6):
+                for r in range(1, 7):
+                    try:
+                        make_layer(SparseWeight(DenseMatrix(np.ones((R, C)))), r, variant)
+                    except ArgumentError as exc:
+                        with pytest.raises(ArgumentError) as info:
+                            predict_cost(variant, R, C, 3, r)
+                        assert str(info.value) == str(exc), (variant, R, C, r)
+                    else:
+                        predict_cost(variant, R, C, 3, r)
+                        passing.append((variant in SPP_VARIANTS, R, C, r))
+
+    def traced_peak(check):
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        for args in passing:
+            check(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+
+    tracemalloc.start()
+    try:
+        assert traced_peak(check_rank) <= traced_peak(lambda *args: None)
+    finally:
+        tracemalloc.stop()
 
 
 def test_lors_costs_dominate_at_realistic_shapes():

@@ -1,6 +1,5 @@
 import functools
 import importlib.util
-import inspect
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +15,11 @@ from lors.bench import (
     run_variant_bench,
 )
 from lors.errors import ArgumentError
-from lors.initialization import init_gradient_svd
+from lors.initialization import MemoryGauge, ProbeBatch, init_gradient_svd
 from lors.matrix import DenseMatrix, Rng
 from lors.prune import two_four_valid
 from lors.tape import Tape
+from lors.train import model_from_weights, random_dense_weights
 
 
 def test_fd_grad_quadratic():
@@ -106,8 +106,11 @@ def test_random_sparse_base_patterns():
 
 
 def test_every_name_the_perfbench_spans_read_resolves_in_lors():
-    """perfbench/spans.py wraps and reads these program names by string; a
-    deletion or rename in lors would break the benchmark, not a test of its own."""
+    """perfbench/spans.py wraps and reads these program names by string, and
+    its gradient-SVD hook hands ``init_gradient_svd`` a ``MemoryGauge`` by
+    keyword when a call has at most 5 positional arguments; a deletion,
+    rename or signature change in lors would break the benchmark, not a test
+    of its own."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -119,5 +122,11 @@ def test_every_name_the_perfbench_spans_read_resolves_in_lors():
         assert callable(target), name
     for attr in ("counted_saved", "predict_cost", "VARIANTS"):  # read by the layer hooks
         assert hasattr(spans.adapters, attr), attr
-    assert "gauge" in inspect.signature(init_gradient_svd).parameters
+    # layers 4x6 (24 elements) and 8x4 (32): the gauge peaks at the larger dW
+    model = model_from_weights(random_dense_weights(0, (6, 4, 8)), "lors", rank=2)
+    args, kwargs = (model, ProbeBatch(Rng(1).normal_matrix(6, 8), Rng(2).normal_matrix(8, 8))), {}
+    gauge = spans._gradient_svd_before(None, args, kwargs)
+    assert isinstance(gauge, MemoryGauge) and kwargs == {"gauge": gauge}
+    init_gradient_svd(*args, **kwargs)
+    assert (gauge.peak, gauge.current) == (32, 0)
     assert Tape().saved_ctx.peak == 0

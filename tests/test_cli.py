@@ -129,11 +129,21 @@ _MALFORMED = [
      "repeats must be positive"),
     (["bench", "--predict-only", "--repeats", "0", "--shapes", "4,4,4,1", "--variants", "lors"],
      None, EXIT_IO, "--repeats must be positive"),
+    # a shape no layer of the variant can have fails with or without measuring
+    *[(["bench", *flag, "--shapes", shape, *variants], None, EXIT_IO, message)
+      for flag in ([], ["--predict-only"])
+      for shape, variants, message in (
+          ("4,4,4,8", [], "rank 8 must satisfy 1 <= r <= min(4, 4)"),
+          ("4,6,4,4", ["--variants", "spp"], "spp rank 4 must divide the input width 6"))],
     (["bench", "--variants", ""], None, EXIT_IO, "no variant named"),
     (["bench", "--variants", ","], None, EXIT_IO, "no variant named"),
     (["bench", "--variants", "lors,nope"], None, EXIT_IO, "unknown variant 'nope'"),
     (["train", "--ckpt", "missing.lors", "--out", "o.lors", "--rank", "0"], None,
      EXIT_IO, "--rank must be >= 1, got 0"),
+    *[(["train", "--ckpt", "missing.lors", "--out", "o.lors", "--variant", variant,
+        "--init", "gradient_svd"], None, EXIT_IO,
+       f"--init gradient_svd needs a low-rank pair variant, not '{variant}'")
+      for variant in ("spp", "spp_gc")],
     (["init-inspect", "--ckpt", "missing.lors", "--rank", "-1"], None,
      EXIT_IO, "--rank must be >= 1, got -1"),
     (["train", "--ckpt", "missing.lors", "--out", "o.lors", "--samples", "0"], None,

@@ -19,7 +19,7 @@ from lors.initialization import (
     singular_tail,
 )
 from lors.matrix import DenseMatrix, Rng
-from lors.prune import SparseWeight
+from lors.prune import SparseWeight, prune_magnitude
 from lors.svd import svd
 from lors.tape import Tape
 from lors.train import ToyModel, model_from_weights, random_dense_weights
@@ -54,7 +54,7 @@ def test_fit_rank_r_scale():
     dws = [mx.matmul(grads[layer.last_nodes["out"]],
                      mx.transpose(tape.value(layer.last_nodes["in"])))
            for layer in model.layers]
-    init_gradient_svd(model, probe, r=2)
+    init_gradient_svd(model, probe)
     for layer, dw in zip(model.layers, dws):
         assert np.array_equal(layer.adapter.b.data, fit_rank_r_rows(dw, 2).data)
 
@@ -115,7 +115,7 @@ def test_gradient_svd_sets_b_from_first_gradient():
     model = make_model(dims=(6, 5, 4))
     probe = make_probe(model)
     diagnostics = []
-    init_gradient_svd(model, probe, r=2, diagnostics=diagnostics)
+    init_gradient_svd(model, probe, diagnostics=diagnostics)
     for layer, diag in zip(model.layers, diagnostics):
         assert np.all(layer.adapter.a.data == 0.0)
         assert np.allclose(layer.adapter.b.data @ layer.adapter.b.data.T,
@@ -135,7 +135,7 @@ def test_gradient_svd_diagnostics_take_one_svd_per_layer(monkeypatch):
     monkeypatch.setattr("lors.initialization.svd", counting_svd)
     model = make_model(dims=(6, 5, 4))
     diagnostics = []
-    init_gradient_svd(model, make_probe(model), r=2, diagnostics=diagnostics)
+    init_gradient_svd(model, make_probe(model), diagnostics=diagnostics)
     assert calls == [(5, 6), (4, 5)]
     assert len(diagnostics) == 2
 
@@ -145,21 +145,40 @@ def test_gradient_svd_memory_gauge_peaks_at_largest_layer():
     model = make_model(dims=(6, 4, 8))
     probe = make_probe(model)
     gauge = MemoryGauge()
-    init_gradient_svd(model, probe, r=2, gauge=gauge)
+    init_gradient_svd(model, probe, gauge=gauge)
     assert gauge.peak == 32
     assert gauge.current == 0
 
 
 def test_gradient_svd_rank_bounds_and_spp_rejection():
-    model = make_model(dims=(6, 5, 4))
-    probe = make_probe(model)
+    # the rank is the layer's, bounded where the layer is built
     with pytest.raises(ArgumentError):
-        init_gradient_svd(model, probe, r=0)
-    with pytest.raises(ArgumentError):
-        init_gradient_svd(model, probe, r=5)  # exceeds min(5, 6)? layer 2 is 4x5
+        make_model(dims=(6, 5, 4), rank=0)
+    with pytest.raises(ArgumentError, match=r"rank 5 must satisfy 1 <= r <= min\(4, 5\)"):
+        make_model(dims=(6, 5, 4), rank=5)  # the second layer is 4x5
     spp_model = make_model(variant="spp", dims=(6, 6, 6), rank=2)
-    with pytest.raises(ArgumentError):
-        init_gradient_svd(spp_model, make_probe(spp_model), r=2)
+    with pytest.raises(ArgumentError, match="requires a low-rank pair adapter"):
+        init_gradient_svd(spp_model, make_probe(spp_model))
+
+
+def test_gradient_svd_takes_each_layers_own_rank():
+    """apply_init over layers of ranks (3, 2): each B is the top rows of its
+    layer's first-step dW at that layer's rank, and each A is zero."""
+    weights = random_dense_weights(4, (6, 5, 4))
+    model = ToyModel([make_layer(prune_magnitude(w, 0.5), rank=r, variant="lors",
+                                 name=f"layers.{i}")
+                      for i, (w, r) in enumerate(zip(weights, (3, 2)))])
+    probe = make_probe(model, seed=5)
+    tape = Tape()
+    grads = tape.backward(model.forward_loss(tape, probe))
+    dws = [mx.matmul(grads[layer.last_nodes["out"]],
+                     mx.transpose(tape.value(layer.last_nodes["in"])))
+           for layer in model.layers]
+    apply_init(model, InitSpec("gradient_svd"), probe=probe)
+    for layer, dw, r in zip(model.layers, dws, (3, 2)):
+        assert layer.rank == r and layer.adapter.b.shape == (r, layer.in_features)
+        assert np.array_equal(layer.adapter.b.data, fit_rank_r_rows(dw, r).data)
+        assert np.array_equal(layer.adapter.a.data, np.zeros((layer.out_features, r)))
 
 
 def test_apply_init_dispatch():
@@ -259,7 +278,7 @@ def test_first_step_identity_dense_base():
                            targets=rng.normal_matrix(6, 8, 0.0, 1.0))
         # give B a meaningful row space first
         model = ToyModel([layer])
-        init_gradient_svd(model, probe, r=2)
+        init_gradient_svd(model, probe)
         report = first_step_update_check(layer, probe, lr=1e-3)
         assert report.update_residual <= 1e-8
         assert report.grad_norm > 0.0
@@ -271,7 +290,7 @@ def test_first_step_identity_alpha_one():
     rng = Rng(99)
     probe = ProbeBatch(inputs=rng.normal_matrix(6, 8, 0.0, 1.0),
                        targets=rng.normal_matrix(6, 8, 0.0, 1.0))
-    init_gradient_svd(ToyModel([layer]), probe, r=2)
+    init_gradient_svd(ToyModel([layer]), probe)
     report = first_step_update_check(layer, probe, lr=1e-2)
     assert report.update_residual <= 1e-8
 
@@ -290,7 +309,7 @@ def test_first_step_check_leaves_layer_untouched():
     rng = Rng(12)
     probe = ProbeBatch(inputs=rng.normal_matrix(6, 8, 0.0, 1.0),
                        targets=rng.normal_matrix(6, 8, 0.0, 1.0))
-    init_gradient_svd(ToyModel([layer]), probe, r=2)
+    init_gradient_svd(ToyModel([layer]), probe)
     a0 = layer.adapter.a.data.copy()
     b0 = layer.adapter.b.data.copy()
     w0 = layer.base.values.data.copy()
