@@ -188,6 +188,7 @@ class AdaptedLayer:
 def zero_adapter(variant: str, rows: int, cols: int, rank: int, alpha: float = 2.0):
     """Zeroed factors (A = 0, B = 0) for a rows x cols layer of ``variant``:
     an SppAdapter for spp and spp_gc (which have no alpha), else an AdapterPair."""
+    check_rank(variant in SPP_VARIANTS, rows, cols, rank)
     if variant in SPP_VARIANTS:
         return SppAdapter(a=mx.zeros(rows, rank), b=mx.zeros(1, cols))
     return AdapterPair(a=mx.zeros(rows, rank), b=mx.zeros(rank, cols), alpha=alpha)
@@ -214,18 +215,21 @@ class _Context:
 
     ``saved`` is exactly the counted saved-for-backward set; ``graph`` holds
     spp's recorded tape and its (x, a, b, y) node ids, and is None elsewhere.
+    ``consume`` hands both to the backward, a graph's saved set inside the
+    graph alone, and keeps nothing, so they die as that backward runs.
     """
 
     layer: AdaptedLayer
     x: DenseMatrix
-    saved: list
+    saved: Optional[list]
     graph: Optional[tuple] = None
-    consumed: bool = False
 
-    def consume(self):
-        if self.consumed:
+    def consume(self) -> "_Context":
+        if self.saved is None:
             raise GraphError("backward context already consumed")
-        self.consumed = True
+        taken = _Context(self.layer, self.x, None if self.graph else self.saved, self.graph)
+        self.saved = self.graph = None
+        return taken
 
 
 def merged_weight(w: DenseMatrix, a: DenseMatrix, b: DenseMatrix, alpha: float,
@@ -453,7 +457,7 @@ def _lors_backward(ctx: _Context, grad_y: DenseMatrix, counters):
 
 def _graph_grads(tape: Tape, ids: tuple, grad_y: DenseMatrix):
     x_id, a_id, b_id, y_id = ids
-    grads = tape.backward(y_id, seed=grad_y)
+    grads = tape.backward(y_id, (x_id, a_id, b_id), seed=grad_y)
     return grads[a_id], grads[b_id], grads[x_id]
 
 
@@ -502,11 +506,22 @@ def variant_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
     return _FORWARD[layer.variant](layer, x, counters)
 
 
+def checked_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
+    """variant_forward, then a finiteness check; a NumericError names the layer."""
+    try:
+        y, ctx = variant_forward(layer, x, counters)
+        mx.check_finite(y.data, "output")
+    except NumericError as exc:
+        exc.layer = layer.name
+        raise
+    return y, ctx
+
+
 def variant_backward(layer: AdaptedLayer, grad_y: DenseMatrix, ctx, counters=None) -> VariantGrads:
     """Consume ctx once, check dY, and run the variant's backward body with
     the counters in the backward phase (switched here unless a tape backward
     already did); dbias is the row sum of dY."""
-    ctx.consume()
+    ctx = ctx.consume()
     want = (ctx.layer.base.values.data.shape[0], ctx.x.data.shape[1])
     if grad_y.data.shape != want:
         raise ShapeError(f"gradient must be {want[0]}x{want[1]}, got {grad_y.rows}x{grad_y.cols}")
@@ -532,12 +547,7 @@ def apply_layer(tape: Tape, layer: AdaptedLayer, x_id: int) -> int:
     params = {key: tape.leaf(m, requires_grad=True, is_param=True)
               for key, m in layer.trainable().items()}
     inputs = (x_id, *params.values())
-    try:
-        y, ctx = variant_forward(layer, x, tape.counters)
-        mx.check_finite(y.data, "output")
-    except NumericError as exc:
-        exc.layer = layer.name
-        raise
+    y, ctx = checked_forward(layer, x, tape.counters)
     c = tape.counters
 
     def bwd(dy):

@@ -189,7 +189,7 @@ def run_variant_bench(variant: str, R: int, C: int, L: int, r: int,
         x_id = tape.leaf(x, requires_grad=True)
         y_id = apply_layer(tape, layer, x_id)
         loss_id = tape.sum_all(y_id)
-        tape.backward(loss_id)
+        tape.backward(loss_id, ())
         times.append(time.perf_counter() - start)
         snapshot = (counters.macs_forward, counters.macs_backward,
                     counters.saved_elements)

@@ -192,13 +192,13 @@ def init_gradient_svd(model, probe: ProbeBatch, *,
 
     tape = Tape()
     loss_id = model.forward_loss(tape, probe)
-    grads = tape.backward(loss_id)
+    xs = [tape.value(layer.last_nodes["in"]) for layer in model.layers]
+    grads = tape.backward(loss_id, [layer.last_nodes["out"] for layer in model.layers])
 
     pairs = []
-    for layer in model.layers:
+    for layer, x in zip(model.layers, xs):
         r = layer.rank
         dy = grads[layer.last_nodes["out"]]
-        x = tape.value(layer.last_nodes["in"])
         n_elems = layer.out_features * layer.in_features
         if gauge is not None:
             gauge.alloc(n_elems)
@@ -281,7 +281,7 @@ def first_step_update_check(layer: AdaptedLayer, probe: ProbeBatch,
     y_id = tape.leaf(y, requires_grad=True)
     loss_id = record_loss(tape, y_id, probe)
     loss = float(tape.value(loss_id).data[0, 0])
-    dy = tape.backward(loss_id)[y_id]
+    dy = tape.backward(loss_id, (y_id,))[y_id]
     grads = variant_backward(work, dy, ctx)
 
     work.adapter.a.data[:] -= lr * grads.da.data

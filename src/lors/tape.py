@@ -3,8 +3,9 @@
 A ``Tape`` records a forward computation as a list of nodes. Each node holds
 its output value, the ids of its inputs, a backward closure, and the list of
 tensors it saved for the backward pass. ``backward`` walks the nodes in
-reverse recording order exactly once, accumulating gradients for every node
-that participates in the loss (fan-out sums in tape order). A tape can be
+reverse recording order exactly once (fan-out sums in tape order), returns
+only the gradients it is asked for, and frees each node's closure, saved
+tensors, value and gradient once its closure has run. A tape can be
 differentiated once: after ``backward`` starts, ``backward``, ``record``,
 ``leaf`` and every op raise GraphError, an op before it computes or tallies
 anything.
@@ -89,7 +90,7 @@ class SavedContext:
 @dataclass(slots=True)
 class TapeNode:
     id: int
-    value: DenseMatrix
+    value: Optional[DenseMatrix]  # None once its backward has run
     inputs: tuple[int, ...]
     backward_fn: Optional[Callable]
     saved: tuple[DenseMatrix, ...] = ()
@@ -153,13 +154,16 @@ class Tape:
 
     # -- differentiation ----------------------------------------------------
 
-    def backward(self, loss_id: int, seed: Optional[DenseMatrix] = None) -> dict[int, DenseMatrix]:
-        """Reverse pass from loss_id; returns node id -> gradient.
+    def backward(self, loss_id: int, wanted, seed: Optional[DenseMatrix] = None) -> dict:
+        """Reverse pass from loss_id; returns node id -> gradient for each id
+        in ``wanted`` that receives one.
 
         Without an explicit seed the loss must be a 1x1 scalar and is seeded
         with 1.0. Each node's backward closure runs at most once, and never
         for a node that needs no gradient (``record`` dropped it); gradients
-        fan in by summation in reverse tape order.
+        fan in by summation in reverse tape order. Once a node's closure has
+        run, the node drops it, its saved tensors and its value, and its
+        gradient is kept only if wanted: read any value before backward.
         """
         if self.consumed:
             raise GraphError("backward on a consumed tape")
@@ -174,20 +178,24 @@ class Tape:
             raise ShapeError(f"backward: seed shape {seed.rows}x{seed.cols} does not match "
                              f"node shape {loss.rows}x{loss.cols}")
         self.consumed = True
+        wanted, kept = set(wanted), {}
         grads: dict[int, DenseMatrix] = {loss_id: seed}
         with self.counters.backward_phase():
             for node in reversed(self.nodes[: loss_id + 1]):
-                if node.id not in grads or node.backward_fn is None:
+                dy = grads.pop(node.id, None)
+                if dy is None:
                     continue
-                input_grads = node.backward_fn(grads[node.id])
-                for inp_id, g in zip(node.inputs, input_grads):
-                    if g is None:
-                        continue
-                    if inp_id in grads:
-                        grads[inp_id] = mx.add(grads[inp_id], g, self.counters)
-                    else:
-                        grads[inp_id] = g
-        return grads
+                if node.id in wanted:
+                    kept[node.id] = dy
+                fn = node.backward_fn
+                if fn is None:
+                    continue
+                node.backward_fn, node.value, node.saved = None, None, ()
+                for inp_id, g in zip(node.inputs, fn(dy)):
+                    if g is not None:
+                        grads[inp_id] = (mx.add(grads[inp_id], g, self.counters)
+                                         if inp_id in grads else g)
+        return kept
 
     # -- primitive differentiable ops ----------------------------------------
 
@@ -208,6 +216,7 @@ class Tape:
             saved.append(b)
         if need_db and not a_node.is_param:
             saved.append(a)
+        a, b = (a if need_db else None), (b if need_da else None)  # only what bwd reads
 
         def bwd(dy):
             return (grad_a(dy, b, c) if need_da else None,

@@ -25,7 +25,7 @@ from . import matrix as mx
 from .matrix import DenseMatrix, Rng
 from .prune import SparseWeight, prune_magnitude
 from .tape import CostCounters, Tape
-from .adapters import apply_layer, make_layer
+from .adapters import apply_layer, checked_forward, make_layer
 from .initialization import InitSpec, ProbeBatch, apply_init, record_loss
 
 OPTIMIZERS = ("sgd", "adaptive")
@@ -65,8 +65,11 @@ class ToyModel:
 
     def forward_loss(self, tape: Tape, probe: ProbeBatch) -> int:
         """Record the forward pass plus the probe's loss; returns the loss node."""
-        x_id = tape.leaf(probe.inputs)
-        loss_id = record_loss(tape, self.forward(tape, x_id), probe)
+        return self._record_loss(tape, self.forward(tape, tape.leaf(probe.inputs)), probe)
+
+    def _record_loss(self, tape: Tape, y_id: int, probe: ProbeBatch) -> int:
+        """Record the probe's loss of output y_id; NumericError names the last layer."""
+        loss_id = record_loss(tape, y_id, probe)
         try:
             mx.check_finite(tape.value(loss_id).data, "loss")
         except NumericError as exc:
@@ -82,16 +85,13 @@ class ToyModel:
         return {f"layers.{i}.{key}": m for i, layer in enumerate(self.layers)
                 for key, m in layer.trainable().items()}
 
-    def gather_grads(self, grads: dict[int, DenseMatrix]) -> dict[str, DenseMatrix]:
-        """Map a tape gradient dict onto parameter names via each layer's node ids."""
-        out = {}
-        for i, layer in enumerate(self.layers):
-            ids = layer.last_nodes
-            out[f"layers.{i}.a"] = grads[ids["a"]]
-            out[f"layers.{i}.b"] = grads[ids["b"]]
-            if ids.get("bias") is not None:
-                out[f"layers.{i}.bias"] = grads[ids["bias"]]
-        return out
+    def param_grads(self, tape: Tape, loss_id: int) -> dict[str, DenseMatrix]:
+        """Run the tape's backward from loss_id, keeping only the gradients of
+        the parameters, named via each layer's node ids."""
+        ids = {f"layers.{i}.{key}": node for i, layer in enumerate(self.layers)
+               for key, node in layer.last_nodes.items() if key not in ("in", "out")}
+        grads = tape.backward(loss_id, ids.values())
+        return {name: grads[node] for name, node in ids.items()}
 
     def base_hash(self) -> str:
         """SHA-256 over the frozen base weight bytes, for the frozen-base check."""
@@ -282,11 +282,12 @@ def _run_step(model: ToyModel, batch: ProbeBatch, optim: OptimState,
     tape, step = Tape(counters=counters), optim.step_count
     try:
         loss_id = model.forward_loss(tape, batch)
-        optim.apply(model.named_trainable(), model.gather_grads(tape.backward(loss_id)))
+        loss = float(tape.value(loss_id).data[0, 0])
+        optim.apply(model.named_trainable(), model.param_grads(tape, loss_id))
     except NumericError as exc:
         exc.step = step
         raise
-    return float(tape.value(loss_id).data[0, 0]), tape.saved_ctx.peak
+    return loss, tape.saved_ctx.peak
 
 
 def train_step(model: ToyModel, batch: ProbeBatch, optim: OptimState,
@@ -348,12 +349,17 @@ def finetune(model: ToyModel, dataset: Dataset, config: TrainConfig):
 
 def evaluate(model: ToyModel, dataset: Dataset) -> dict:
     """Deterministic metrics on the full dataset: loss, and accuracy for
-    classification (None for regression)."""
+    classification (None for regression). Forward only: each layer's saved
+    set dies with its pass, and only the loss is recorded, over the output."""
+    y = dataset.inputs
+    for i, layer in enumerate(model.layers):
+        if i:
+            y = mx.relu(y)
+        y = checked_forward(layer, y)[0]
     tape = Tape()
-    loss = float(tape.value(model.forward_loss(tape, dataset)).data[0, 0])
+    loss = float(tape.value(model._record_loss(tape, tape.leaf(y), dataset)).data[0, 0])
     if dataset.loss == "regression":
         return {"loss": loss, "accuracy": None}
-    y = tape.value(model.layers[-1].last_nodes["out"])
     accuracy = float(np.mean(np.argmax(y.data, axis=0) == dataset.targets))
     return {"loss": loss, "accuracy": accuracy}
 

@@ -234,7 +234,7 @@ def test_criterion_04_cost_formula_equality():
             tape = Tape(counters=counters)
             x_id = tape.leaf(DenseMatrix(np_rng.standard_normal((C, L))),
                              requires_grad=True)
-            tape.backward(tape.sum_all(apply_layer(tape, layer, x_id)))
+            tape.backward(tape.sum_all(apply_layer(tape, layer, x_id)), ())
             pred = predict_cost(variant, R, C, L, r)
             got = (counters.macs_forward, counters.macs_backward,
                    counters.saved_elements)

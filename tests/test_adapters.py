@@ -88,7 +88,7 @@ def test_frozen_counter_values_4_4_4_1():
         x_id = tape.leaf(x, requires_grad=True)
         y_id = apply_layer(tape, layer, x_id)
         loss = tape.sum_all(y_id)
-        tape.backward(loss)
+        tape.backward(loss, ())
         assert c.macs_forward == fwd, variant
         assert c.macs_backward == bwd, variant
         assert c.saved_elements == saved, variant
@@ -122,7 +122,7 @@ def test_counters_equal_cost_model_on_random_shapes():
         tape = Tape(c)
         x_id = tape.leaf(x, requires_grad=True)
         loss = tape.sum_all(apply_layer(tape, layer, x_id))
-        tape.backward(loss)
+        tape.backward(loss, ())
         pred = predict_cost(variant, R, C, L, r)
         tag = f"{variant} R={R} C={C} L={L} r={r}"
         assert c.macs_forward == pred.macs_forward, tag
@@ -153,7 +153,7 @@ def test_counters_equal_cost_model_on_edge_shapes(data):
     c = CostCounters()
     tape = Tape(c)
     x_id = tape.leaf(x, requires_grad=True)
-    tape.backward(tape.sum_all(apply_layer(tape, layer, x_id)))
+    tape.backward(tape.sum_all(apply_layer(tape, layer, x_id)), ())
     pred = predict_cost(variant, R, C, L, r)
     assert (c.macs_forward, c.macs_backward, c.saved_elements) == (
         pred.macs_forward, pred.macs_backward, pred.saved_elements)
@@ -479,6 +479,18 @@ def test_predict_cost_accepts_exactly_the_shapes_a_layer_can_have():
         tracemalloc.stop()
 
 
+@pytest.mark.parametrize("rank", [0, -2])
+@pytest.mark.parametrize("variant, message", [
+    ("lors", r"rank {} must satisfy 1 <= r <= min\(5, 4\)"),
+    ("spp", r"spp rank {} must divide the input width 4")], ids=["pair", "spp"])
+def test_make_layer_rejects_a_nonpositive_rank_by_the_rank_rule(variant, message, rank):
+    """A rank below 1 fails the rank rule's own check before any factor is
+    allocated, for the pair and the spp family alike."""
+    base = SparseWeight(DenseMatrix(np.ones((5, 4))))
+    with pytest.raises(ArgumentError, match=f"^{message.format(rank)}$"):
+        make_layer(base, rank, variant)
+
+
 def test_lors_costs_dominate_at_realistic_shapes():
     """Saved footprint: lors == spp_gc == CL, below every other variant; the
     backward reordering also beats sqft_gc whenever R, C >= 4r."""
@@ -526,8 +538,8 @@ def test_apply_layer_exposes_named_nodes_and_grads():
     x_id = tape.leaf(x, requires_grad=True)
     y_id = apply_layer(tape, layer, x_id)
     loss = tape.sum_all(y_id)
-    grads = tape.backward(loss)
     nodes = layer.last_nodes
+    grads = tape.backward(loss, (x_id, nodes["a"], nodes["b"], nodes["bias"]))
     assert {"in", "a", "b", "bias", "out"} <= set(nodes)
     # tape-level grads equal direct schedule grads with grad_y = ones
     _, ctx = variant_forward(layer, x)
@@ -655,8 +667,8 @@ def test_spp_backward_is_bitwise_the_tiled_graph(R, C, L, r, bias):
     tape = Tape(c)
     x_id = tape.leaf(DenseMatrix(x), requires_grad=True)
     y_id = apply_layer(tape, layer, x_id)
-    grads = tape.backward(y_id, seed=DenseMatrix(dy))
     ids = layer.last_nodes
+    grads = tape.backward(y_id, (x_id, *ids.values()), seed=DenseMatrix(dy))
     want, tallies = spp_tile_oracle(layer, x, dy)
     got = [g.data for g in (grads[ids["a"]], grads[ids["b"]], grads[x_id])]
     got.append(grads[ids["bias"]].data if bias else None)

@@ -50,10 +50,11 @@ def test_fit_rank_r_scale():
     model = make_model(seed=1)
     probe = make_probe(model, seed=2)
     tape = Tape()
-    grads = tape.backward(model.forward_loss(tape, probe))
-    dws = [mx.matmul(grads[layer.last_nodes["out"]],
-                     mx.transpose(tape.value(layer.last_nodes["in"])))
-           for layer in model.layers]
+    loss_id = model.forward_loss(tape, probe)
+    xs = [tape.value(layer.last_nodes["in"]) for layer in model.layers]
+    grads = tape.backward(loss_id, [layer.last_nodes["out"] for layer in model.layers])
+    dws = [mx.matmul(grads[layer.last_nodes["out"]], mx.transpose(x))
+           for layer, x in zip(model.layers, xs)]
     init_gradient_svd(model, probe)
     for layer, dw in zip(model.layers, dws):
         assert np.array_equal(layer.adapter.b.data, fit_rank_r_rows(dw, 2).data)
@@ -170,10 +171,11 @@ def test_gradient_svd_takes_each_layers_own_rank():
                       for i, (w, r) in enumerate(zip(weights, (3, 2)))])
     probe = make_probe(model, seed=5)
     tape = Tape()
-    grads = tape.backward(model.forward_loss(tape, probe))
-    dws = [mx.matmul(grads[layer.last_nodes["out"]],
-                     mx.transpose(tape.value(layer.last_nodes["in"])))
-           for layer in model.layers]
+    loss_id = model.forward_loss(tape, probe)
+    xs = [tape.value(layer.last_nodes["in"]) for layer in model.layers]
+    grads = tape.backward(loss_id, [layer.last_nodes["out"] for layer in model.layers])
+    dws = [mx.matmul(grads[layer.last_nodes["out"]], mx.transpose(x))
+           for layer, x in zip(model.layers, xs)]
     apply_init(model, InitSpec("gradient_svd"), probe=probe)
     for layer, dw, r in zip(model.layers, dws, (3, 2)):
         assert layer.rank == r and layer.adapter.b.shape == (r, layer.in_features)
@@ -227,7 +229,7 @@ def loss_and_grad(y, probe):
     tape = Tape()
     y_id = tape.leaf(DenseMatrix(y), requires_grad=True)
     loss_id = record_loss(tape, y_id, probe)
-    return float(tape.value(loss_id).data[0, 0]), tape.backward(loss_id)[y_id]
+    return float(tape.value(loss_id).data[0, 0]), tape.backward(loss_id, (y_id,))[y_id]
 
 
 def test_record_loss_regression():

@@ -45,7 +45,7 @@ def test_composed_graph_matches_finite_differences():
 
     tape = Tape()
     ids, loss_id = build(tape, x0)
-    grads = tape.backward(loss_id)
+    grads = tape.backward(loss_id, ids)
 
     def f(xv):
         t = Tape()
@@ -78,7 +78,7 @@ def test_every_primitive_against_finite_differences():
         i = t.leaf(DenseMatrix(a0), requires_grad=True)
         out = op(t, i)
         loss = sq_loss(t, out)
-        g = t.backward(loss)[i].data
+        g = t.backward(loss, (i,))[i].data
         assert np.allclose(g, fd(f, a0), rtol=1e-5, atol=1e-8), name
 
 
@@ -96,7 +96,7 @@ def test_two_operand_primitives_against_finite_differences():
             return t, ia, ib, loss
 
         t, ia, ib, loss = run(a0, b0)
-        grads = t.backward(loss)
+        grads = t.backward(loss, (ia, ib))
         fa = fd(lambda av: run(av, b0)[0].value(run(av, b0)[3]).data[0, 0], a0)
         fb = fd(lambda bv: run(a0, bv)[0].value(run(a0, bv)[3]).data[0, 0], b0)
         assert np.allclose(grads[ia].data, fa, rtol=1e-5, atol=1e-8), opname
@@ -111,7 +111,7 @@ def test_fan_out_gradients_sum():
     s1 = t.sum_all(t.hadamard(x, x))
     s2 = t.sum_all(x)
     loss = t.add(s1, s2)
-    g = t.backward(loss)[x].data
+    g = t.backward(loss, (x,))[x].data
     assert np.allclose(g, 2 * x0 + 1, rtol=1e-12, atol=1e-12)
 
 
@@ -131,7 +131,7 @@ def test_repeat_rows_forward_and_backward():
     out_id = t.tile(i, 3, 1)
     assert np.array_equal(t.value(out_id).data, np.tile(b0, (3, 1)))
     loss = sq_loss(t, out_id)
-    g = t.backward(loss)[i].data
+    g = t.backward(loss, (i,))[i].data
 
     def f(bv):
         t2 = Tape()
@@ -149,7 +149,7 @@ def test_tile_backward_sums_blocks_and_rejects_nonpositive_repeats():
     i = t.leaf(DenseMatrix(a0), requires_grad=True)
     out_id = t.tile(i, 3, 4)
     assert np.array_equal(t.value(out_id).data, np.tile(a0, (3, 4)))
-    g = t.backward(out_id, seed=DenseMatrix(dy0))[i].data
+    g = t.backward(out_id, (i,), seed=DenseMatrix(dy0))[i].data
     want = sum(dy0[2 * p:2 * p + 2, 3 * q:3 * q + 3] for p in range(3) for q in range(4))
     assert np.allclose(g, want, rtol=1e-12, atol=1e-12)
     assert (c.macs_forward, c.macs_backward) == (0, 0)
@@ -174,9 +174,10 @@ def test_hadamard_tiled_is_the_tile_then_hadamard_chain_bitwise(w_kind):
         w = t.leaf(DenseMatrix(w0), requires_grad=w_kind == "grad", is_param=w_kind == "param")
         a = t.leaf(DenseMatrix(a0), requires_grad=True)
         out = t.hadamard_tiled(w, a) if fused else t.hadamard(w, t.tile(a, 1, 4))
-        grads = t.backward(out, seed=DenseMatrix(dy0))
+        y = t.value(out).data.tobytes()
+        grads = t.backward(out, (w, a), seed=DenseMatrix(dy0))
         dw = grads[w].data.tobytes() if w_kind == "grad" else None
-        return (t.value(out).data.tobytes(), dw, grads[a].data.tobytes(), c.macs_forward,
+        return (y, dw, grads[a].data.tobytes(), c.macs_forward,
                 c.macs_backward, c.elementwise_forward, c.elementwise_backward), c.saved_elements
 
     (fused, fused_saved), (chain, chain_saved) = run(True), run(False)
@@ -201,7 +202,7 @@ def test_block_diag_rows_scatter_and_gather():
         assert col[q % 4] == b0[0, q]
         assert np.count_nonzero(col) == 1
     loss = sq_loss(t, out_id)
-    g = t.backward(loss)[i].data
+    g = t.backward(loss, (i,))[i].data
 
     def f(bv):
         t2 = Tape()
@@ -236,7 +237,7 @@ def test_softmax_cross_entropy_loss_and_gradient():
     want = -np.mean(np.log(p[labels, np.arange(7)]))
     assert abs(t.value(loss_id).data[0, 0] - want) < 1e-12
 
-    g = t.backward(loss_id)[z].data
+    g = t.backward(loss_id, (z,))[z].data
 
     def f(zv):
         t2 = Tape()
@@ -284,7 +285,7 @@ def test_product_rule_saves_and_differentiates_by_need(op, a_flags, b_flags):
     if not (a_flags[0] or b_flags[0]):
         return
     dy = rng.normal(size=t.value(y).shape)
-    grads = t.backward(y, seed=DenseMatrix(dy))
+    grads = t.backward(y, (a, b), seed=DenseMatrix(dy))
     assert (a in grads, b in grads) == (a_flags[0], b_flags[0])
     if op == "matmul":
         want_a, want_b = dy @ b0.T, a0.T @ dy
@@ -322,7 +323,7 @@ def test_phase_routing_forward_vs_backward_macs():
     b = t.leaf(DenseMatrix(np.ones((3, 4))))
     y = t.matmul(a, b)          # 24 forward MACs
     loss = t.squared_error(y, DenseMatrix(np.zeros((2, 4))))  # the square: 8 forward MACs
-    t.backward(loss)
+    t.backward(loss, ())
     assert t.counters.macs_forward == 24 + 8
     # backward: dY = 2 D alpha, 8 MACs; matmul da = dy b^T -> 24
     assert t.counters.macs_backward == 8 + 24
@@ -334,7 +335,7 @@ def test_saved_peak_is_the_forward_total():
     y = t.relu(a)       # saves the gate: 16
     loss = sq_loss(t, y)  # saves Y - T: 16
     assert t.saved_ctx.peak == 32
-    t.backward(loss)
+    t.backward(loss, ())
     assert t.saved_ctx.peak == 32
 
 
@@ -351,16 +352,16 @@ def test_backward_twice_raises():
     t = Tape()
     a = t.leaf(DenseMatrix(np.ones((2, 2))), requires_grad=True)
     loss = t.sum_all(a)
-    t.backward(loss)
+    t.backward(loss, ())
     with pytest.raises(GraphError):
-        t.backward(loss)
+        t.backward(loss, ())
 
 
 def test_record_on_consumed_tape_raises():
     """Nothing is recorded once backward starts, so the saved total stays the peak."""
     t = Tape()
     a = t.leaf(DenseMatrix(np.ones((2, 2))), requires_grad=True)
-    t.backward(sq_loss(t, a))
+    t.backward(sq_loss(t, a), ())
     with pytest.raises(GraphError, match="consumed tape"):
         t.relu(a)
     with pytest.raises(GraphError, match="consumed tape"):
@@ -375,12 +376,12 @@ def test_backward_validation():
     t = Tape()
     a = t.leaf(DenseMatrix(np.ones((2, 2))), requires_grad=True)
     with pytest.raises(GraphError):
-        t.backward(99)
+        t.backward(99, ())
     with pytest.raises(ShapeError):
-        t.backward(a)  # 2x2 is not a scalar and no seed given
+        t.backward(a, ())  # 2x2 is not a scalar and no seed given
     seed = DenseMatrix(np.ones((3, 3)))
     with pytest.raises(ShapeError):
-        t.backward(a, seed=seed)
+        t.backward(a, (), seed=seed)
 
 
 def test_record_rejects_dangling_inputs():
@@ -395,7 +396,7 @@ def test_explicit_seed_propagates():
     x = t.leaf(DenseMatrix(x0), requires_grad=True)
     y = t.hadamard(x, t.leaf(DenseMatrix(np.full((3, 4), 2.0))))
     seed = DenseMatrix(np.full((3, 4), 0.5))
-    g = t.backward(y, seed=seed)[x].data
+    g = t.backward(y, (x,), seed=seed)[x].data
     assert np.allclose(g, np.full((3, 4), 1.0), atol=1e-15)
 
 
@@ -404,9 +405,61 @@ def test_grads_only_reach_nodes_that_require_them():
     a = t.leaf(DenseMatrix(np.ones((2, 2))), requires_grad=True)
     b = t.leaf(DenseMatrix(np.ones((2, 2))))
     loss = t.sum_all(t.hadamard(a, b))
-    grads = t.backward(loss)
+    grads = t.backward(loss, (a, b))
     assert a in grads or any(k == a for k in grads)
     assert b not in grads
+
+
+def test_backward_returns_exactly_the_wanted_ids_and_frees_the_rest():
+    """backward returns the wanted ids that receive a gradient, bitwise those
+    of a pass that keeps every gradient; every node whose closure ran has
+    dropped its closure, saved tensors and value, and leaves keep theirs."""
+    rng = np.random.default_rng(8)
+    x0, w0 = rng.normal(size=(3, 4)), rng.normal(size=(4, 3))
+
+    def build():
+        t = Tape()
+        x = t.leaf(DenseMatrix(x0), requires_grad=True)
+        w = t.leaf(DenseMatrix(w0), requires_grad=True, is_param=True)
+        frozen = t.leaf(DenseMatrix(w0))
+        h = t.relu(t.matmul(x, w))
+        y = t.hadamard(h, t.matmul(x, frozen))
+        return t, (x, w, frozen, h, y), sq_loss(t, y)
+
+    t, ids, loss = build()
+    every = t.backward(loss, range(len(t.nodes)))
+    x, w, frozen, h, y = ids
+    for wanted in ((), (w,), (x, h), (x, w, frozen, h, y, loss)):
+        t, _, loss = build()
+        grads = t.backward(loss, wanted)
+        assert set(grads) == set(wanted) - {frozen}
+        for i, g in grads.items():
+            assert g.data.tobytes() == every[i].data.tobytes()
+        for node in t.nodes:
+            ran = node.inputs and node.requires_grad
+            assert (node.value is None, node.backward_fn is None) == (bool(ran), True)
+            assert node.saved == ()
+
+
+def test_spp_layer_graphs_die_with_their_backward():
+    """Once the model tape's backward returns, each spp layer's private graph
+    is gone, its saved tile(B) included, though the model tape itself is
+    still referenced."""
+    rng = np.random.default_rng(9)
+    layers = [make_layer(SparseWeight(DenseMatrix(rng.normal(size=(8, 8)))), 2, "spp")
+              for _ in range(3)]
+    for layer in layers:
+        layer.adapter.b.data[:] = rng.normal(size=(1, 8))
+    t = Tape()
+    h = t.leaf(DenseMatrix(rng.normal(size=(8, 5))))
+    for layer in layers:
+        h = apply_layer(t, layer, h)
+    tiles = [weakref.ref(s.data) for layer in layers
+             for s in t.nodes[layer.last_nodes["out"]].saved
+             if np.array_equal(s.data, np.tile(layer.adapter.b.data, (8, 1)))]
+    assert len(tiles) == 3 and all(ref() is not None for ref in tiles)
+    t.backward(t.sum_all(h), ())
+    assert [ref() for ref in tiles] == [None] * 3
 
 
 def test_identical_graphs_give_bitwise_identical_grads():
@@ -417,7 +470,7 @@ def test_identical_graphs_give_bitwise_identical_grads():
         t = Tape()
         x = t.leaf(DenseMatrix(x0), requires_grad=True)
         y = t.hadamard(t.matmul(x, x), t.relu(x))
-        return t.backward(sq_loss(t, y))[x].data
+        return t.backward(sq_loss(t, y), (x,))[x].data
 
     assert np.array_equal(run(), run())
 
@@ -456,7 +509,7 @@ def test_op_on_consumed_tape_raises_before_it_tallies(op, fault):
                              ("q", (2, 2)))}
     if fault == "consumed":
         _OPS[op](t, ids)  # the op works on a live tape
-        t.backward(t.sum_all(ids["a"]))
+        t.backward(t.sum_all(ids["a"]), ())
         message = f"{op.split('[')[0]} on a consumed tape"
     else:
         ids = dict.fromkeys(ids, fault)
@@ -483,8 +536,9 @@ def test_squared_error_is_the_four_op_chain(requires_grad):
     w = tape.leaf(DenseMatrix(np.eye(5)), requires_grad=requires_grad)
     y = tape.matmul(w, tape.leaf(DenseMatrix(y0)))
     loss = tape.squared_error(y, DenseMatrix(t0))
-    grads = tape.backward(loss)
-    got = (tape.value(loss).data.tobytes(), grads[y].data.tobytes() if requires_grad else None,
+    loss_value = tape.value(loss).data.tobytes()
+    grads = tape.backward(loss, (y,))
+    got = (loss_value, grads[y].data.tobytes() if requires_grad else None,
            c.macs_forward, c.macs_backward, c.elementwise_forward, c.elementwise_backward,
            c.saved_elements, tape.saved_ctx.peak)
 
@@ -518,7 +572,7 @@ def test_a_node_that_needs_no_gradient_saves_nothing_and_never_runs_backward():
     big = [DenseMatrix(np.ones((64, 64)))] * 8
     y = t.record("frozen", (x,), DenseMatrix(np.ones((2, 2))), bwd, saved=big)
     assert (t.saved_ctx.peak, c.saved_elements) == (0, 0)
-    grads = t.backward(y, seed=DenseMatrix(np.ones((2, 2))))
+    grads = t.backward(y, (x,), seed=DenseMatrix(np.ones((2, 2))))
     assert calls == [] and x not in grads
     assert (c.macs_forward, c.macs_backward, c.saved_elements, c.elementwise_forward,
             c.elementwise_backward, t.saved_ctx.peak) == (0, 0, 0, 0, 0, 0)

@@ -10,6 +10,7 @@ from lors.adapters import (
     AdaptedLayer,
     AdapterPair,
     make_layer,
+    predict_cost,
     variant_backward,
     variant_forward,
 )
@@ -99,7 +100,7 @@ def test_sgd_step_is_closed_form():
 
     tape = Tape()
     loss_id = model.forward_loss(tape, probe)
-    grads = model.gather_grads(tape.backward(loss_id))
+    grads = model.param_grads(tape, loss_id)
     a0 = layer.adapter.a.data.copy()
     b0 = layer.adapter.b.data.copy()
 
@@ -120,7 +121,7 @@ def test_adaptive_first_step_is_signlike():
     probe = ProbeBatch(rng.normal_matrix(4, 5, 0.0, 1.0),
                        rng.normal_matrix(3, 5, 0.0, 1.0))
     tape = Tape()
-    grads = model.gather_grads(tape.backward(model.forward_loss(tape, probe)))
+    grads = model.param_grads(tape, model.forward_loss(tape, probe))
     b0 = layer.adapter.b.data.copy()
     optim = OptimState(kind="adaptive", lr=0.01)
     train_step(model, probe, optim)
@@ -266,16 +267,16 @@ def test_nonfinite_gradient_moves_nothing(kind, overflow, named, dims, rank):
     optim = OptimState(kind=kind, lr=1e-3)
     for _ in range(2):
         train_step(model, batch, optim)
-    gather = model.gather_grads
+    gather = model.param_grads
 
-    def overflowing(grads):
-        out = gather(grads)
+    def overflowing(tape, loss_id):
+        out = gather(tape, loss_id)
         for name in overflow:
             out[name] = DenseMatrix._wrap(out[name].data.copy())
             out[name].data[0, -1] = np.inf
         return out
 
-    model.gather_grads = overflowing
+    model.param_grads = overflowing
 
     def state():
         return (_bytes({k: p.data for k, p in model.named_trainable().items()}),
@@ -508,6 +509,19 @@ def test_recovery_single_seed_closes_gap():
     assert res.variant == "lors" and res.seed == 0
 
 
+def test_straight_through_estimator_costs_no_closure():
+    """lors and sqft_gc share the forward, the merge and the gradient-SVD init
+    and differ only in the backward, so their closure gap is the quality cost
+    of the straight-through estimator: on seeds 0-4 lors closes at least
+    sqft_gc's closure minus 0.01 (measured gaps -0.003 to +0.001). Closure is
+    deterministic, and each of its validation losses runs evaluate."""
+    for seed in range(5):
+        spec = InitSpec("gradient_svd", seed=seed)
+        lors = run_recovery(seed, "lors", spec).closure
+        sqft_gc = run_recovery(seed, "sqft_gc", spec).closure
+        assert lors >= sqft_gc - 0.01, (seed, lors, sqft_gc)
+
+
 def _biased_model(variant, seed=0, dims=(8, 6, 4), rank=2, with_bias=True):
     layers = []
     for i, w in enumerate(random_dense_weights(seed, dims)):
@@ -543,7 +557,8 @@ def test_gradients_share_no_memory_with_parameters():
         params += [layer.base.values for layer in model.layers]
         data = small_data(model)
         tape = Tape()
-        grads = tape.backward(model.forward_loss(tape, data.head(8)))
+        loss_id = model.forward_loss(tape, data.head(8))
+        grads = tape.backward(loss_id, range(len(tape.nodes)))
         for g in grads.values():
             assert not any(np.shares_memory(g.data, p.data) for p in params), variant
         layer = model.layers[0]
@@ -561,7 +576,8 @@ def test_overflow_in_any_layer_names_step_and_layer(variant, with_bias, where):
     """Adapter factors of 1e200 in the first or the last layer, set after two
     clean steps, overflow step 2 (in the merged weight of the masked variants,
     in the output of the others): the NumericError names step 2 and that
-    layer, and neither the parameters nor the optimizer state move."""
+    layer, and neither the parameters nor the optimizer state move. The
+    forward-only evaluate names the layer alike."""
     model = _biased_model(variant, with_bias=with_bias)
     batch = small_data(model).head(8)
     optim = OptimState(kind="adaptive", lr=1e-3)
@@ -583,6 +599,9 @@ def test_overflow_in_any_layer_names_step_and_layer(variant, with_bias, where):
     assert (info.value.step, info.value.layer) == (2, layer.name)
     assert str(info.value) == f"step 2: non-finite {what} of {layer.name}"
     assert state() == before
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError) as info:
+        evaluate(model, small_data(model, n=8))
+    assert (info.value.step, str(info.value)) == (None, f"non-finite {what} of {layer.name}")
 
 
 def test_nonfinite_gradient_is_caught_before_the_update():
@@ -768,29 +787,67 @@ def test_recovery_step_is_bitwise_a_bare_numpy_step(kind):
             assert layer.adapter.b.data.tobytes() == b.tobytes()
 
 
-def test_step_transient_peaks_follow_the_memory_model():
-    """tracemalloc gate on one warm train_step of three 256-wide layers (L = 32,
-    r = 16): lors's rank-r reordering holds less than sqft_gc, which holds less
-    than sqft; spp holds at most its counted saved set plus 7 RC (it builds
-    tile(B), which it counts, and not tile(A)). Deterministic for a given numpy."""
-    width, L, r = 256, 32, 16
+def _traced_peak(fn, *args):
+    """Bytes tracemalloc sees allocated at the peak of fn(*args)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def _memory_gate_setup(width=256, L=32):
     rng = np.random.default_rng(0)
     bases = [prune_magnitude(DenseMatrix(rng.normal(size=(width, width))), 0.5)
              for _ in range(3)]
     batch = ProbeBatch(DenseMatrix(rng.normal(size=(width, L))),
                        DenseMatrix(rng.normal(size=(width, L))))
+    return bases, batch
+
+
+# Each variant's traced warm-step peak over its counted saved set, in RC, at
+# three 256-wide layers, L = 32, r = 16 (measured: lora 0.65, lors 1.47,
+# sqft_gc 3.46, spp_gc 4.47, sqft 2.46, spp 3.05). Every tensor dies once its
+# last reader has run, so what is left is each schedule's own RC temporaries.
+STEP_EXCESS_RC = {"lora": 0.75, "lors": 1.5, "sqft_gc": 3.5, "spp_gc": 4.5,
+                  "sqft": 2.5, "spp": 3.25}
+
+
+def test_step_transient_peaks_follow_the_memory_model():
+    """tracemalloc gate on one warm train_step of three 256-wide layers (L = 32,
+    r = 16): each variant holds at most its counted saved set plus its
+    ``STEP_EXCESS_RC``, and lors's rank-r reordering holds less than sqft_gc,
+    which holds less than sqft. spp and spp_gc stay inside theirs only because
+    Tape.backward frees each layer's private graph (spp's tile(B), the spp_gc
+    replay) node by node. Deterministic for a given numpy."""
+    width, r = 256, 16
+    bases, batch = _memory_gate_setup(width)
     peak, saved = {}, {}
-    for variant in ("lors", "sqft_gc", "sqft", "spp"):
+    for variant in VARIANTS:
         model = ToyModel([make_layer(base, rank=r, variant=variant) for base in bases])
         optim, counters = OptimState(kind="sgd", lr=1e-3), CostCounters()
         train_step(model, batch, optim)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            train_step(model, batch, optim, counters)
-            peak[variant] = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        peak[variant] = _traced_peak(train_step, model, batch, optim, counters)
         saved[variant] = 8 * counters.saved_elements
     assert peak["lors"] < peak["sqft_gc"] < peak["sqft"], peak
-    assert peak["spp"] <= saved["spp"] + 7 * 8 * width * width, (peak["spp"], saved["spp"])
+    for variant, excess in STEP_EXCESS_RC.items():
+        assert peak[variant] <= saved[variant] + excess * 8 * width * width, \
+            (variant, (peak[variant] - saved[variant]) / (8 * width * width))
+
+
+def test_evaluate_holds_one_layer_at_a_time():
+    """evaluate runs forward only: the traced peak of a held-out evaluate of
+    an spp model stays below one layer's saved set (3RC + CL) plus four RL,
+    the output, the two partial products W X and delta X its graph keeps
+    until their sum, and one RL of Python objects; a tape would keep all
+    three layers' saved sets."""
+    width, L, r = 256, 32, 16
+    bases, batch = _memory_gate_setup(width, L)
+    model = ToyModel([make_layer(base, rank=r, variant="spp") for base in bases])
+    held_out = Dataset(batch.inputs, batch.targets)
+    evaluate(model, held_out)
+    peak = _traced_peak(evaluate, model, held_out)
+    one_layer = predict_cost("spp", width, width, L, r).saved_elements
+    assert peak < 8 * (one_layer + 4 * width * L), peak
