@@ -1,0 +1,245 @@
+"""Byte-identity fingerprint of the lors toolkit's outputs.
+
+Usage::
+
+    python3 scripts/fingerprint.py <src-dir>
+
+imports ``lors`` from ``<src-dir>`` (e.g. ``src`` of one checkout, then of
+another) and prints one SHA-256 per group of outputs. Two trees whose lines
+all agree compute the same bits, gradients and counters everywhere it looks:
+
+- ``layers``: every variant at six shapes, with and without a bias: Y, dA, dB,
+  dX, dbias, the five counters and the tape's saved peak of an ``apply_layer``
+  pass, the same of a direct ``variant_forward``/``variant_backward`` pass
+  with and without counters, and ``merge()``; then 5 adaptive training steps
+  of a 128-wide model per variant (losses, counters, factors, merges) and its
+  ``evaluate``;
+- ``finetune``: rounds of ``finetune-w512``-shaped training (six students of
+  three 512-wide layers, batch 32, rank 16) at seeds 41 and 42;
+- ``recovery``: the closures of ``run_recovery`` over seeds 0-63 as float64
+  bytes, and their minimum;
+- ``verify``: the stdout of ``lors verify``;
+- ``prune``: the three pruners over awkward inputs, and ``lors prune``'s
+  output files;
+- ``bench``: the ``lors bench`` CSV without its ``wall_time_s`` column.
+
+BLAS runs one thread. The script takes about 15 s on one core and is not a
+test.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import contextlib
+import hashlib
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+if len(sys.argv) != 2:
+    sys.exit(__doc__.split("\n\n")[1])
+sys.path.insert(0, str(Path(sys.argv[1]).resolve()))
+
+from lors import adapters, checkpoint, cli, initialization, prune, train  # noqa: E402
+from lors.matrix import DenseMatrix, Rng  # noqa: E402
+from lors.tape import CostCounters, Tape  # noqa: E402
+
+SHAPES = ((4, 8, 3, 2), (7, 12, 5, 3), (16, 32, 9, 16), (9, 10, 1, 1),
+          (64, 64, 32, 16), (40, 24, 6, 4))
+
+
+class Digest:
+    def __init__(self):
+        self.h = hashlib.sha256()
+
+    def add(self, *items) -> None:
+        for item in items:
+            if item is None:
+                self.h.update(b"<none>")
+            elif isinstance(item, DenseMatrix):
+                self.add(item.data)
+            elif isinstance(item, np.ndarray):
+                self.h.update(repr((item.shape, item.dtype.str)).encode())
+                self.h.update(np.ascontiguousarray(item).tobytes())
+            elif isinstance(item, CostCounters):
+                self.add(repr((item.macs_forward, item.macs_backward, item.saved_elements,
+                               item.elementwise_forward, item.elementwise_backward)))
+            elif isinstance(item, (bytes, bytearray)):
+                self.h.update(item)
+            else:
+                self.h.update(repr(item).encode())
+
+    def hex(self) -> str:
+        return self.h.hexdigest()
+
+
+def _layer(seed, variant, R, C, r, bias):
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(R, C))
+    w.reshape(-1)[np.argsort(np.abs(w), axis=None)[: R * C // 2]] = 0.0
+    layer = adapters.make_layer(prune.SparseWeight(DenseMatrix(w)), rank=r, variant=variant,
+                                bias=DenseMatrix(rng.normal(size=(R, 1))) if bias else None)
+    layer.adapter.a = DenseMatrix(rng.normal(size=layer.adapter.a.shape))
+    layer.adapter.b = DenseMatrix(rng.normal(size=layer.adapter.b.shape))
+    return layer
+
+
+def _pass_digest(d: Digest, layer, x, dy) -> None:
+    c = CostCounters()
+    tape = Tape(c)
+    x_id = tape.leaf(x, requires_grad=True)
+    y_id = adapters.apply_layer(tape, layer, x_id)
+    d.add(tape.value(y_id))
+    params = layer.last_nodes
+    wanted = (x_id, *(params[k] for k in ("a", "b", "bias") if k in params))
+    grads = tape.backward(y_id, wanted, seed=dy)
+    d.add(*(grads.get(i) for i in wanted), c, tape.saved_ctx.peak)
+    for counters in (CostCounters(), None):
+        y, ctx = adapters.variant_forward(layer, x, counters)
+        g = adapters.variant_backward(layer, dy, ctx, counters)
+        d.add(y, g.da, g.db, g.dx, g.dbias, counters)
+    d.add(adapters.merge(layer).values)
+
+
+def group_layers() -> str:
+    d = Digest()
+    for i, variant in enumerate(adapters.VARIANTS):
+        for R, C, L, r in SHAPES:
+            for bias in (False, True):
+                layer = _layer(1000 * i + R * C + r, variant, R, C, r, bias)
+                rng = np.random.default_rng(L + 7 * i)
+                x = DenseMatrix(rng.normal(size=(C, L)))
+                dy = DenseMatrix(rng.normal(size=(R, L)))
+                _pass_digest(d, layer, x, dy)
+    weights = train.random_dense_weights(5, (128,) * 4)
+    teacher = train.model_from_weights(weights, variant="lors", rank=1)
+    data = train.make_teacher_data(teacher, seed=6, n=256)
+    held_out = train.make_teacher_data(teacher, seed=7, n=64)
+    for variant in adapters.VARIANTS:
+        model = train.model_from_weights(weights, variant=variant, rank=16, prune_ratio=0.5)
+        initialization.apply_init(
+            model, initialization.InitSpec("zero_A_random_B", seed=8, std=0.02))
+        optim = train.OptimState(kind="adaptive", lr=1e-3)
+        for step in range(5):
+            counters = CostCounters()
+            batch = data.batch(np.arange(32 * step, 32 * step + 32))
+            d.add(train.train_step(model, batch, optim, counters), counters)
+        for layer in model.layers:
+            d.add(layer.adapter.a, layer.adapter.b, adapters.merge(layer).values)
+        d.add(train.evaluate(model, held_out))
+    return d.hex()
+
+
+def group_finetune(rounds: int = 3) -> str:
+    """Finetune-w512's build (perfbench/workloads.py) and its rounds."""
+    d = Digest()
+    for seed in (41, 42):
+        weights = train.random_dense_weights(seed, (512,) * 4)
+        teacher = train.model_from_weights(weights, variant="lors", rank=1)
+        data = train.make_teacher_data(teacher, seed=seed + 1, n=1024)
+        held_out = train.make_teacher_data(teacher, seed=seed + 5, n=128)
+        bases = [prune.prune_magnitude(w, 0.5) for w in weights]
+        students = {}
+        for variant in adapters.VARIANTS:
+            model = train.ToyModel([adapters.make_layer(base, rank=16, variant=variant,
+                                                        alpha=2.0, name=f"layers.{i}")
+                                    for i, base in enumerate(bases)])
+            initialization.apply_init(
+                model, initialization.InitSpec("zero_A_random_B", seed=seed + 2, std=0.02))
+            students[variant] = (model, train.OptimState(kind="adaptive", lr=1e-3))
+            d.add(train.evaluate(model, held_out))
+        rng = Rng(seed + 3)
+        for _ in range(rounds):
+            batch = data.batch(rng.integers(32, data.size))
+            for variant, (model, optim) in students.items():
+                counters = CostCounters()
+                d.add(train.train_step(model, batch, optim, counters), counters)
+        for model, _ in students.values():
+            for layer in model.layers:
+                d.add(layer.adapter.a, layer.adapter.b, adapters.merge(layer).values)
+            d.add(train.evaluate(model, held_out))
+    return d.hex()
+
+
+def group_recovery() -> tuple[str, float]:
+    spec = initialization.InitSpec("gradient_svd")
+    closures = np.array([train.run_recovery(seed, "lors", spec).closure for seed in range(64)])
+    return hashlib.sha256(closures.tobytes()).hexdigest(), float(closures.min())
+
+
+def _cli(argv) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return code, out.getvalue()
+
+
+def group_verify() -> tuple[str, str]:
+    code, text = _cli(["verify"])
+    return hashlib.sha256(f"{code}\n{text}".encode()).hexdigest(), text.splitlines()[-1]
+
+
+def group_prune() -> str:
+    d = Digest()
+    rng = np.random.default_rng(3)
+    calib = prune.CalibrationBatch(DenseMatrix(rng.normal(size=(16, 12))))
+    inputs = [rng.normal(size=(8, 16)),
+              np.round(rng.normal(size=(8, 16)), 1),            # ties
+              np.where(rng.random(size=(8, 16)) < 0.3, -0.0, rng.normal(size=(8, 16))),
+              np.full((8, 16), 2.5),
+              rng.normal(size=(8, 16)) * 1e-310,                # subnormals
+              np.asfortranarray(rng.normal(size=(8, 16)))]
+    for w in map(DenseMatrix, inputs):
+        for ratio in (0.0, 0.25, 0.5, 0.9):
+            d.add(prune.prune_magnitude(w, ratio).values,
+                  prune.prune_activation_scaled(w, calib, ratio).values)
+        d.add(prune.prune_two_four(w).values,
+              prune.prune_two_four(w, "activation", calib).values)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        tensors = {}
+        for i, w in enumerate(train.random_dense_weights(9, (64, 64, 32))):
+            tensors[f"layers.{i}.weight"] = w
+            tensors[f"layers.{i}.bias"] = DenseMatrix(rng.normal(size=(w.rows, 1)))
+        checkpoint.save_checkpoint(tmp / "dense.ckpt", tensors)
+        checkpoint.save_checkpoint(tmp / "calib.ckpt",
+                                   {"calib": DenseMatrix(rng.normal(size=(64, 20)))})
+        for method in ("magnitude", "two_four", "activation"):
+            argv = ["prune", "--input", str(tmp / "dense.ckpt"),
+                    "--output", str(tmp / f"{method}.ckpt"), "--method", method]
+            if method == "activation":
+                argv += ["--calib", str(tmp / "calib.ckpt")]
+            code, text = _cli(argv)
+            d.add(code, text, (tmp / f"{method}.ckpt").read_bytes())
+    return d.hex()
+
+
+def group_bench() -> str:
+    code, text = _cli(["bench", "--shapes", "64,64,64,16;96,48,20,8;12,30,7,3",
+                       "--repeats", "2"])
+    rows = [line.split(",") for line in text.splitlines()]
+    drop = rows[0].index("wall_time_s")
+    kept = "\n".join(",".join(c for j, c in enumerate(row) if j != drop) for row in rows)
+    return hashlib.sha256(f"{code}\n{kept}".encode()).hexdigest()
+
+
+def main() -> None:
+    print(f"layers    {group_layers()}")
+    print(f"finetune  {group_finetune()}")
+    closures, worst = group_recovery()
+    print(f"recovery  {closures}  min {worst!r}")
+    verify, summary = group_verify()
+    print(f"verify    {verify}  {summary}")
+    print(f"prune     {group_prune()}")
+    print(f"bench     {group_bench()}")
+
+
+if __name__ == "__main__":
+    main()

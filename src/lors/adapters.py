@@ -27,13 +27,13 @@ lors      RCL + rRC + RC      RCL + 2rRL + 2rCL + rRC + RC       CL
   backward recompute rebuilds the same bits, so it is not scanned again. Only
   sqft builds the RC float mask, once per forward, because it saves it.
 - sqft_gc then runs sqft's backward schedule.
-- spp: Y = WX + (W . tile(A, 1, C/r) . tile(B, R, 1)) X; backward is derived
-  by the tape from this expression, not hand-written. ``_record_spp_delta``
-  records the Repeat expression once, for the forward and for merge().
+- spp: Y = WX + (W . tile(A, 1, C/r) . tile(B, R, 1)) X; the backward is the
+  reverse of this Repeat expression in tape order. ``_spp_delta`` evaluates
+  the expression once, for the forward and for merge().
 - spp_gc: the same function in merged form Y = (W + W . (A @ Bhat)) X with
-  Bhat the block-diagonal expansion of B. One tape builder records this
-  graph: the forward evaluates it and keeps only X, and the backward replays
-  and differentiates it (checkpoint-style full recompute).
+  Bhat the block-diagonal expansion of B. One pass, ``_spp_gc_pass``, runs in
+  the forward, which keeps only X, and again in the backward before its
+  reverse (checkpoint-style full recompute).
 - lors: the adapter gradients are reordered into rank-r products:
   dA = alpha * dY (X^T B^T), dB = alpha * (A^T dY) X^T. The mask is dropped
   from dA/dB (straight-through estimator); dX uses the full masked merged
@@ -42,8 +42,8 @@ lors      RCL + rRC + RC      RCL + 2rRL + 2rCL + rRC + RC       CL
 Every forward returns a ``_Context`` whose ``saved`` list is exactly the
 counted saved set. Every backward goes through ``variant_backward``: it
 consumes the context once, checks dY, switches the counters to the backward
-phase, runs the variant's private body (dA, dB, dX), and adds dbias as the row
-sum of dY.
+phase, runs the variant's hand-written body (dA, dB, dX), and adds dbias as
+the row sum of dY.
 
 Sparsity is preserved because every masked variant updates only through
 A, B and re-applies the mask on merge. ``merge`` uses the mask captured at
@@ -213,22 +213,20 @@ class VariantGrads:
 class _Context:
     """What a layer pass keeps between forward and backward.
 
-    ``saved`` is exactly the counted saved-for-backward set; ``graph`` holds
-    spp's recorded tape and its (x, a, b, y) node ids, and is None elsewhere.
-    ``consume`` hands both to the backward, a graph's saved set inside the
-    graph alone, and keeps nothing, so they die as that backward runs.
+    ``saved`` is exactly the counted saved-for-backward set. ``consume`` hands
+    it to the backward and keeps nothing; each backward body clears the
+    handed-over list and drops every tensor after its last reader.
     """
 
     layer: AdaptedLayer
     x: DenseMatrix
     saved: Optional[list]
-    graph: Optional[tuple] = None
 
     def consume(self) -> "_Context":
         if self.saved is None:
             raise GraphError("backward context already consumed")
-        taken = _Context(self.layer, self.x, None if self.graph else self.saved, self.graph)
-        self.saved = self.graph = None
+        taken = _Context(self.layer, self.x, self.saved)
+        self.saved = None
         return taken
 
 
@@ -327,67 +325,67 @@ def lors_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
 sqft_gc_forward = lors_forward
 
 
-def _record_spp_delta(tape: Tape, layer: AdaptedLayer):
-    """Record the leaves W, A, B and the Repeat expression
-    delta = W . tile(A, 1, C/r) . tile(B, R, 1); returns (w, a, b, delta) ids.
+def _spp_delta(layer: AdaptedLayer, counters):
+    """W . tile(A, 1, C/r), tile(B, R, 1) and their product, the Repeat
+    expression delta (2RC MACs).
 
-    Column q of tile(A, 1, C/r) is A[:, q mod r]; only tile(B, R, 1), which
-    the saved set counts, is built. spp_forward and merge() evaluate delta here.
+    Column q of tile(A, 1, C/r) is A[:, q mod r], so A broadcasts over W's
+    column groups and only tile(B, R, 1), which the saved set counts, is
+    built. spp_forward and merge() evaluate delta here.
     """
-    adapter = layer.adapter
-    w_id = tape.leaf(layer.base.values, requires_grad=False, is_param=True)
-    a_id = tape.leaf(adapter.a, requires_grad=True, is_param=True)
-    b_id = tape.leaf(adapter.b, requires_grad=True, is_param=True)
-    delta = tape.hadamard(tape.hadamard_tiled(w_id, a_id), tape.tile(b_id, layer.out_features, 1))
-    return w_id, a_id, b_id, delta
+    w, adapter = layer.base.values.data, layer.adapter
+    (rows, cols), r = w.shape, adapter.rank
+    if counters is not None:
+        counters.add_macs(w.size)
+    w_tiled_a = DenseMatrix._wrap((w.reshape(rows, -1, r) * adapter.a.data[:, None])
+                                  .reshape(rows, cols))
+    tiled_b = DenseMatrix._wrap(np.tile(adapter.b.data, (rows, 1)))
+    return w_tiled_a, tiled_b, mx.hadamard(w_tiled_a, tiled_b, counters)
 
 
 def spp_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
-    """Y = delta X + W X with delta the Repeat expression of
-    ``_record_spp_delta``, recorded on a private tape.
+    """Y = W X + delta X with delta the Repeat expression of ``_spp_delta``.
 
-    The backward pass is whatever reverse-mode differentiation of this graph
-    yields; nothing is hand-scheduled. The saved set is what the graph's
-    nodes saved (3RC + CL).
+    Saves what the reverse pass of this expression reads: tile(B) and
+    W . tile(A) for the Hadamard factors' gradients, X and delta for
+    d delta and dX (3RC + CL).
     """
     _check_x(layer, x)
-    tape = Tape(counters=counters, track_saved=False)
-    w_id, a_id, b_id, delta = _record_spp_delta(tape, layer)
-    x_id = tape.leaf(x, requires_grad=True)
-    adapted = tape.matmul(delta, x_id)
-    base_out = tape.matmul(w_id, x_id)
-    y_id = tape.add(base_out, adapted)
-    saved = [t for node in tape.nodes for t in node.saved]
-    ctx = _Context(layer, x, saved, graph=(tape, (x_id, a_id, b_id, y_id)))
-    return _add_bias(layer, tape.value(y_id), counters), ctx
+    w_tiled_a, tiled_b, delta = _spp_delta(layer, counters)
+    adapted = mx.matmul(delta, x, counters)                              # RCL
+    y = mx.add(mx.matmul(layer.base.values, x, counters), adapted, counters)  # RCL
+    return _add_bias(layer, y, counters), _Context(layer, x, [tiled_b, w_tiled_a, x, delta])
 
 
-def _record_spp_gc(layer: AdaptedLayer, x: DenseMatrix, counters):
-    """Record the spp function in merged form, Y = (W + W . (A @ Bhat)) X.
+def _spp_gc_pass(layer: AdaptedLayer, x: DenseMatrix, counters):
+    """The spp function in merged form, Y = (W + W . (A @ Bhat)) X; returns
+    Y, the merged weight and Bhat.
 
-    Bhat is the block-diagonal expansion of B, which makes the merged form
-    equal (up to rounding) to the Repeat form while exposing the rank-r
-    matmul A @ Bhat (rRC MACs) instead of a tiled Hadamard chain.
+    Bhat is the r x C block-diagonal expansion of B (Bhat[q mod r, q] = B[q]),
+    which makes the merged form equal (up to rounding) to the Repeat form
+    while exposing the rank-r matmul A @ Bhat (rRC MACs) instead of a tiled
+    Hadamard chain. The merge lives in A @ Bhat's one buffer: times W (RC
+    MACs), then plus W (RC elementwise).
     """
-    adapter = layer.adapter
-    tape = Tape(counters=counters, track_saved=False)
-    w_id = tape.leaf(layer.base.values, requires_grad=False, is_param=True)
-    a_id = tape.leaf(adapter.a, requires_grad=True, is_param=True)
-    b_id = tape.leaf(adapter.b, requires_grad=True, is_param=True)
-    x_id = tape.leaf(x, requires_grad=True)
-    bhat_id = tape.block_diag_rows(b_id, adapter.rank)
-    product = tape.matmul(a_id, bhat_id)          # rRC
-    scaled_w = tape.hadamard(w_id, product)       # RC
-    merged = tape.add(w_id, scaled_w)
-    y_id = tape.matmul(merged, x_id)              # RCL
-    return tape, (x_id, a_id, b_id, y_id)
+    w, adapter = layer.base.values, layer.adapter
+    r, cols = adapter.rank, w.data.shape[1]
+    idx, bhat = np.arange(cols), mx.zeros(r, cols)
+    bhat.data[idx % r, idx] = adapter.b.data[0]
+    merged = mx.matmul(adapter.a, bhat, counters)                        # rRC
+    out = merged.data
+    out *= w.data
+    out += w.data
+    if counters is not None:
+        counters.add_macs(out.size)
+        counters.add_elementwise(out.size)
+    return mx.matmul(merged, x, counters), merged, bhat                  # RCL
 
 
 def spp_gc_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
-    """The merged-form spp graph, evaluated and dropped; saves only X."""
+    """The merged-form spp pass, its merged weight dropped; saves only X."""
     _check_x(layer, x)
-    tape, ids = _record_spp_gc(layer, x, counters)
-    return _add_bias(layer, tape.value(ids[-1]), counters), _Context(layer, x, [x])
+    y = _spp_gc_pass(layer, x, counters)[0]
+    return _add_bias(layer, y, counters), _Context(layer, x, [x])
 
 
 # ---------------------------------------------------------------------------
@@ -410,28 +408,32 @@ def _lora_backward(ctx: _Context, grad_y: DenseMatrix, counters):
     return da, db, dx
 
 
-def _sqft_grads(ctx: _Context, grad_y: DenseMatrix, mask: np.ndarray,
-                merged: DenseMatrix, counters):
-    """dX = merged^T dY; dA/dB from (dY X^T) . M, scaled by alpha."""
+def _sqft_grads(ctx: _Context, grad_y: DenseMatrix, mask: np.ndarray, counters):
+    """dA/dB from (dY X^T) . M, scaled by alpha; the caller has formed dX."""
     pair = ctx.layer.adapter
-    dx = mx.matmul(mx.transpose(merged), grad_y, counters)       # RCL
     dy_xt = mx.matmul(grad_y, mx.transpose(ctx.x), counters)     # RCL
     masked = mx.hadamard_mask(dy_xt, mask, counters)             # RC
+    del dy_xt
     da = mx.scale(mx.matmul(masked, mx.transpose(pair.b), counters), pair.alpha, counters)  # rRC
     db = mx.scale(mx.matmul(mx.transpose(pair.a), masked, counters), pair.alpha, counters)  # rRC
-    return da, db, dx
+    return da, db
 
 
 def _sqft_backward(ctx: _Context, grad_y: DenseMatrix, counters):
+    """dX = merged^T dY from the saved merged weight, which then dies, and
+    dA/dB over the saved float mask."""
     _, mask, merged = ctx.saved
-    return _sqft_grads(ctx, grad_y, mask.data, merged, counters)
+    ctx.saved = None
+    dx = mx.matmul(mx.transpose(merged), grad_y, counters)       # RCL
+    del merged
+    return (*_sqft_grads(ctx, grad_y, mask.data, counters), dx)
 
 
 def _sqft_gc_backward(ctx: _Context, grad_y: DenseMatrix, counters):
-    """Rebuild the merged weight (rRC + RC), then run the sqft schedule over
-    the layer's bool mask."""
-    return _sqft_grads(ctx, grad_y, ctx.layer.original_mask,
-                       _merge(ctx.layer, counters), counters)
+    """Rebuild the merged weight (rRC + RC) for dX, then run the sqft
+    schedule over the layer's bool mask."""
+    dx = mx.matmul(mx.transpose(_merge(ctx.layer, counters)), grad_y, counters)  # RCL
+    return (*_sqft_grads(ctx, grad_y, ctx.layer.original_mask, counters), dx)
 
 
 def _lors_backward(ctx: _Context, grad_y: DenseMatrix, counters):
@@ -455,25 +457,59 @@ def _lors_backward(ctx: _Context, grad_y: DenseMatrix, counters):
     return da, db, dx
 
 
-def _graph_grads(tape: Tape, ids: tuple, grad_y: DenseMatrix):
-    x_id, a_id, b_id, y_id = ids
-    grads = tape.backward(y_id, (x_id, a_id, b_id), seed=grad_y)
-    return grads[a_id], grads[b_id], grads[x_id]
-
-
 def _spp_backward(ctx: _Context, grad_y: DenseMatrix, counters):
-    """Reverse pass of the recorded Repeat-expression graph; tallies land in
-    the counters bound when the graph was recorded."""
-    return _graph_grads(*ctx.graph, grad_y)
+    """Reverse of the Repeat expression Y = W X + delta X, in tape order.
+
+    dX = W^T dY + delta^T dY (the fan-in sum tallied, CL elementwise) and
+    d delta = dY X^T; the Hadamard factors' gradients d delta . tile(B) and
+    d delta . (W . tile(A)); dB sums tile(B)'s gradient over its R row blocks,
+    and dA sums (d(W . tile(A)) . W) over W's C/r column groups (RC
+    elementwise each). Costs 3RCL + 3RC MACs.
+    """
+    layer, (tiled_b, w_tiled_a, x, delta) = ctx.layer, ctx.saved
+    ctx.saved = None
+    w = layer.base.values
+    (rows, cols), r = w.data.shape, layer.adapter.rank
+    dx = mx.matmul(mx.transpose(w), grad_y, counters)                   # RCL
+    d_delta = mx.matmul(grad_y, mx.transpose(x), counters)              # RCL
+    del x
+    dx = mx.add(dx, mx.matmul(mx.transpose(delta), grad_y, counters), counters)  # RCL
+    del delta
+    d_w_tiled_a = mx.hadamard(d_delta, tiled_b, counters)               # RC
+    del tiled_b
+    d_tiled_b = mx.hadamard(d_delta, w_tiled_a, counters)               # RC
+    del d_delta, w_tiled_a
+    if counters is not None:
+        counters.add_elementwise(2 * rows * cols)
+    db = DenseMatrix._wrap(d_tiled_b.data.reshape(rows, 1, 1, cols).sum(axis=(0, 2)))
+    del d_tiled_b
+    da = mx.hadamard(d_w_tiled_a, w, counters).data.reshape(rows, -1, r).sum(axis=1)  # RC
+    return DenseMatrix._wrap(da), db, dx
 
 
 def _spp_gc_backward(ctx: _Context, grad_y: DenseMatrix, counters):
-    """Replay the merged-form graph on a scratch tape, then differentiate.
-
-    The replay (rRC + RC + RCL) plus the derived reverse pass
-    (2RCL + RC + 2rRC) lands on 3RCL + 3rRC + 2RC backward MACs.
+    """Replay the merged-form pass (rRC + RC + RCL, checkpoint-style full
+    recompute), then its reverse in tape order: d merged = dY X^T, which
+    becomes d(A @ Bhat) in place (times W, RC MACs); dX = merged^T dY;
+    dA = d(A @ Bhat) Bhat^T and dBhat = A^T d(A @ Bhat) (rRC each); dB
+    gathers dBhat's diagonal blocks (rC elementwise). Lands on
+    3RCL + 3rRC + 2RC backward MACs.
     """
-    return _graph_grads(*_record_spp_gc(ctx.layer, ctx.x, counters), grad_y)
+    layer = ctx.layer
+    adapter, w = layer.adapter, layer.base.values
+    _, merged, bhat = _spp_gc_pass(layer, ctx.x, counters)
+    d_product = mx.matmul(grad_y, mx.transpose(ctx.x), counters)         # RCL
+    dx = mx.matmul(mx.transpose(merged), grad_y, counters)               # RCL
+    del merged
+    d_product.data *= w.data                                             # RC
+    da = mx.matmul(d_product, mx.transpose(bhat), counters)              # rRC
+    d_bhat = mx.matmul(mx.transpose(adapter.a), d_product, counters).data  # rRC
+    del d_product
+    (r, cols), idx = d_bhat.shape, np.arange(w.data.shape[1])
+    if counters is not None:
+        counters.add_macs(w.data.size)
+        counters.add_elementwise(r * cols)
+    return da, DenseMatrix._wrap(d_bhat[idx % r, idx].reshape(1, cols)), dx
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +579,8 @@ def apply_layer(tape: Tape, layer: AdaptedLayer, x_id: int) -> int:
     Inputs are (x, a, b[, bias]) so the gradient map exposes every trainable
     parameter; node ids are remembered on the layer for the optimizer.
     """
-    x = tape._operands("apply_layer", x_id)[0].value
-    params = {key: tape.leaf(m, requires_grad=True, is_param=True)
+    x = tape._input("apply_layer", x_id)
+    params = {key: tape.leaf(m, requires_grad=True)
               for key, m in layer.trainable().items()}
     inputs = (x_id, *params.values())
     y, ctx = checked_forward(layer, x, tape.counters)
@@ -624,9 +660,7 @@ def merge(layer: AdaptedLayer) -> SparseWeight:
     the zeroing would hide from the checkpoint's own check.
     """
     if isinstance(layer.adapter, SppAdapter):
-        tape = Tape()
-        delta = _record_spp_delta(tape, layer)[-1]
-        merged = mx.add(layer.base.values, tape.value(delta))
+        merged = mx.add(layer.base.values, _spp_delta(layer, None)[-1])
     else:
         merged = _merge(layer, None)
         mx.check_finite(merged.data, "merged weight")

@@ -257,8 +257,7 @@ def _dims(rng: Rng, spp: bool = False):
 
 
 def suite_grad() -> list[CheckResult]:
-    """Finite-difference checks of every hand-written backward, and of the
-    tape-derived spp backward."""
+    """Finite-difference checks of the lora, sqft, lors and spp backwards."""
     results = []
     rng = Rng(0)
     for k in range(12):

@@ -12,8 +12,8 @@ anything.
 
 The requires-grad rule is stated here once: a node needs a gradient when an
 input does; one that needs none saves nothing (no peak, no counters) and
-``backward`` never runs its closure. A one-input op's closure may therefore
-assume its input needs a gradient; two-operand ops check each operand.
+``backward`` never runs its closure. An op's closure may therefore assume
+its input needs a gradient.
 
 Accounting rules (shared with the adapter layers):
 
@@ -38,7 +38,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ArgumentError, GraphError, ShapeError
+from .errors import GraphError, ShapeError
 from . import matrix as mx
 from .matrix import DenseMatrix
 
@@ -95,39 +95,34 @@ class TapeNode:
     backward_fn: Optional[Callable]
     saved: tuple[DenseMatrix, ...] = ()
     requires_grad: bool = False
-    is_param: bool = False
 
 
 class Tape:
-    """``track_saved=False`` keeps saved elements out of the counters (the
-    tape still totals them): the spp and spp_gc private tapes share their
-    layer's counters, and ``apply_layer``'s fused node counts their saved set
-    once."""
+    """The model graph of one step: leaves, ``adapters.apply_layer``'s fused
+    layer nodes, ``relu`` and the losses."""
 
-    def __init__(self, counters: Optional[CostCounters] = None, track_saved: bool = True):
+    def __init__(self, counters: Optional[CostCounters] = None):
         self.counters = counters if counters is not None else CostCounters()
-        self.track_saved = track_saved
         self.nodes: list[TapeNode] = []
         self.saved_ctx = SavedContext()
         self.consumed = False
 
     # -- construction -------------------------------------------------------
 
-    def leaf(self, value: DenseMatrix, requires_grad: bool = False, is_param: bool = False) -> int:
+    def leaf(self, value: DenseMatrix, requires_grad: bool = False) -> int:
         if self.consumed:
             raise GraphError("leaf on a consumed tape")
         node_id = len(self.nodes)
-        self.nodes.append(TapeNode(node_id, value, (), None, (), requires_grad, is_param))
+        self.nodes.append(TapeNode(node_id, value, (), None, (), requires_grad))
         return node_id
 
-    def _operands(self, op: str, *ids: int) -> list[TapeNode]:
-        """An op's inputs; GraphError on a consumed tape or a dangling id, before any tally."""
+    def _input(self, op: str, node_id: int) -> DenseMatrix:
+        """An op's input value; GraphError on a consumed tape or a dangling id, before any tally."""
         if self.consumed:
             raise GraphError(f"{op} on a consumed tape")
-        for i in ids:
-            if not 0 <= i < len(self.nodes):
-                raise GraphError(f"{op}: dangling input id {i}")
-        return list(map(self.nodes.__getitem__, ids))
+        if not 0 <= node_id < len(self.nodes):
+            raise GraphError(f"{op}: dangling input id {node_id}")
+        return self.nodes[node_id].value
 
     def record(self, op: str, inputs, value: DenseMatrix,
                backward_fn: Optional[Callable], saved=()) -> int:
@@ -145,8 +140,7 @@ class Tape:
             count += t.data.size
         nodes.append(TapeNode(node_id, value, inputs, backward_fn, saved, requires_grad))
         self.saved_ctx.peak += count
-        if self.track_saved:
-            self.counters.saved_elements += count
+        self.counters.saved_elements += count
         return node_id
 
     def value(self, node_id: int) -> DenseMatrix:
@@ -197,70 +191,10 @@ class Tape:
                                          if inp_id in grads else g)
         return kept
 
-    # -- primitive differentiable ops ----------------------------------------
-
-    def _product(self, op: str, a_id: int, b_id: int, forward, grad_a, grad_b) -> int:
-        """Record out = forward(a, b); backward gives grad_a(dy, b), grad_b(dy, a).
-
-        The one product rule: each operand is saved when the other operand
-        needs a gradient, unless it is a parameter, and the backward forms
-        gradients only for inputs that need them.
-        """
-        a_node, b_node = self._operands(op, a_id, b_id)
-        a, b = a_node.value, b_node.value
-        c = self.counters
-        out = forward(a, b, c)
-        need_da, need_db = a_node.requires_grad, b_node.requires_grad
-        saved = []
-        if need_da and not b_node.is_param:
-            saved.append(b)
-        if need_db and not a_node.is_param:
-            saved.append(a)
-        a, b = (a if need_db else None), (b if need_da else None)  # only what bwd reads
-
-        def bwd(dy):
-            return (grad_a(dy, b, c) if need_da else None,
-                    grad_b(dy, a, c) if need_db else None)
-
-        return self.record(op, (a_id, b_id), out, bwd, saved=saved)
-
-    def matmul(self, a_id: int, b_id: int) -> int:
-        return self._product("matmul", a_id, b_id, mx.matmul,
-                             lambda dy, b, c: mx.matmul(dy, mx.transpose(b), c),
-                             lambda dy, a, c: mx.matmul(mx.transpose(a), dy, c))
-
-    def hadamard(self, a_id: int, b_id: int) -> int:
-        return self._product("hadamard", a_id, b_id, mx.hadamard, mx.hadamard, mx.hadamard)
-
-    def hadamard_tiled(self, w_id: int, a_id: int) -> int:
-        """W . tile(A, 1, C/r) for R x r A; A broadcasts over W's column groups, untiled."""
-        (rows, cols), (k, r) = [n.value.shape for n in self._operands("hadamard_tiled", w_id, a_id)]
-        if k != rows or cols % r:
-            raise ShapeError(f"hadamard_tiled: A is {k}x{r}, W is {rows}x{cols}")
-
-        def tiled(m, a, c):  # m . tile(a): RC MACs
-            c.add_macs(m.data.size)
-            out = m.data.reshape(rows, -1, r) * a.data[:, None]
-            return DenseMatrix._wrap(out.reshape(rows, cols))
-
-        def group_sum(dy, w, c):  # dA = dY . W summed over the groups: + RC elementwise
-            c.add_elementwise(dy.data.size)
-            return DenseMatrix._wrap(mx.hadamard(dy, w, c).data.reshape(rows, -1, r).sum(axis=1))
-
-        return self._product("hadamard_tiled", w_id, a_id, tiled, tiled, group_sum)
-
-    def add(self, a_id: int, b_id: int) -> int:
-        a_node, b_node = self._operands("add", a_id, b_id)
-        out = mx.add(a_node.value, b_node.value, self.counters)
-
-        def bwd(dy):
-            return (dy if a_node.requires_grad else None,
-                    dy if b_node.requires_grad else None)
-
-        return self.record("add", (a_id, b_id), out, bwd)
+    # -- differentiable ops -------------------------------------------------
 
     def relu(self, a_id: int) -> int:
-        a = self._operands("relu", a_id)[0].value
+        a = self._input("relu", a_id)
         out = mx.relu(a, self.counters)
         gate = DenseMatrix._wrap((a.data > 0.0).astype(np.float64))
         c = self.counters
@@ -270,49 +204,8 @@ class Tape:
 
         return self.record("relu", (a_id,), out, bwd, saved=(gate,))
 
-    def tile(self, a_id: int, rows: int, cols: int) -> int:
-        """np.tile(a, (rows, cols)): out[i, j] = a[i mod m, j mod n] for m x n a.
-
-        The backward sums the rows x cols blocks of dY (dY-sized elementwise).
-        """
-        if rows < 1 or cols < 1:
-            raise ArgumentError(f"tile: repeats must be positive, got ({rows}, {cols})")
-        a = self._operands("tile", a_id)[0].value
-        out = DenseMatrix._wrap(np.tile(a.data, (rows, cols)))
-        c = self.counters
-
-        def bwd(dy):
-            c.add_elementwise(dy.rows * dy.cols)
-            acc = dy.data.reshape(rows, a.rows, cols, a.cols).sum(axis=(0, 2))
-            return (DenseMatrix._wrap(acc),)
-
-        return self.record("tile", (a_id,), out, bwd)
-
-    def block_diag_rows(self, b_id: int, r: int) -> int:
-        """Scatter a 1 x C row into an r x C matrix with out[q mod r, q] = b[q].
-
-        Column blocks of width r are then diagonal sub-blocks holding the
-        corresponding segment of b. Pure data movement (0 MACs).
-        """
-        b = self._operands("block_diag_rows", b_id)[0].value
-        if b.rows != 1:
-            raise ShapeError(f"block_diag_rows: expected a 1xC row, got {b.rows}x{b.cols}")
-        if b.cols % r != 0:
-            raise ArgumentError(f"block_diag_rows: r={r} must divide C={b.cols}")
-        cols = b.cols
-        out = np.zeros((r, cols))
-        idx = np.arange(cols)
-        out[idx % r, idx] = b.data[0]
-        c = self.counters
-
-        def bwd(dy):
-            c.add_elementwise(r * cols)
-            return (DenseMatrix._wrap(dy.data[idx % r, idx].reshape(1, cols)),)
-
-        return self.record("block_diag_rows", (b_id,), DenseMatrix._wrap(out), bwd)
-
     def sum_all(self, a_id: int) -> int:
-        a = self._operands("sum_all", a_id)[0].value.data
+        a = self._input("sum_all", a_id).data
         self.counters.add_elementwise(a.size)
         out = DenseMatrix._wrap(np.array([[a.sum()]]))
         c = self.counters
@@ -330,7 +223,7 @@ class Tape:
         Forward: RL elementwise for D, RL MACs for the square, RL + 1
         elementwise for the sum and the scaling. Backward: RL MACs and
         2RL + 1 elementwise."""
-        y = self._operands("squared_error", y_id)[0].value
+        y = self._input("squared_error", y_id)
         c = self.counters
         diff = mx.sub(y, targets, c)
         d = diff.data
@@ -353,7 +246,7 @@ class Tape:
 
         Saves the K x L probability matrix for the backward pass.
         """
-        z = self._operands("softmax_cross_entropy", logits_id)[0].value
+        z = self._input("softmax_cross_entropy", logits_id)
         labels = np.asarray(labels, dtype=np.int64)
         if labels.shape != (z.cols,):
             raise ShapeError(

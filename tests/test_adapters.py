@@ -282,7 +282,7 @@ def test_counted_saved_matches_declared_footprint():
         _, ctx = variant_forward(layer, x)
         total = sum(t.rows * t.cols for t in counted_saved(layer, ctx))
         assert total == want, variant
-    # spp: private tape saves 3RC + CL
+    # spp saves tile(B), W . tile(A), delta (3RC) and X (CL)
     layer = random_layer(18, "spp", R=5, C=6, r=2)
     x = DenseMatrix(np.random.default_rng(18).normal(size=(6, 4)))
     _, ctx = variant_forward(layer, x)
@@ -670,6 +670,52 @@ def test_spp_backward_is_bitwise_the_tiled_graph(R, C, L, r, bias):
     ids = layer.last_nodes
     grads = tape.backward(y_id, (x_id, *ids.values()), seed=DenseMatrix(dy))
     want, tallies = spp_tile_oracle(layer, x, dy)
+    got = [g.data for g in (grads[ids["a"]], grads[ids["b"]], grads[x_id])]
+    got.append(grads[ids["bias"]].data if bias else None)
+    for name, g, w in zip(("dA", "dB", "dX", "dbias"), got, want):
+        assert (g is None) == (w is None) and (w is None or g.tobytes() == w.tobytes()), name
+    assert (c.macs_forward, c.macs_backward, c.saved_elements,
+            c.elementwise_forward, c.elementwise_backward) == tallies
+
+
+def spp_gc_merged_oracle(layer, x, dy):
+    """spp_gc's (dA, dB, dX, dbias) and five tallies for one apply_layer pass,
+    as the merged-form graph gives them: Bhat the block-diagonal expansion of
+    B, merged = W + W . (A @ Bhat), replayed in the backward; d merged = dY X^T,
+    d(A @ Bhat) = d merged . W, and dB the gather of dBhat's diagonal blocks."""
+    w, a, b = layer.base.values.data, layer.adapter.a.data, layer.adapter.b.data
+    (R, C), r, L = w.shape, a.shape[1], x.shape[1]
+    idx = np.arange(C)
+    bhat = np.zeros((r, C))
+    bhat[idx % r, idx] = b[0]
+    merged = w + w * (a @ bhat)
+    d_product = (dy @ x.T) * w
+    da = d_product @ bhat.T
+    db = (a.T @ d_product)[idx % r, idx].reshape(1, C)
+    dx = merged.T @ dy
+    bias = layer.bias is not None
+    dbias = dy.sum(axis=1, keepdims=True) if bias else None
+    tallies = (r * R * C + R * C + R * C * L, 3 * R * C * L + 3 * r * R * C + 2 * R * C,
+               C * L, R * C + R * L * bias, R * C + r * C + R * L * bias)
+    return (da, db, dx, dbias), tallies
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("R, C, L, r", [(4, 8, 3, 2), (7, 12, 5, 3), (16, 32, 9, 16),
+                                        (9, 10, 1, 1), (64, 64, 32, 16)])
+def test_spp_gc_backward_is_bitwise_the_merged_graph(R, C, L, r, bias):
+    """spp_gc builds the merged weight and its gradient in place; dA, dB, dX,
+    dbias and all five tallies are still those of the merged-form graph."""
+    layer = random_layer(R * C + r, "spp_gc", R, C, r, bias=bias)
+    rng = np.random.default_rng(L)
+    x, dy = rng.normal(size=(C, L)), rng.normal(size=(R, L))
+    c = CostCounters()
+    tape = Tape(c)
+    x_id = tape.leaf(DenseMatrix(x), requires_grad=True)
+    y_id = apply_layer(tape, layer, x_id)
+    ids = layer.last_nodes
+    grads = tape.backward(y_id, (x_id, *ids.values()), seed=DenseMatrix(dy))
+    want, tallies = spp_gc_merged_oracle(layer, x, dy)
     got = [g.data for g in (grads[ids["a"]], grads[ids["b"]], grads[x_id])]
     got.append(grads[ids["bias"]].data if bias else None)
     for name, g, w in zip(("dA", "dB", "dX", "dbias"), got, want):

@@ -809,19 +809,19 @@ def _memory_gate_setup(width=256, L=32):
 
 # Each variant's traced warm-step peak over its counted saved set, in RC, at
 # three 256-wide layers, L = 32, r = 16 (measured: lora 0.65, lors 1.47,
-# sqft_gc 3.46, spp_gc 4.47, sqft 2.46, spp 3.05). Every tensor dies once its
+# sqft_gc 2.39, spp_gc 2.46, sqft 1.27, spp 1.52). Every tensor dies once its
 # last reader has run, so what is left is each schedule's own RC temporaries.
-STEP_EXCESS_RC = {"lora": 0.75, "lors": 1.5, "sqft_gc": 3.5, "spp_gc": 4.5,
-                  "sqft": 2.5, "spp": 3.25}
+STEP_EXCESS_RC = {"lora": 0.75, "lors": 1.5, "sqft_gc": 2.5, "spp_gc": 2.5,
+                  "sqft": 1.5, "spp": 1.75}
 
 
 def test_step_transient_peaks_follow_the_memory_model():
     """tracemalloc gate on one warm train_step of three 256-wide layers (L = 32,
     r = 16): each variant holds at most its counted saved set plus its
     ``STEP_EXCESS_RC``, and lors's rank-r reordering holds less than sqft_gc,
-    which holds less than sqft. spp and spp_gc stay inside theirs only because
-    Tape.backward frees each layer's private graph (spp's tile(B), the spp_gc
-    replay) node by node. Deterministic for a given numpy."""
+    which holds less than sqft. The sqft, sqft_gc, spp and spp_gc bounds hold
+    only because each backward body drops its merged weight and saved tensors
+    after their last reader. Deterministic for a given numpy."""
     width, r = 256, 16
     bases, batch = _memory_gate_setup(width)
     peak, saved = {}, {}
@@ -839,10 +839,9 @@ def test_step_transient_peaks_follow_the_memory_model():
 
 def test_evaluate_holds_one_layer_at_a_time():
     """evaluate runs forward only: the traced peak of a held-out evaluate of
-    an spp model stays below one layer's saved set (3RC + CL) plus four RL,
-    the output, the two partial products W X and delta X its graph keeps
-    until their sum, and one RL of Python objects; a tape would keep all
-    three layers' saved sets."""
+    an spp model stays below one layer's saved set (3RC + CL) plus four RL
+    (measured 3.02 RL: the output and the two partial products W X and
+    delta X at their sum); a tape would keep all three layers' saved sets."""
     width, L, r = 256, 32, 16
     bases, batch = _memory_gate_setup(width, L)
     model = ToyModel([make_layer(base, rank=r, variant="spp") for base in bases])
