@@ -1,4 +1,5 @@
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -722,6 +723,145 @@ def test_spp_gc_backward_is_bitwise_the_merged_graph(R, C, L, r, bias):
         assert (g is None) == (w is None) and (w is None or g.tobytes() == w.tobytes()), name
     assert (c.macs_forward, c.macs_backward, c.saved_elements,
             c.elementwise_forward, c.elementwise_backward) == tallies
+
+
+_SHAPES = [(4, 8, 3, 2), (7, 12, 5, 3), (16, 32, 9, 16), (9, 10, 1, 1), (64, 64, 32, 16)]
+
+
+def _tallies(c):
+    return (c.macs_forward, c.macs_backward, c.saved_elements,
+            c.elementwise_forward, c.elementwise_backward)
+
+
+@pytest.mark.parametrize("R, C, r", [(R, C, r) for R, C, _, r in _SHAPES])
+def test_spp_delta_is_the_tiled_hadamard_bitwise(R, C, r):
+    """_spp_delta broadcasts A over W's column groups, yet W . tile(A, 1, C/r),
+    tile(B, R, 1) and delta are bitwise the materialized tiles' products, for
+    2RC MACs and no other tally, with or without counters."""
+    layer = random_layer(R * C + r, "spp", R, C, r)
+    w, a, b = layer.base.values.data, layer.adapter.a.data, layer.adapter.b.data
+    w_tiled_a = w * np.tile(a, (1, C // r))
+    tiled_b = np.tile(b, (R, 1))
+    want = [w_tiled_a.tobytes(), tiled_b.tobytes(), (w_tiled_a * tiled_b).tobytes()]
+    c = CostCounters()
+    assert [t.data.tobytes() for t in adapters._spp_delta(layer, c)] == want
+    assert _tallies(c) == (2 * R * C, 0, 0, 0, 0)
+    assert [t.data.tobytes() for t in adapters._spp_delta(layer, None)] == want
+
+
+@pytest.mark.parametrize("R, C, L, r", _SHAPES)
+def test_spp_gc_pass_is_the_block_diagonal_merge_bitwise(R, C, L, r):
+    """_spp_gc_pass returns Bhat with B[q] at (q mod r, q) and zeros elsewhere,
+    the merged weight bitwise W + W . (A @ Bhat) though it is built in A @
+    Bhat's buffer, and Y = merged X, for rRC + RC + RCL MACs and RC
+    elementwise."""
+    layer = random_layer(R * C + r, "spp_gc", R, C, r)
+    w, a, b = layer.base.values.data, layer.adapter.a.data, layer.adapter.b.data
+    x = np.random.default_rng(L).normal(size=(C, L))
+    c = CostCounters()
+    y, merged, bhat = adapters._spp_gc_pass(layer, DenseMatrix(x), c)
+    want_bhat = np.zeros((r, C))
+    for q in range(C):
+        want_bhat[q % r, q] = b[0, q]
+    want_merged = w + w * (a @ want_bhat)
+    assert bhat.data.tobytes() == want_bhat.tobytes()
+    assert merged.data.tobytes() == want_merged.tobytes()
+    assert y.data.tobytes() == (want_merged @ x).tobytes()
+    assert _tallies(c) == (r * R * C + R * C + R * C * L, 0, 0, R * C, 0)
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_direct_passes_are_bitwise_the_tape_node(variant, bias):
+    """variant_forward and variant_backward called directly, as the
+    benchmark's span hooks call them, give bitwise the output, gradients and
+    MAC and elementwise tallies of apply_layer's node under a Tape.backward
+    seeded with the same dY; the tape counts exactly the direct pass's
+    saved set."""
+    r = 3 if variant in SPP_VARIANTS else 2
+    layer = random_layer(60, variant, R=6, C=9, r=r, bias=bias)
+    rng = np.random.default_rng(61)
+    x, dy = rng.normal(size=(9, 4)), rng.normal(size=(6, 4))
+    c_tape = CostCounters()
+    tape = Tape(c_tape)
+    x_id = tape.leaf(DenseMatrix(x), requires_grad=True)
+    y_id = apply_layer(tape, layer, x_id)
+    y_tape = tape.value(y_id).data.tobytes()
+    ids = layer.last_nodes
+    grads = tape.backward(y_id, (x_id, *ids.values()), seed=DenseMatrix(dy))
+
+    c = CostCounters()
+    y, ctx = variant_forward(layer, DenseMatrix(x), c)
+    saved = sum(t.data.size for t in counted_saved(layer, ctx))
+    g = variant_backward(layer, DenseMatrix(dy), ctx, c)
+    assert y.data.tobytes() == y_tape
+    pairs = [("dA", g.da, ids["a"]), ("dB", g.db, ids["b"]), ("dX", g.dx, x_id)]
+    if bias:
+        pairs.append(("dbias", g.dbias, ids["bias"]))
+    else:
+        assert g.dbias is None
+    for name, direct, node in pairs:
+        assert direct.data.tobytes() == grads[node].data.tobytes(), name
+    assert _tallies(c)[:2] + _tallies(c)[3:] == _tallies(c_tape)[:2] + _tallies(c_tape)[3:]
+    assert c_tape.saved_elements == tape.saved_ctx.peak == saved
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_backward_drops_every_saved_tensor(variant):
+    """variant_backward hands the saved set to the variant's body and keeps
+    nothing: once it returns, the context holds no saved list and every saved
+    tensor but X, which the caller holds, is freed."""
+    r = 3 if variant in SPP_VARIANTS else 2
+    layer = random_layer(50, variant, R=5, C=6, r=r)
+    x = DenseMatrix(np.random.default_rng(50).normal(size=(6, 4)))
+    _, ctx = variant_forward(layer, x)
+    refs = [weakref.ref(t.data) for t in counted_saved(layer, ctx) if t is not x]
+    assert len(refs) == {"lora": 1, "sqft": 2, "spp": 3}.get(variant, 0)
+    variant_backward(layer, DenseMatrix(np.ones((5, 4))), ctx)
+    assert ctx.saved is None
+    assert [ref() for ref in refs] == [None] * len(refs)
+
+
+@pytest.mark.parametrize("variant", ["sqft", "sqft_gc"])
+def test_merged_weight_dies_before_the_adapter_grads(monkeypatch, variant):
+    """The merged weight has one reader in the backward, dX = merged^T dY:
+    sqft's saved copy and sqft_gc's rebuilt one are both freed before
+    _sqft_grads forms dY X^T."""
+    layer = random_layer(51, variant, R=5, C=6, r=2)
+    x = DenseMatrix(np.random.default_rng(51).normal(size=(6, 4)))
+    merges, alive = [], []
+    real_merge, real_grads = adapters._merge, adapters._sqft_grads
+
+    def spy_merge(layer, counters):
+        merged = real_merge(layer, counters)
+        merges.append(weakref.ref(merged.data))
+        return merged
+
+    def spy_grads(*args):
+        alive.append([ref() is not None for ref in merges])
+        return real_grads(*args)
+
+    monkeypatch.setattr(adapters, "_merge", spy_merge)
+    monkeypatch.setattr(adapters, "_sqft_grads", spy_grads)
+    _, ctx = variant_forward(layer, x)
+    assert [ref() is not None for ref in merges] == [variant == "sqft"]
+    variant_backward(layer, DenseMatrix(np.ones((5, 4))), ctx)
+    assert alive == [[False] * (1 if variant == "sqft" else 2)]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_no_saved_tensor_is_a_parameter(variant):
+    """Parameters (W, its mask, A, B, bias) are captured by the backward,
+    never saved: no counted tensor shares memory with one, so the saved count
+    is activations and intermediates only."""
+    r = 3 if variant in SPP_VARIANTS else 2
+    layer = random_layer(52, variant, R=5, C=6, r=r, bias=True)
+    x = DenseMatrix(np.random.default_rng(52).normal(size=(6, 4)))
+    _, ctx = variant_forward(layer, x)
+    params = [layer.base.values.data, layer.original_mask,
+              *(m.data for m in layer.trainable().values())]
+    for t in counted_saved(layer, ctx):
+        assert not any(np.shares_memory(t.data, p) for p in params), t.shape
 
 
 def test_layers_over_one_base_share_its_read_only_mask():

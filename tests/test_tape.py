@@ -388,6 +388,37 @@ def test_a_node_that_needs_no_gradient_saves_nothing_and_never_runs_backward():
             c.elementwise_backward, t.saved_ctx.peak) == (0, 0, 0, 0, 0, 0)
 
 
+@pytest.mark.parametrize("a_grad, b_grad", [(False, False), (False, True),
+                                            (True, False), (True, True)])
+def test_a_two_input_node_needs_a_gradient_when_either_input_does(a_grad, b_grad):
+    """The rule for a node of several inputs, as apply_layer records: it
+    needs a gradient, keeps its saved tensors and runs its closure exactly
+    when some input needs a gradient, and each such input receives one."""
+    c = CostCounters()
+    t = Tape(c)
+    a = t.leaf(DenseMatrix(np.ones((2, 2))), requires_grad=a_grad)
+    b = t.leaf(DenseMatrix(np.full((2, 2), 2.0)), requires_grad=b_grad)
+    calls = []
+
+    def bwd(dy):
+        calls.append(dy)
+        return (DenseMatrix(2.0 * dy.data), DenseMatrix(dy.data))
+
+    y = t.record("pair", (a, b), DenseMatrix(np.full((2, 2), 4.0)), bwd,
+                 saved=(DenseMatrix(np.ones((3, 3))),))
+    need = a_grad or b_grad
+    assert t.nodes[y].requires_grad == need
+    assert t.saved_ctx.peak == c.saved_elements == 9 * need
+    wanted = [i for i, flag in ((a, a_grad), (b, b_grad)) if flag]
+    grads = t.backward(y, wanted, seed=DenseMatrix(np.ones((2, 2))))
+    assert len(calls) == need
+    assert set(grads) == set(wanted)
+    if a_grad:
+        assert np.array_equal(grads[a].data, np.full((2, 2), 2.0))
+    if b_grad:
+        assert np.array_equal(grads[b].data, np.ones((2, 2)))
+
+
 @pytest.mark.parametrize("op", sorted(_OPS))
 def test_tape_is_freed_by_reference_counting(op):
     """No op's backward refers back to its tape, so a step's tape and every
