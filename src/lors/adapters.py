@@ -45,6 +45,12 @@ consumes the context once, checks dY, switches the counters to the backward
 phase, runs the variant's hand-written body (dA, dB, dX), and adds dbias as
 the row sum of dY.
 
+An R x C transient with one reader inside one body (a rebuilt merged weight,
+dY X^T, spp's d delta) lives in ``_workspace(layer)``: one float64 buffer per
+weight shape, made on first use, shared by all layers and models and resident
+from then on. Nothing saved, returned or kept is a workspace buffer. Like the
+rest of the package, it assumes one thread.
+
 Sparsity is preserved because every masked variant updates only through
 A, B and re-applies the mask on merge. ``merge`` uses the mask captured at
 construction, so later exact-zero coincidences in kept weights cannot shrink
@@ -230,15 +236,28 @@ class _Context:
         return taken
 
 
+_WORKSPACE: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _workspace(layer: AdaptedLayer) -> np.ndarray:
+    """The reused float64 buffer of the layer's weight shape (module docstring)."""
+    shape = layer.base.values.data.shape
+    buf = _WORKSPACE.get(shape)
+    if buf is None:
+        buf = _WORKSPACE[shape] = np.empty(shape)
+    return buf
+
+
 def merged_weight(w: DenseMatrix, a: DenseMatrix, b: DenseMatrix, alpha: float,
-                  mask: np.ndarray, counters=None) -> DenseMatrix:
+                  mask: np.ndarray, counters=None, out=None) -> DenseMatrix:
     """W + alpha * ((A @ B) . M), in the one evaluation order used everywhere.
 
     ``mask`` is an R x C bool array (a 0/1 float array gives the same bits,
     signs of zero included). The merge lives in one RC buffer: the product
     A @ B, then, in place, the mask, the scaling by alpha and the addition of
-    W. The result is not scanned: the forward and merge() check it, and the
-    backward recompute is bitwise the forward's merge.
+    W. That buffer is ``out`` when given, else a fresh array. The result is
+    not scanned: the forward and merge() check it, and the backward recompute
+    is bitwise the forward's merge.
 
     sqft saves this matrix, sqft_gc and lors rebuild it in backward, and
     merge() finalizes with it; sharing the helper keeps all of those bitwise
@@ -248,7 +267,7 @@ def merged_weight(w: DenseMatrix, a: DenseMatrix, b: DenseMatrix, alpha: float,
     if mask.shape != shape or (a.data.shape[0], b.data.shape[1]) != shape:
         raise ShapeError(f"merged_weight: W is {w.rows}x{w.cols}, A @ B is "
                          f"{a.rows}x{b.cols}, mask is {mask.shape}")
-    merged = mx.matmul(a, b, counters)           # rRC
+    merged = mx.matmul(a, b, counters, out)      # rRC
     out = merged.data
     out *= mask                                  # RC
     out *= alpha
@@ -259,12 +278,12 @@ def merged_weight(w: DenseMatrix, a: DenseMatrix, b: DenseMatrix, alpha: float,
     return merged
 
 
-def _merge(layer: AdaptedLayer, counters) -> DenseMatrix:
+def _merge(layer: AdaptedLayer, counters, out=None) -> DenseMatrix:
     """The merged weight of the masked forward over the layer's bool
-    ``original_mask`` (rRC + RC MACs)."""
+    ``original_mask`` (rRC + RC MACs), into ``out`` when given."""
     pair = layer.adapter
     return merged_weight(layer.base.values, pair.a, pair.b, pair.alpha,
-                         layer.original_mask, counters)
+                         layer.original_mask, counters, out)
 
 
 def _check_x(layer: AdaptedLayer, x: DenseMatrix) -> None:
@@ -293,10 +312,10 @@ def lora_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
     return _add_bias(layer, y, counters), _Context(layer, x, [x, bx])
 
 
-def _masked_forward(layer: AdaptedLayer, x: DenseMatrix, counters):
-    """Y = (W + alpha (AB) . M) X and the merged weight, checked for finiteness here."""
+def _masked_forward(layer: AdaptedLayer, x: DenseMatrix, counters, out):
+    """Y = (W + alpha (AB) . M) X and the merged weight (into ``out`` if given), checked here."""
     _check_x(layer, x)
-    merged = _merge(layer, counters)
+    merged = _merge(layer, counters, out)
     mx.check_finite(merged.data, "merged weight")
     y = mx.matmul(merged, x, counters)              # RCL
     return _add_bias(layer, y, counters), merged
@@ -308,17 +327,17 @@ def sqft_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
     sqft is the one variant that builds the RC float mask, because its cost
     model counts it as saved for backward.
     """
-    y, merged = _masked_forward(layer, x, counters)
+    y, merged = _masked_forward(layer, x, counters, None)
     return y, _Context(layer, x, [x, layer.base.mask(), merged])
 
 
 def lors_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
     """sqft's forward, keeping only X (CL elements).
 
-    The merged weight is dropped after use and rebuilt in backward. sqft_gc
-    is the same forward under another name.
+    The merged weight lives in the workspace and is rebuilt in backward.
+    sqft_gc is the same forward under another name.
     """
-    y, _ = _masked_forward(layer, x, counters)
+    y, _ = _masked_forward(layer, x, counters, _workspace(layer))
     return y, _Context(layer, x, [x])
 
 
@@ -364,14 +383,14 @@ def _spp_gc_pass(layer: AdaptedLayer, x: DenseMatrix, counters):
     Bhat is the r x C block-diagonal expansion of B (Bhat[q mod r, q] = B[q]),
     which makes the merged form equal (up to rounding) to the Repeat form
     while exposing the rank-r matmul A @ Bhat (rRC MACs) instead of a tiled
-    Hadamard chain. The merge lives in A @ Bhat's one buffer: times W (RC
-    MACs), then plus W (RC elementwise).
+    Hadamard chain. The merge lives in A @ Bhat's one buffer, the workspace:
+    times W (RC MACs), then plus W (RC elementwise).
     """
     w, adapter = layer.base.values, layer.adapter
     r, cols = adapter.rank, w.data.shape[1]
     idx, bhat = np.arange(cols), mx.zeros(r, cols)
     bhat.data[idx % r, idx] = adapter.b.data[0]
-    merged = mx.matmul(adapter.a, bhat, counters)                        # rRC
+    merged = mx.matmul(adapter.a, bhat, counters, _workspace(layer))  # rRC
     out = merged.data
     out *= w.data
     out += w.data
@@ -409,9 +428,10 @@ def _lora_backward(ctx: _Context, grad_y: DenseMatrix, counters):
 
 
 def _sqft_grads(ctx: _Context, grad_y: DenseMatrix, mask: np.ndarray, counters):
-    """dA/dB from (dY X^T) . M, scaled by alpha; the caller has formed dX."""
+    """dA/dB from (dY X^T) . M, scaled by alpha; the caller has formed dX,
+    so dY X^T may overwrite a merged weight in the workspace."""
     pair = ctx.layer.adapter
-    dy_xt = mx.matmul(grad_y, mx.transpose(ctx.x), counters)     # RCL
+    dy_xt = mx.matmul(grad_y, mx.transpose(ctx.x), counters, _workspace(ctx.layer))  # RCL
     masked = mx.hadamard_mask(dy_xt, mask, counters)             # RC
     del dy_xt
     da = mx.scale(mx.matmul(masked, mx.transpose(pair.b), counters), pair.alpha, counters)  # rRC
@@ -430,9 +450,10 @@ def _sqft_backward(ctx: _Context, grad_y: DenseMatrix, counters):
 
 
 def _sqft_gc_backward(ctx: _Context, grad_y: DenseMatrix, counters):
-    """Rebuild the merged weight (rRC + RC) for dX, then run the sqft
-    schedule over the layer's bool mask."""
-    dx = mx.matmul(mx.transpose(_merge(ctx.layer, counters)), grad_y, counters)  # RCL
+    """Rebuild the merged weight (rRC + RC) in the workspace for dX, then run
+    the sqft schedule over the layer's bool mask."""
+    merged = _merge(ctx.layer, counters, _workspace(ctx.layer))
+    dx = mx.matmul(mx.transpose(merged), grad_y, counters)       # RCL
     return (*_sqft_grads(ctx, grad_y, ctx.layer.original_mask, counters), dx)
 
 
@@ -446,7 +467,7 @@ def _lors_backward(ctx: _Context, grad_y: DenseMatrix, counters):
     """
     pair = ctx.layer.adapter
     xt = mx.transpose(ctx.x)
-    merged = _merge(ctx.layer, counters)
+    merged = _merge(ctx.layer, counters, _workspace(ctx.layer))
     dx = mx.matmul(mx.transpose(merged), grad_y, counters)                  # RCL
     xt_bt = mx.matmul(xt, mx.transpose(pair.b), counters)                   # rCL
     at_dy = mx.matmul(mx.transpose(pair.a), grad_y, counters)               # rRL
@@ -461,46 +482,48 @@ def _spp_backward(ctx: _Context, grad_y: DenseMatrix, counters):
     """Reverse of the Repeat expression Y = W X + delta X, in tape order.
 
     dX = W^T dY + delta^T dY (the fan-in sum tallied, CL elementwise) and
-    d delta = dY X^T; the Hadamard factors' gradients d delta . tile(B) and
-    d delta . (W . tile(A)); dB sums tile(B)'s gradient over its R row blocks,
-    and dA sums (d(W . tile(A)) . W) over W's C/r column groups (RC
-    elementwise each). Costs 3RCL + 3RC MACs.
+    d delta = dY X^T, in the workspace; the Hadamard factors' gradients
+    d delta . tile(B) and d delta . (W . tile(A)), in place over the saved
+    tile(B) and W . tile(A) (IEEE products commute: the bits hold); dB sums
+    tile(B)'s gradient over its R row blocks, and dA sums (d(W . tile(A)) . W)
+    over W's C/r column groups (RC elementwise each). 3RCL + 3RC MACs.
     """
     layer, (tiled_b, w_tiled_a, x, delta) = ctx.layer, ctx.saved
     ctx.saved = None
     w = layer.base.values
     (rows, cols), r = w.data.shape, layer.adapter.rank
     dx = mx.matmul(mx.transpose(w), grad_y, counters)                   # RCL
-    d_delta = mx.matmul(grad_y, mx.transpose(x), counters)              # RCL
+    d_delta = mx.matmul(grad_y, mx.transpose(x), counters, _workspace(layer)).data  # RCL
     del x
     dx = mx.add(dx, mx.matmul(mx.transpose(delta), grad_y, counters), counters)  # RCL
     del delta
-    d_w_tiled_a = mx.hadamard(d_delta, tiled_b, counters)               # RC
-    del tiled_b
-    d_tiled_b = mx.hadamard(d_delta, w_tiled_a, counters)               # RC
-    del d_delta, w_tiled_a
+    d_w_tiled_a, d_tiled_b = tiled_b.data, w_tiled_a.data
+    d_w_tiled_a *= d_delta                                              # RC
+    d_tiled_b *= d_delta                                                # RC
+    del tiled_b, w_tiled_a, d_delta
     if counters is not None:
+        counters.add_macs(3 * rows * cols)
         counters.add_elementwise(2 * rows * cols)
-    db = DenseMatrix._wrap(d_tiled_b.data.reshape(rows, 1, 1, cols).sum(axis=(0, 2)))
+    db = DenseMatrix._wrap(d_tiled_b.reshape(rows, 1, 1, cols).sum(axis=(0, 2)))
     del d_tiled_b
-    da = mx.hadamard(d_w_tiled_a, w, counters).data.reshape(rows, -1, r).sum(axis=1)  # RC
-    return DenseMatrix._wrap(da), db, dx
+    d_w_tiled_a *= w.data                                               # RC
+    return DenseMatrix._wrap(d_w_tiled_a.reshape(rows, -1, r).sum(axis=1)), db, dx
 
 
 def _spp_gc_backward(ctx: _Context, grad_y: DenseMatrix, counters):
     """Replay the merged-form pass (rRC + RC + RCL, checkpoint-style full
-    recompute), then its reverse in tape order: d merged = dY X^T, which
-    becomes d(A @ Bhat) in place (times W, RC MACs); dX = merged^T dY;
-    dA = d(A @ Bhat) Bhat^T and dBhat = A^T d(A @ Bhat) (rRC each); dB
-    gathers dBhat's diagonal blocks (rC elementwise). Lands on
-    3RCL + 3rRC + 2RC backward MACs.
+    recompute), then its reverse: dX = merged^T dY, the merged weight's last
+    reader; d merged = dY X^T, written over it in the workspace, which
+    becomes d(A @ Bhat) in place (times W, RC MACs); dA = d(A @ Bhat) Bhat^T
+    and dBhat = A^T d(A @ Bhat) (rRC each); dB gathers dBhat's diagonal
+    blocks (rC elementwise). Lands on 3RCL + 3rRC + 2RC backward MACs.
     """
     layer = ctx.layer
     adapter, w = layer.adapter, layer.base.values
     _, merged, bhat = _spp_gc_pass(layer, ctx.x, counters)
-    d_product = mx.matmul(grad_y, mx.transpose(ctx.x), counters)         # RCL
     dx = mx.matmul(mx.transpose(merged), grad_y, counters)               # RCL
     del merged
+    d_product = mx.matmul(grad_y, mx.transpose(ctx.x), counters, _workspace(layer))  # RCL
     d_product.data *= w.data                                             # RC
     da = mx.matmul(d_product, mx.transpose(bhat), counters)              # rRC
     d_bhat = mx.matmul(mx.transpose(adapter.a), d_product, counters).data  # rRC

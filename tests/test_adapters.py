@@ -29,6 +29,7 @@ from lors.errors import ArgumentError, GraphError, NumericError, ShapeError
 from lors.matrix import DenseMatrix, Rng
 from lors.prune import SparseWeight, prune_magnitude, prune_two_four
 from lors.tape import CostCounters, Tape
+from lors.train import ToyModel
 
 
 def random_layer(seed, variant, R, C, r, L=None, alpha=2.0, zero_frac=0.5, bias=False):
@@ -824,29 +825,96 @@ def test_backward_drops_every_saved_tensor(variant):
 
 @pytest.mark.parametrize("variant", ["sqft", "sqft_gc"])
 def test_merged_weight_dies_before_the_adapter_grads(monkeypatch, variant):
-    """The merged weight has one reader in the backward, dX = merged^T dY:
-    sqft's saved copy and sqft_gc's rebuilt one are both freed before
-    _sqft_grads forms dY X^T."""
+    """The merged weight has one reader in the backward, dX = merged^T dY.
+    sqft's saved copy is freed before _sqft_grads forms dY X^T. sqft_gc
+    rebuilds it in the workspace, and the order of the products that touch
+    that buffer shows dX has read it before _sqft_grads writes dY X^T over
+    it."""
     layer = random_layer(51, variant, R=5, C=6, r=2)
     x = DenseMatrix(np.random.default_rng(51).normal(size=(6, 4)))
-    merges, alive = [], []
-    real_merge, real_grads = adapters._merge, adapters._sqft_grads
+    merges, alive, events = [], [], []
+    real_merge, real_grads, real_matmul = adapters._merge, adapters._sqft_grads, mx.matmul
 
-    def spy_merge(layer, counters):
-        merged = real_merge(layer, counters)
+    def spy_merge(*args):
+        merged = real_merge(*args)
         merges.append(weakref.ref(merged.data))
         return merged
 
     def spy_grads(*args):
         alive.append([ref() is not None for ref in merges])
+        events.append("_sqft_grads")
         return real_grads(*args)
+
+    def spy_matmul(a, b, counters=None, out=None):
+        ws = adapters._WORKSPACE.get((5, 6), np.empty(0))
+        reads = np.shares_memory(a.data, ws) or np.shares_memory(b.data, ws)
+        events.append(("reads" if reads else "") + ("writes" if out is ws else ""))
+        return real_matmul(a, b, counters, out)
 
     monkeypatch.setattr(adapters, "_merge", spy_merge)
     monkeypatch.setattr(adapters, "_sqft_grads", spy_grads)
+    if variant == "sqft":
+        _, ctx = variant_forward(layer, x)
+        assert [ref() is not None for ref in merges] == [True]
+        variant_backward(layer, DenseMatrix(np.ones((5, 4))), ctx)
+        assert alive == [[False]]
+        return
     _, ctx = variant_forward(layer, x)
-    assert [ref() is not None for ref in merges] == [variant == "sqft"]
+    monkeypatch.setattr(mx, "matmul", spy_matmul)
     variant_backward(layer, DenseMatrix(np.ones((5, 4))), ctx)
-    assert alive == [[False] * (1 if variant == "sqft" else 2)]
+    # rebuild A @ B, dX reads it, then dY X^T overwrites it; dA, dB read the masked copy
+    assert events == ["writes", "reads", "_sqft_grads", "writes", "", ""]
+
+
+@pytest.mark.parametrize("bias", [False, True])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_workspace_never_escapes_a_pass(monkeypatch, variant, bias):
+    """The workspace holds only transients with one reader in one body: no
+    output, saved tensor, gradient, merge or prediction shares memory with
+    it, in a direct pass and in a tape pass. Every variant but lora uses it."""
+    monkeypatch.setattr(adapters, "_WORKSPACE", {})
+    r = 3 if variant in SPP_VARIANTS else 2
+    layer = random_layer(53, variant, R=6, C=9, r=r, bias=bias)
+    rng = np.random.default_rng(53)
+    x, dy = DenseMatrix(rng.normal(size=(9, 4))), DenseMatrix(rng.normal(size=(6, 4)))
+    y, ctx = variant_forward(layer, x, CostCounters())
+    kept = [y, *counted_saved(layer, ctx)]
+    g = variant_backward(layer, dy, ctx, CostCounters())
+    assert (g.dbias is not None) == bias
+    kept += [g.da, g.db, g.dx] + ([g.dbias] if bias else [])
+    tape = Tape()
+    y_id = apply_layer(tape, layer, tape.leaf(x, requires_grad=True))
+    kept.append(tape.value(y_id))
+    kept += tape.backward(y_id, range(y_id), seed=dy).values()
+    kept += [merge(layer).values, ToyModel([layer]).predict(x)]
+    assert list(adapters._WORKSPACE) == ([] if variant == "lora" else [(6, 9)])
+    buf = adapters._WORKSPACE.get((6, 9), np.empty(0))
+    assert [i for i, m in enumerate(kept) if np.shares_memory(m.data, buf)] == []
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_interleaved_layers_of_one_shape_get_their_own_gradients(variant):
+    """Two layers of one weight shape share one workspace buffer. Run as
+    forward A, forward B, backward B, backward A, each gets bitwise the
+    outputs and gradients of its own separate pass."""
+    r = 3 if variant in SPP_VARIANTS else 2
+    layers = [random_layer(54 + i, variant, R=6, C=9, r=r) for i in range(2)]
+    rng = np.random.default_rng(54)
+    xs = [DenseMatrix(rng.normal(size=(9, 4))) for _ in layers]
+    dys = [DenseMatrix(rng.normal(size=(6, 4))) for _ in layers]
+
+    def as_bytes(y, g):
+        return [m.data.tobytes() for m in (y, g.da, g.db, g.dx)]
+
+    separate = []
+    for layer, x, dy in zip(layers, xs, dys):
+        y, ctx = variant_forward(layer, x)
+        separate.append(as_bytes(y, variant_backward(layer, dy, ctx)))
+    passes = [variant_forward(layer, x) for layer, x in zip(layers, xs)]
+    grads = [variant_backward(layer, dy, ctx)
+             for layer, dy, (_, ctx) in reversed(list(zip(layers, dys, passes)))]
+    interleaved = [as_bytes(y, g) for (y, _), g in zip(passes, reversed(grads))]
+    assert interleaved == separate
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

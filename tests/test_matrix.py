@@ -49,6 +49,21 @@ def test_matmul_counts_mkn_macs():
     assert c.macs_backward == 0
 
 
+@pytest.mark.parametrize("shape", [(1, 1, 1), (3, 4, 5), (64, 16, 64), (33, 7, 65)])
+def test_matmul_into_out_is_the_fresh_product_bitwise(shape):
+    """With ``out`` the product lands in that array, bitwise the fresh
+    product, also through a transposed operand, with the same tally."""
+    m, k, n = shape
+    rng = np.random.default_rng(m * n)
+    a, bt = DenseMatrix(rng.normal(size=(m, k))), DenseMatrix(rng.normal(size=(n, k)))
+    out = np.full((m, n), np.nan)
+    c = CostCounters()
+    got = mx.matmul(a, mx.transpose(bt), c, out)
+    assert got.data is out
+    assert out.tobytes() == mx.matmul(a, mx.transpose(bt)).data.tobytes()
+    assert c.macs_forward == m * k * n
+
+
 def test_counter_phase_routing():
     c = CostCounters()
     c.phase = "backward"

@@ -77,6 +77,25 @@ def test_predict_is_relu_sandwich():
     assert np.allclose(got.data, h, rtol=1e-13, atol=1e-13)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_predict_is_bitwise_the_tape_forward(variant):
+    """predict runs forward only, with no tape, and gives bitwise the output
+    the tape forward records, for every variant (bias on the middle layer)."""
+    rng = np.random.default_rng(70)
+    layers = []
+    for i, (rows, cols) in enumerate(((6, 4), (6, 6), (3, 6))):
+        w = DenseMatrix(rng.normal(size=(rows, cols)))
+        bias = DenseMatrix(rng.normal(size=(rows, 1))) if i == 1 else None
+        layer = make_layer(prune_magnitude(w, 0.5), rank=2, variant=variant, bias=bias)
+        layer.adapter.a = DenseMatrix(rng.normal(size=layer.adapter.a.shape))
+        layer.adapter.b = DenseMatrix(rng.normal(size=layer.adapter.b.shape))
+        layers.append(layer)
+    model, x = ToyModel(layers), DenseMatrix(rng.normal(size=(4, 5)))
+    tape = Tape()
+    want = tape.value(model.forward(tape, tape.leaf(x)))
+    assert model.predict(x).data.tobytes() == want.data.tobytes()
+
+
 def test_forward_loss_matches_half_sse_over_l():
     model = small_model()
     rng = Rng(1)
@@ -808,20 +827,23 @@ def _memory_gate_setup(width=256, L=32):
 
 
 # Each variant's traced warm-step peak over its counted saved set, in RC, at
-# three 256-wide layers, L = 32, r = 16 (measured: lora 0.65, lors 1.47,
-# sqft_gc 2.39, spp_gc 2.46, sqft 1.27, spp 1.52). Every tensor dies once its
-# last reader has run, so what is left is each schedule's own RC temporaries.
+# three 256-wide layers, L = 32, r = 16, the workspace included (measured:
+# lora 0.65, lors 1.47, sqft_gc 2.45, spp_gc 1.60, sqft 1.46, spp 1.52). Every
+# tensor dies once its last reader has run, so what is left is each
+# schedule's own RC temporaries, one of them the workspace for all but lora.
 STEP_EXCESS_RC = {"lora": 0.75, "lors": 1.5, "sqft_gc": 2.5, "spp_gc": 2.5,
                   "sqft": 1.5, "spp": 1.75}
 
 
-def test_step_transient_peaks_follow_the_memory_model():
+def test_step_transient_peaks_follow_the_memory_model(monkeypatch):
     """tracemalloc gate on one warm train_step of three 256-wide layers (L = 32,
     r = 16): each variant holds at most its counted saved set plus its
     ``STEP_EXCESS_RC``, and lors's rank-r reordering holds less than sqft_gc,
     which holds less than sqft. The sqft, sqft_gc, spp and spp_gc bounds hold
     only because each backward body drops its merged weight and saved tensors
-    after their last reader. Deterministic for a given numpy."""
+    after their last reader. The workspace stays resident between steps, so
+    the traced step starts without it and its one RC buffer is counted.
+    Deterministic for a given numpy."""
     width, r = 256, 16
     bases, batch = _memory_gate_setup(width)
     peak, saved = {}, {}
@@ -829,6 +851,7 @@ def test_step_transient_peaks_follow_the_memory_model():
         model = ToyModel([make_layer(base, rank=r, variant=variant) for base in bases])
         optim, counters = OptimState(kind="sgd", lr=1e-3), CostCounters()
         train_step(model, batch, optim)
+        monkeypatch.setattr(adapters, "_WORKSPACE", {})
         peak[variant] = _traced_peak(train_step, model, batch, optim, counters)
         saved[variant] = 8 * counters.saved_elements
     assert peak["lors"] < peak["sqft_gc"] < peak["sqft"], peak
@@ -850,6 +873,24 @@ def test_evaluate_holds_one_layer_at_a_time():
     peak = _traced_peak(evaluate, model, held_out)
     one_layer = predict_cost("spp", width, width, L, r).saved_elements
     assert peak < 8 * (one_layer + 4 * width * L), peak
+
+
+def test_teacher_data_holds_little_beyond_the_dataset(monkeypatch):
+    """make_teacher_data runs the teacher forward only: at width 64, n = 4096
+    and latent 8 its traced peak is at most the dataset it keeps plus 2.5 RL,
+    RL one 64 x 4096 output (measured: kept + 2.13 RL, the column-major x and
+    targets at their row copies). A tape forward keeps every layer's
+    intermediates and peaks at kept + 6.25 RL."""
+    teacher = model_from_weights(random_dense_weights(3, (64,) * 4), variant="lors", rank=1)
+    make_teacher_data(teacher, seed=4, n=64, latent_dim=8)
+    monkeypatch.setattr(adapters, "_WORKSPACE", {})  # counted inside the trace
+    kept = []
+    peak = _traced_peak(lambda: kept.append(make_teacher_data(teacher, seed=4, n=4096,
+                                                              latent_dim=8)))
+    rl = 8 * 64 * 4096
+    held = kept[0]._x.nbytes + kept[0]._y.nbytes
+    assert held == 2 * rl
+    assert peak <= held + 2.5 * rl, (peak - held) / rl
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
