@@ -5,8 +5,13 @@ Usage::
     python3 scripts/fingerprint.py <src-dir>
 
 imports ``lors`` from ``<src-dir>`` (e.g. ``src`` of one checkout, then of
-another) and prints one SHA-256 per group of outputs. Two trees whose lines
-all agree compute the same bits, gradients and counters everywhere it looks:
+another) and prints two SHA-256 per group of outputs: ``bits`` of its values
+(outputs, gradients, merges, losses, files, text) and ``counters`` of its cost
+tallies (the five ``CostCounters`` fields, saved-element peaks and the bench's
+measured and predicted columns), ``-`` where a group has none. A change that
+moves only counters leaves every ``bits`` hash as it was. Two trees whose
+lines all agree compute the same bits, gradients and counters everywhere it
+looks:
 
 - ``layers``: every variant at six shapes, with and without a bias: Y, dA, dB,
   dX, dbias, the five counters and the tape's saved peak of an ``apply_layer``
@@ -55,29 +60,45 @@ SHAPES = ((4, 8, 3, 2), (7, 12, 5, 3), (16, 32, 9, 16), (9, 10, 1, 1),
           (64, 64, 32, 16), (40, 24, 6, 4))
 
 
+def _feed(h, item) -> None:
+    if item is None:
+        h.update(b"<none>")
+    elif isinstance(item, DenseMatrix):
+        _feed(h, item.data)
+    elif isinstance(item, np.ndarray):
+        h.update(repr((item.shape, item.dtype.str)).encode())
+        h.update(np.ascontiguousarray(item).tobytes())
+    elif isinstance(item, CostCounters):
+        _feed(h, repr((item.macs_forward, item.macs_backward, item.saved_elements,
+                       item.elementwise_forward, item.elementwise_backward)))
+    elif isinstance(item, (bytes, bytearray)):
+        h.update(item)
+    else:
+        h.update(repr(item).encode())
+
+
 class Digest:
+    """The bits and the counters of one group, hashed apart."""
+
     def __init__(self):
-        self.h = hashlib.sha256()
+        self.bits, self.counters, self.counted = hashlib.sha256(), hashlib.sha256(), False
 
     def add(self, *items) -> None:
+        """Values into ``bits``; a ``CostCounters`` goes to ``counters``."""
         for item in items:
-            if item is None:
-                self.h.update(b"<none>")
-            elif isinstance(item, DenseMatrix):
-                self.add(item.data)
-            elif isinstance(item, np.ndarray):
-                self.h.update(repr((item.shape, item.dtype.str)).encode())
-                self.h.update(np.ascontiguousarray(item).tobytes())
-            elif isinstance(item, CostCounters):
-                self.add(repr((item.macs_forward, item.macs_backward, item.saved_elements,
-                               item.elementwise_forward, item.elementwise_backward)))
-            elif isinstance(item, (bytes, bytearray)):
-                self.h.update(item)
+            if isinstance(item, CostCounters):
+                self.count(item)
             else:
-                self.h.update(repr(item).encode())
+                _feed(self.bits, item)
 
-    def hex(self) -> str:
-        return self.h.hexdigest()
+    def count(self, *items) -> None:
+        for item in items:
+            _feed(self.counters, item)
+        self.counted = True
+
+    def line(self, name: str, extra: str = "") -> str:
+        counters = self.counters.hexdigest() if self.counted else "-"
+        return f"{name:<9} bits {self.bits.hexdigest()}  counters {counters}{extra}"
 
 
 def _layer(seed, variant, R, C, r, bias):
@@ -100,7 +121,8 @@ def _pass_digest(d: Digest, layer, x, dy) -> None:
     params = layer.last_nodes
     wanted = (x_id, *(params[k] for k in ("a", "b", "bias") if k in params))
     grads = tape.backward(y_id, wanted, seed=dy)
-    d.add(*(grads.get(i) for i in wanted), c, tape.saved_ctx.peak)
+    d.add(*(grads.get(i) for i in wanted), c)
+    d.count(tape.saved_ctx.peak)
     for counters in (CostCounters(), None):
         y, ctx = adapters.variant_forward(layer, x, counters)
         g = adapters.variant_backward(layer, dy, ctx, counters)
@@ -108,7 +130,7 @@ def _pass_digest(d: Digest, layer, x, dy) -> None:
     d.add(adapters.merge(layer).values)
 
 
-def group_layers() -> str:
+def group_layers() -> Digest:
     d = Digest()
     for i, variant in enumerate(adapters.VARIANTS):
         for R, C, L, r in SHAPES:
@@ -134,10 +156,10 @@ def group_layers() -> str:
         for layer in model.layers:
             d.add(layer.adapter.a, layer.adapter.b, adapters.merge(layer).values)
         d.add(train.evaluate(model, held_out))
-    return d.hex()
+    return d
 
 
-def group_finetune(rounds: int = 3) -> str:
+def group_finetune(rounds: int = 3) -> Digest:
     """Finetune-w512's build (perfbench/workloads.py) and its rounds."""
     d = Digest()
     for seed in (41, 42):
@@ -165,13 +187,15 @@ def group_finetune(rounds: int = 3) -> str:
             for layer in model.layers:
                 d.add(layer.adapter.a, layer.adapter.b, adapters.merge(layer).values)
             d.add(train.evaluate(model, held_out))
-    return d.hex()
+    return d
 
 
-def group_recovery() -> tuple[str, float]:
+def group_recovery() -> tuple[Digest, float]:
     spec = initialization.InitSpec("gradient_svd")
     closures = np.array([train.run_recovery(seed, "lors", spec).closure for seed in range(64)])
-    return hashlib.sha256(closures.tobytes()).hexdigest(), float(closures.min())
+    d = Digest()
+    d.add(closures.tobytes())
+    return d, float(closures.min())
 
 
 def _cli(argv) -> tuple[int, str]:
@@ -181,12 +205,14 @@ def _cli(argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def group_verify() -> tuple[str, str]:
+def group_verify() -> tuple[Digest, str]:
     code, text = _cli(["verify"])
-    return hashlib.sha256(f"{code}\n{text}".encode()).hexdigest(), text.splitlines()[-1]
+    d = Digest()
+    d.add(f"{code}\n{text}".encode())
+    return d, text.splitlines()[-1]
 
 
-def group_prune() -> str:
+def group_prune() -> Digest:
     d = Digest()
     rng = np.random.default_rng(3)
     calib = prune.CalibrationBatch(DenseMatrix(rng.normal(size=(16, 12))))
@@ -218,27 +244,34 @@ def group_prune() -> str:
                 argv += ["--calib", str(tmp / "calib.ckpt")]
             code, text = _cli(argv)
             d.add(code, text, (tmp / f"{method}.ckpt").read_bytes())
-    return d.hex()
+    return d
 
 
-def group_bench() -> str:
+def group_bench() -> Digest:
+    """The CSV without ``wall_time_s``: the variant and shape columns are
+    bits, the measured and predicted columns counters."""
     code, text = _cli(["bench", "--shapes", "64,64,64,16;96,48,20,8;12,30,7,3",
                        "--repeats", "2"])
     rows = [line.split(",") for line in text.splitlines()]
-    drop = rows[0].index("wall_time_s")
-    kept = "\n".join(",".join(c for j, c in enumerate(row) if j != drop) for row in rows)
-    return hashlib.sha256(f"{code}\n{kept}".encode()).hexdigest()
+    header = rows[0]
+    counted = [j for j, name in enumerate(header)
+               if name.endswith(("_measured", "_predicted"))]
+    keys = [j for j, name in enumerate(header) if j not in counted and name != "wall_time_s"]
+    d = Digest()
+    d.add(code, *([row[j] for j in keys] for row in rows))
+    d.count(*([row[j] for j in counted] for row in rows))
+    return d
 
 
 def main() -> None:
-    print(f"layers    {group_layers()}")
-    print(f"finetune  {group_finetune()}")
-    closures, worst = group_recovery()
-    print(f"recovery  {closures}  min {worst!r}")
+    print(group_layers().line("layers"))
+    print(group_finetune().line("finetune"))
+    recovery, worst = group_recovery()
+    print(recovery.line("recovery", f"  min {worst!r}"))
     verify, summary = group_verify()
-    print(f"verify    {verify}  {summary}")
-    print(f"prune     {group_prune()}")
-    print(f"bench     {group_bench()}")
+    print(verify.line("verify", f"  {summary}"))
+    print(group_prune().line("prune"))
+    print(group_bench().line("bench"))
 
 
 if __name__ == "__main__":

@@ -12,28 +12,33 @@ lora      RCL + rCL + rRL     RCL + 2rRL + 2rCL                  rL + CL
 sqft      RCL + RC + rRC      2RCL + 2rRC + RC                   2RC + CL
 sqft_gc   RCL + RC + rRC      2RCL + 3rRC + 2RC                  CL
 spp       2RCL + 2RC          3RCL + 3RC                         3RC + CL
-spp_gc    RCL + rRC + RC      3RCL + 3rRC + 2RC                  CL
+spp_gc    RCL + rRC + RC      2RCL + 3rRC + 2RC                  CL
 lors      RCL + rRC + RC      RCL + 2rRL + 2rCL + rRC + RC       CL
 
 - lora: Y = WX + alpha * A(BX); saves X and BX.
 - sqft: Y = (W + alpha * (AB) . M) X with mask M = (W != 0); saves X, M, and
   the merged weight.
-- sqft_gc and lors: one forward function under two names. It is sqft's
-  forward, but only X is kept; the backward pass rebuilds the merged weight
-  (+rRC + RC backward MACs) with the same helper the forward used.
-- The masked variants merge through ``merged_weight`` over the layer's bool
-  ``original_mask``: one RC buffer holds A @ B, then the mask, alpha and W are
-  applied in place. The forward checks the merged weight for finiteness; the
-  backward recompute rebuilds the same bits, so it is not scanned again. Only
-  sqft builds the RC float mask, once per forward, because it saves it.
-- sqft_gc then runs sqft's backward schedule.
+- sqft_gc, spp_gc and lors: one forward function under three names. It is
+  Y = merged X with the merged weight of ``_merge``, but only X is kept; the
+  backward rebuilds the merged weight (+rRC + RC backward MACs) with the same
+  ``_merge``, for dX alone (``_rebuilt_dx``).
+- ``_merge`` builds either kind of merged weight in the one RC buffer of its
+  rank-r product (A @ B, or A @ Bhat for spp_gc). The masked variants go through ``merged_weight`` over the layer's bool
+  ``original_mask``: the mask, alpha and W are applied in place. The forward
+  checks the merged weight for finiteness; the backward recompute rebuilds
+  the same bits, so it is not scanned again. Only sqft builds the RC float
+  mask, once per forward, because it saves it.
+- sqft, sqft_gc and spp_gc share one product-gradient body,
+  ``_product_grads``: G = dY X^T in the workspace, times a factor in place
+  (the mask, or W for spp_gc), then G B^T and A^T G. The pair variants scale
+  those by alpha.
 - spp: Y = WX + (W . tile(A, 1, C/r) . tile(B, R, 1)) X; the backward is the
   reverse of this Repeat expression in tape order. ``_spp_delta`` evaluates
   the expression once, for the forward and for merge().
 - spp_gc: the same function in merged form Y = (W + W . (A @ Bhat)) X with
-  Bhat the block-diagonal expansion of B. One pass, ``_spp_gc_pass``, runs in
-  the forward, which keeps only X, and again in the backward before its
-  reverse (checkpoint-style full recompute).
+  Bhat (``_bhat``) the block-diagonal expansion of B, so its factor in the
+  merged weight and in the product gradients is W. dB gathers the diagonal
+  blocks of dBhat = A^T G, and the backward costs what sqft_gc's does.
 - lors: the adapter gradients are reordered into rank-r products:
   dA = alpha * dY (X^T B^T), dB = alpha * (A^T dY) X^T. The mask is dropped
   from dA/dB (straight-through estimator); dX uses the full masked merged
@@ -278,12 +283,32 @@ def merged_weight(w: DenseMatrix, a: DenseMatrix, b: DenseMatrix, alpha: float,
     return merged
 
 
+def _bhat(adapter: SppAdapter) -> DenseMatrix:
+    """The r x C block-diagonal expansion of spp's B: Bhat[q mod r, q] = B[q],
+    zeros elsewhere, so W . (A @ Bhat) is W . tile(A, 1, C/r) . tile(B, R, 1)."""
+    r, cols = adapter.rank, adapter.b.data.shape[1]
+    idx, bhat = np.arange(cols), mx.zeros(r, cols)
+    bhat.data[idx % r, idx] = adapter.b.data[0]
+    return bhat
+
+
 def _merge(layer: AdaptedLayer, counters, out=None) -> DenseMatrix:
-    """The merged weight of the masked forward over the layer's bool
-    ``original_mask`` (rRC + RC MACs), into ``out`` when given."""
-    pair = layer.adapter
-    return merged_weight(layer.base.values, pair.a, pair.b, pair.alpha,
-                         layer.original_mask, counters, out)
+    """The layer's merged weight, into ``out`` when given (rRC + RC MACs, RC
+    elementwise): W + alpha (A @ B) . M over the bool ``original_mask`` for a
+    pair, W + W . (A @ Bhat) for an SppAdapter, built the same way in the one
+    buffer of A @ Bhat."""
+    w, adapter = layer.base.values, layer.adapter
+    if not isinstance(adapter, SppAdapter):
+        return merged_weight(w, adapter.a, adapter.b, adapter.alpha,
+                             layer.original_mask, counters, out)
+    merged = mx.matmul(adapter.a, _bhat(adapter), counters, out)  # rRC
+    data = merged.data
+    data *= w.data                                                # RC
+    data += w.data
+    if counters is not None:
+        counters.add_macs(data.size)
+        counters.add_elementwise(data.size)
+    return merged
 
 
 def _check_x(layer: AdaptedLayer, x: DenseMatrix) -> None:
@@ -312,8 +337,8 @@ def lora_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
     return _add_bias(layer, y, counters), _Context(layer, x, [x, bx])
 
 
-def _masked_forward(layer: AdaptedLayer, x: DenseMatrix, counters, out):
-    """Y = (W + alpha (AB) . M) X and the merged weight (into ``out`` if given), checked here."""
+def _merged_forward(layer: AdaptedLayer, x: DenseMatrix, counters, out):
+    """Y = merged X and the merged weight of ``_merge`` (into ``out`` if given), checked here."""
     _check_x(layer, x)
     merged = _merge(layer, counters, out)
     mx.check_finite(merged.data, "merged weight")
@@ -327,21 +352,22 @@ def sqft_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
     sqft is the one variant that builds the RC float mask, because its cost
     model counts it as saved for backward.
     """
-    y, merged = _masked_forward(layer, x, counters, None)
+    y, merged = _merged_forward(layer, x, counters, None)
     return y, _Context(layer, x, [x, layer.base.mask(), merged])
 
 
 def lors_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
-    """sqft's forward, keeping only X (CL elements).
+    """Y = merged X, keeping only X (CL elements).
 
     The merged weight lives in the workspace and is rebuilt in backward.
-    sqft_gc is the same forward under another name.
+    sqft_gc is the same forward under another name, and so is spp_gc, whose
+    merged weight is the block-diagonal form of ``_merge``.
     """
-    y, _ = _masked_forward(layer, x, counters, _workspace(layer))
+    y, _ = _merged_forward(layer, x, counters, _workspace(layer))
     return y, _Context(layer, x, [x])
 
 
-sqft_gc_forward = lors_forward
+sqft_gc_forward = spp_gc_forward = lors_forward
 
 
 def _spp_delta(layer: AdaptedLayer, counters):
@@ -376,37 +402,6 @@ def spp_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
     return _add_bias(layer, y, counters), _Context(layer, x, [tiled_b, w_tiled_a, x, delta])
 
 
-def _spp_gc_pass(layer: AdaptedLayer, x: DenseMatrix, counters):
-    """The spp function in merged form, Y = (W + W . (A @ Bhat)) X; returns
-    Y, the merged weight and Bhat.
-
-    Bhat is the r x C block-diagonal expansion of B (Bhat[q mod r, q] = B[q]),
-    which makes the merged form equal (up to rounding) to the Repeat form
-    while exposing the rank-r matmul A @ Bhat (rRC MACs) instead of a tiled
-    Hadamard chain. The merge lives in A @ Bhat's one buffer, the workspace:
-    times W (RC MACs), then plus W (RC elementwise).
-    """
-    w, adapter = layer.base.values, layer.adapter
-    r, cols = adapter.rank, w.data.shape[1]
-    idx, bhat = np.arange(cols), mx.zeros(r, cols)
-    bhat.data[idx % r, idx] = adapter.b.data[0]
-    merged = mx.matmul(adapter.a, bhat, counters, _workspace(layer))  # rRC
-    out = merged.data
-    out *= w.data
-    out += w.data
-    if counters is not None:
-        counters.add_macs(out.size)
-        counters.add_elementwise(out.size)
-    return mx.matmul(merged, x, counters), merged, bhat                  # RCL
-
-
-def spp_gc_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
-    """The merged-form spp pass, its merged weight dropped; saves only X."""
-    _check_x(layer, x)
-    y = _spp_gc_pass(layer, x, counters)[0]
-    return _add_bias(layer, y, counters), _Context(layer, x, [x])
-
-
 # ---------------------------------------------------------------------------
 # backward bodies: (ctx, dY, counters) -> (dA, dB, dX), run by variant_backward
 # in the backward phase after the shared preamble
@@ -427,16 +422,33 @@ def _lora_backward(ctx: _Context, grad_y: DenseMatrix, counters):
     return da, db, dx
 
 
+def _rebuilt_dx(ctx: _Context, grad_y: DenseMatrix, counters) -> DenseMatrix:
+    """The recompute of sqft_gc, spp_gc and lors: rebuild the merged weight in
+    the workspace (rRC + RC) and return dX = merged^T dY (RCL), its one reader."""
+    merged = _merge(ctx.layer, counters, _workspace(ctx.layer))
+    return mx.matmul(mx.transpose(merged), grad_y, counters)
+
+
+def _product_grads(ctx: _Context, grad_y: DenseMatrix, factor: np.ndarray,
+                   b: DenseMatrix, counters):
+    """The gradients of A and of ``b`` through the product A @ b, which enters
+    the merged weight times the R x C ``factor``: the mask for sqft and
+    sqft_gc, W for spp_gc. G = dY X^T is built in the workspace (RCL), times
+    the factor in place (RC), then G b^T and A^T G (rRC each). The caller has
+    formed dX, so G may overwrite a merged weight in the workspace."""
+    g = mx.matmul(grad_y, mx.transpose(ctx.x), counters, _workspace(ctx.layer))  # RCL
+    g.data *= factor                                                             # RC
+    if counters is not None:
+        counters.add_macs(factor.size)
+    a = ctx.layer.adapter.a
+    return mx.matmul(g, mx.transpose(b), counters), mx.matmul(mx.transpose(a), g, counters)
+
+
 def _sqft_grads(ctx: _Context, grad_y: DenseMatrix, mask: np.ndarray, counters):
-    """dA/dB from (dY X^T) . M, scaled by alpha; the caller has formed dX,
-    so dY X^T may overwrite a merged weight in the workspace."""
+    """dA/dB through (dY X^T) . M, scaled by alpha."""
     pair = ctx.layer.adapter
-    dy_xt = mx.matmul(grad_y, mx.transpose(ctx.x), counters, _workspace(ctx.layer))  # RCL
-    masked = mx.hadamard_mask(dy_xt, mask, counters)             # RC
-    del dy_xt
-    da = mx.scale(mx.matmul(masked, mx.transpose(pair.b), counters), pair.alpha, counters)  # rRC
-    db = mx.scale(mx.matmul(mx.transpose(pair.a), masked, counters), pair.alpha, counters)  # rRC
-    return da, db
+    da, db = _product_grads(ctx, grad_y, mask, pair.b, counters)
+    return mx.scale(da, pair.alpha, counters), mx.scale(db, pair.alpha, counters)
 
 
 def _sqft_backward(ctx: _Context, grad_y: DenseMatrix, counters):
@@ -450,10 +462,8 @@ def _sqft_backward(ctx: _Context, grad_y: DenseMatrix, counters):
 
 
 def _sqft_gc_backward(ctx: _Context, grad_y: DenseMatrix, counters):
-    """Rebuild the merged weight (rRC + RC) in the workspace for dX, then run
-    the sqft schedule over the layer's bool mask."""
-    merged = _merge(ctx.layer, counters, _workspace(ctx.layer))
-    dx = mx.matmul(mx.transpose(merged), grad_y, counters)       # RCL
+    """The recompute for dX, then the sqft schedule over the layer's bool mask."""
+    dx = _rebuilt_dx(ctx, grad_y, counters)
     return (*_sqft_grads(ctx, grad_y, ctx.layer.original_mask, counters), dx)
 
 
@@ -467,8 +477,7 @@ def _lors_backward(ctx: _Context, grad_y: DenseMatrix, counters):
     """
     pair = ctx.layer.adapter
     xt = mx.transpose(ctx.x)
-    merged = _merge(ctx.layer, counters, _workspace(ctx.layer))
-    dx = mx.matmul(mx.transpose(merged), grad_y, counters)                  # RCL
+    dx = _rebuilt_dx(ctx, grad_y, counters)
     xt_bt = mx.matmul(xt, mx.transpose(pair.b), counters)                   # rCL
     at_dy = mx.matmul(mx.transpose(pair.a), grad_y, counters)               # rRL
     da = mx.scale(mx.matmul(grad_y, xt_bt, counters), pair.alpha, counters)  # rRL
@@ -511,28 +520,18 @@ def _spp_backward(ctx: _Context, grad_y: DenseMatrix, counters):
 
 
 def _spp_gc_backward(ctx: _Context, grad_y: DenseMatrix, counters):
-    """Replay the merged-form pass (rRC + RC + RCL, checkpoint-style full
-    recompute), then its reverse: dX = merged^T dY, the merged weight's last
-    reader; d merged = dY X^T, written over it in the workspace, which
-    becomes d(A @ Bhat) in place (times W, RC MACs); dA = d(A @ Bhat) Bhat^T
-    and dBhat = A^T d(A @ Bhat) (rRC each); dB gathers dBhat's diagonal
-    blocks (rC elementwise). Lands on 3RCL + 3rRC + 2RC backward MACs.
+    """The recompute for dX, then the product gradients with W as the factor:
+    dA = G Bhat^T and dBhat = A^T G, of which dB gathers the diagonal blocks
+    (rC elementwise). The same 2RCL + 3rRC + 2RC MACs as sqft_gc.
     """
-    layer = ctx.layer
-    adapter, w = layer.adapter, layer.base.values
-    _, merged, bhat = _spp_gc_pass(layer, ctx.x, counters)
-    dx = mx.matmul(mx.transpose(merged), grad_y, counters)               # RCL
-    del merged
-    d_product = mx.matmul(grad_y, mx.transpose(ctx.x), counters, _workspace(layer))  # RCL
-    d_product.data *= w.data                                             # RC
-    da = mx.matmul(d_product, mx.transpose(bhat), counters)              # rRC
-    d_bhat = mx.matmul(mx.transpose(adapter.a), d_product, counters).data  # rRC
-    del d_product
-    (r, cols), idx = d_bhat.shape, np.arange(w.data.shape[1])
+    dx = _rebuilt_dx(ctx, grad_y, counters)
+    da, d_bhat = _product_grads(ctx, grad_y, ctx.layer.base.values.data,
+                                _bhat(ctx.layer.adapter), counters)
+    r, cols = d_bhat.data.shape
+    idx = np.arange(cols)
     if counters is not None:
-        counters.add_macs(w.data.size)
         counters.add_elementwise(r * cols)
-    return da, DenseMatrix._wrap(d_bhat[idx % r, idx].reshape(1, cols)), dx
+    return da, DenseMatrix._wrap(d_bhat.data[idx % r, idx].reshape(1, cols)), dx
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +624,13 @@ class CostPrediction:
     saved_elements: int
 
 
+def _recompute_sqft_cost(R: int, C: int, L: int, r: int) -> CostPrediction:
+    """sqft_gc and spp_gc: one rebuilt merge and the sqft product gradients."""
+    return CostPrediction(R * C * L + R * C + r * R * C,
+                          2 * R * C * L + 3 * r * R * C + 2 * R * C,
+                          C * L)
+
+
 # Closed-form costs of one layer pass at (R, C, L, r): exactly what the
 # counters report for a forward and backward with X requiring a gradient (the
 # general mid-network setting: every schedule computes dX).
@@ -637,18 +643,12 @@ COST_MODELS: dict[str, Callable[[int, int, int, int], CostPrediction]] = {
         R * C * L + R * C + r * R * C,
         2 * R * C * L + 2 * r * R * C + R * C,
         2 * R * C + C * L),
-    "sqft_gc": lambda R, C, L, r: CostPrediction(
-        R * C * L + R * C + r * R * C,
-        2 * R * C * L + 3 * r * R * C + 2 * R * C,
-        C * L),
+    "sqft_gc": _recompute_sqft_cost,
     "spp": lambda R, C, L, r: CostPrediction(
         2 * R * C * L + 2 * R * C,
         3 * R * C * L + 3 * R * C,
         3 * R * C + C * L),
-    "spp_gc": lambda R, C, L, r: CostPrediction(
-        R * C * L + r * R * C + R * C,
-        3 * R * C * L + 3 * r * R * C + 2 * R * C,
-        C * L),
+    "spp_gc": _recompute_sqft_cost,
     "lors": lambda R, C, L, r: CostPrediction(
         R * C * L + r * R * C + R * C,
         R * C * L + 2 * r * R * L + 2 * r * C * L + r * R * C + R * C,

@@ -125,19 +125,6 @@ def hadamard(a: DenseMatrix, b: DenseMatrix, counters=None) -> DenseMatrix:
     return DenseMatrix._wrap(a.data * b.data)
 
 
-def hadamard_mask(a: DenseMatrix, mask: np.ndarray, counters=None) -> DenseMatrix:
-    """a . M for a 0/1 mask array M, bool or float. Tallies m*n MACs, as hadamard.
-
-    A bool mask gives the same bits as its 0/1 float form, signs of zero
-    included, without building that RC float matrix.
-    """
-    if mask.shape != a.data.shape:
-        raise ShapeError(f"hadamard_mask: shapes differ, {a.rows}x{a.cols} vs mask {mask.shape}")
-    if counters is not None:
-        counters.add_macs(mask.size)
-    return DenseMatrix._wrap(a.data * mask)
-
-
 def add(a: DenseMatrix, b: DenseMatrix, counters=None) -> DenseMatrix:
     """Elementwise sum. Additions cost 0 MACs; tallied as elementwise ops."""
     size = _same_size("add", a, b)

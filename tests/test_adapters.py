@@ -79,7 +79,7 @@ def test_frozen_counter_values_4_4_4_1():
         "sqft":    (96, 176, 48),
         "sqft_gc": (96, 208, 16),
         "spp":     (160, 240, 64),
-        "spp_gc":  (96, 272, 16),
+        "spp_gc":  (96, 208, 16),
         "lors":    (96, 160, 16),
     }
     for variant, (fwd, bwd, saved) in expected.items():
@@ -429,7 +429,7 @@ def test_predict_cost_closed_forms():
         "sqft":    (R*C*L + R*C + r*R*C, 2*R*C*L + 2*r*R*C + R*C, 2*R*C + C*L),
         "sqft_gc": (R*C*L + R*C + r*R*C, 2*R*C*L + 3*r*R*C + 2*R*C, C*L),
         "spp":     (2*R*C*L + 2*R*C, 3*R*C*L + 3*R*C, 3*R*C + C*L),
-        "spp_gc":  (R*C*L + r*R*C + R*C, 3*R*C*L + 3*r*R*C + 2*R*C, C*L),
+        "spp_gc":  (R*C*L + r*R*C + R*C, 2*R*C*L + 3*r*R*C + 2*R*C, C*L),
         "lors":    (R*C*L + r*R*C + R*C, R*C*L + 2*r*R*L + 2*r*C*L + r*R*C + R*C, C*L),
     }
     for variant, (f, b, s) in want.items():
@@ -504,6 +504,7 @@ def test_lors_costs_dominate_at_realistic_shapes():
             assert preds["lors"].saved_elements < preds[v].saved_elements, (v, R)
         assert preds["lors"].macs_backward < preds["sqft_gc"].macs_backward
         assert preds["lors"].macs_backward < preds["spp_gc"].macs_backward
+        assert preds["spp_gc"] == preds["sqft_gc"]
 
 
 def test_direct_passes_tally_predicted_macs_and_restore_phase():
@@ -592,9 +593,6 @@ def test_merged_weight_tallies_and_bool_mask_bits():
     assert old.data.tobytes() == want
     assert merged_weight(w, a, b, alpha, mask).data.tobytes() == want
     assert merged_weight(w, a, b, alpha, fmask).data.tobytes() == want
-    product = mx.matmul(a, b)
-    assert (mx.hadamard_mask(product, mask).data.tobytes()
-            == mx.hadamard(product, DenseMatrix(fmask)).data.tobytes())
     for backward in (False, True):
         c = CostCounters()
         if backward:
@@ -683,8 +681,9 @@ def test_spp_backward_is_bitwise_the_tiled_graph(R, C, L, r, bias):
 def spp_gc_merged_oracle(layer, x, dy):
     """spp_gc's (dA, dB, dX, dbias) and five tallies for one apply_layer pass,
     as the merged-form graph gives them: Bhat the block-diagonal expansion of
-    B, merged = W + W . (A @ Bhat), replayed in the backward; d merged = dY X^T,
-    d(A @ Bhat) = d merged . W, and dB the gather of dBhat's diagonal blocks."""
+    B, merged = W + W . (A @ Bhat), rebuilt in the backward for dX alone;
+    d merged = dY X^T, d(A @ Bhat) = d merged . W, and dB the gather of
+    dBhat's diagonal blocks."""
     w, a, b = layer.base.values.data, layer.adapter.a.data, layer.adapter.b.data
     (R, C), r, L = w.shape, a.shape[1], x.shape[1]
     idx = np.arange(C)
@@ -697,7 +696,7 @@ def spp_gc_merged_oracle(layer, x, dy):
     dx = merged.T @ dy
     bias = layer.bias is not None
     dbias = dy.sum(axis=1, keepdims=True) if bias else None
-    tallies = (r * R * C + R * C + R * C * L, 3 * R * C * L + 3 * r * R * C + 2 * R * C,
+    tallies = (r * R * C + R * C + R * C * L, 2 * R * C * L + 3 * r * R * C + 2 * R * C,
                C * L, R * C + R * L * bias, R * C + r * C + R * L * bias)
     return (da, db, dx, dbias), tallies
 
@@ -750,25 +749,25 @@ def test_spp_delta_is_the_tiled_hadamard_bitwise(R, C, r):
     assert [t.data.tobytes() for t in adapters._spp_delta(layer, None)] == want
 
 
-@pytest.mark.parametrize("R, C, L, r", _SHAPES)
-def test_spp_gc_pass_is_the_block_diagonal_merge_bitwise(R, C, L, r):
-    """_spp_gc_pass returns Bhat with B[q] at (q mod r, q) and zeros elsewhere,
-    the merged weight bitwise W + W . (A @ Bhat) though it is built in A @
-    Bhat's buffer, and Y = merged X, for rRC + RC + RCL MACs and RC
+@pytest.mark.parametrize("R, C, r", [(R, C, r) for R, C, _, r in _SHAPES])
+def test_spp_gc_merge_is_the_block_diagonal_merge_bitwise(R, C, r):
+    """_bhat puts B[q] at (q mod r, q) and zeros elsewhere, and _merge of an
+    spp_gc layer is bitwise W + W . (A @ Bhat) though it is built in A @
+    Bhat's buffer (the workspace when given), for rRC + RC MACs and RC
     elementwise."""
     layer = random_layer(R * C + r, "spp_gc", R, C, r)
     w, a, b = layer.base.values.data, layer.adapter.a.data, layer.adapter.b.data
-    x = np.random.default_rng(L).normal(size=(C, L))
-    c = CostCounters()
-    y, merged, bhat = adapters._spp_gc_pass(layer, DenseMatrix(x), c)
     want_bhat = np.zeros((r, C))
     for q in range(C):
         want_bhat[q % r, q] = b[0, q]
-    want_merged = w + w * (a @ want_bhat)
-    assert bhat.data.tobytes() == want_bhat.tobytes()
-    assert merged.data.tobytes() == want_merged.tobytes()
-    assert y.data.tobytes() == (want_merged @ x).tobytes()
-    assert _tallies(c) == (r * R * C + R * C + R * C * L, 0, 0, R * C, 0)
+    want_merged = (w + w * (a @ want_bhat)).tobytes()
+    assert adapters._bhat(layer.adapter).data.tobytes() == want_bhat.tobytes()
+    c = CostCounters()
+    assert adapters._merge(layer, c).data.tobytes() == want_merged
+    assert _tallies(c) == (r * R * C + R * C, 0, 0, R * C, 0)
+    ws = adapters._workspace(layer)
+    merged = adapters._merge(layer, None, ws)
+    assert merged.data is ws and merged.data.tobytes() == want_merged
 
 
 @pytest.mark.parametrize("bias", [False, True])
@@ -823,17 +822,18 @@ def test_backward_drops_every_saved_tensor(variant):
     assert [ref() for ref in refs] == [None] * len(refs)
 
 
-@pytest.mark.parametrize("variant", ["sqft", "sqft_gc"])
+@pytest.mark.parametrize("variant", ["sqft", "sqft_gc", "spp_gc"])
 def test_merged_weight_dies_before_the_adapter_grads(monkeypatch, variant):
     """The merged weight has one reader in the backward, dX = merged^T dY.
-    sqft's saved copy is freed before _sqft_grads forms dY X^T. sqft_gc
-    rebuilds it in the workspace, and the order of the products that touch
-    that buffer shows dX has read it before _sqft_grads writes dY X^T over
-    it."""
-    layer = random_layer(51, variant, R=5, C=6, r=2)
+    sqft's saved copy is freed before _product_grads forms dY X^T. sqft_gc
+    and spp_gc rebuild it in the workspace, and the order of the products
+    that touch that buffer shows dX has read it before _product_grads writes
+    dY X^T over it."""
+    r = 3 if variant in SPP_VARIANTS else 2
+    layer = random_layer(51, variant, R=5, C=6, r=r)
     x = DenseMatrix(np.random.default_rng(51).normal(size=(6, 4)))
     merges, alive, events = [], [], []
-    real_merge, real_grads, real_matmul = adapters._merge, adapters._sqft_grads, mx.matmul
+    real_merge, real_grads, real_matmul = adapters._merge, adapters._product_grads, mx.matmul
 
     def spy_merge(*args):
         merged = real_merge(*args)
@@ -842,7 +842,7 @@ def test_merged_weight_dies_before_the_adapter_grads(monkeypatch, variant):
 
     def spy_grads(*args):
         alive.append([ref() is not None for ref in merges])
-        events.append("_sqft_grads")
+        events.append("_product_grads")
         return real_grads(*args)
 
     def spy_matmul(a, b, counters=None, out=None):
@@ -852,7 +852,7 @@ def test_merged_weight_dies_before_the_adapter_grads(monkeypatch, variant):
         return real_matmul(a, b, counters, out)
 
     monkeypatch.setattr(adapters, "_merge", spy_merge)
-    monkeypatch.setattr(adapters, "_sqft_grads", spy_grads)
+    monkeypatch.setattr(adapters, "_product_grads", spy_grads)
     if variant == "sqft":
         _, ctx = variant_forward(layer, x)
         assert [ref() is not None for ref in merges] == [True]
@@ -862,8 +862,8 @@ def test_merged_weight_dies_before_the_adapter_grads(monkeypatch, variant):
     _, ctx = variant_forward(layer, x)
     monkeypatch.setattr(mx, "matmul", spy_matmul)
     variant_backward(layer, DenseMatrix(np.ones((5, 4))), ctx)
-    # rebuild A @ B, dX reads it, then dY X^T overwrites it; dA, dB read the masked copy
-    assert events == ["writes", "reads", "_sqft_grads", "writes", "", ""]
+    # rebuild the merge, dX reads it, then dY X^T overwrites it; dA, dB read that
+    assert events == ["writes", "reads", "_product_grads", "writes", "reads", "reads"]
 
 
 @pytest.mark.parametrize("bias", [False, True])
