@@ -27,14 +27,14 @@ lors      RCL + rRC + RC      RCL + 2rRL + 2rCL + rRC + RC       CL
   ``original_mask``: the mask, alpha and W are applied in place. The forward
   checks the merged weight for finiteness; the backward recompute rebuilds
   the same bits, so it is not scanned again. Only sqft builds the RC float
-  mask, once per forward, because it saves it.
+  mask, a copy of the bool mask once per forward, because it saves it.
 - sqft, sqft_gc and spp_gc share one product-gradient body,
-  ``_product_grads``: G = dY X^T in the workspace, times a factor in place
+  ``_product_grads``: G = dY X^T in a pooled buffer, times a factor in place
   (the mask, or W for spp_gc), then G B^T and A^T G. The pair variants scale
   those by alpha.
 - spp: Y = WX + (W . tile(A, 1, C/r) . tile(B, R, 1)) X; the backward is the
-  reverse of this Repeat expression in tape order. ``_spp_delta`` evaluates
-  the expression once, for the forward and for merge().
+  reverse of this Repeat expression. ``_spp_delta`` evaluates the expression
+  once, for the forward and for merge().
 - spp_gc: the same function in merged form Y = (W + W . (A @ Bhat)) X with
   Bhat (``_bhat``) the block-diagonal expansion of B, so its factor in the
   merged weight and in the product gradients is W. dB gathers the diagonal
@@ -50,11 +50,14 @@ consumes the context once, checks dY, switches the counters to the backward
 phase, runs the variant's hand-written body (dA, dB, dX), and adds dbias as
 the row sum of dY.
 
-An R x C transient with one reader inside one body (a rebuilt merged weight,
-dY X^T, spp's d delta) lives in ``_workspace(layer)``: one float64 buffer per
-weight shape, made on first use, shared by all layers and models and resident
-from then on. Nothing saved, returned or kept is a workspace buffer. Like the
-rest of the package, it assumes one thread.
+Every R x C float64 array here comes from the pool, one free list per weight
+shape shared by all layers and models: ``_take`` pops a buffer or makes one,
+``_give`` pushes it back after its last reader, in the same body for a
+transient (an unsaved merge, dY X^T, spp's d delta), in the backward for a
+saved tensor. A pass with no backward (predict, merge(), a forward that
+raises) drops its buffers, so nothing pooled is ever read again. Nothing
+returned is pooled. A shape not seen before empties the pool, so only the
+shapes in use keep buffers. Like the rest of the package, it assumes one thread.
 
 Sparsity is preserved because every masked variant updates only through
 A, B and re-applies the mask on merge. ``merge`` uses the mask captured at
@@ -226,7 +229,7 @@ class _Context:
 
     ``saved`` is exactly the counted saved-for-backward set. ``consume`` hands
     it to the backward and keeps nothing; each backward body clears the
-    handed-over list and drops every tensor after its last reader.
+    handed-over list and gives back or drops each tensor after its last reader.
     """
 
     layer: AdaptedLayer
@@ -241,16 +244,21 @@ class _Context:
         return taken
 
 
-_WORKSPACE: dict[tuple[int, int], np.ndarray] = {}
+_POOL: dict[tuple[int, int], list[np.ndarray]] = {}
 
 
-def _workspace(layer: AdaptedLayer) -> np.ndarray:
-    """The reused float64 buffer of the layer's weight shape (module docstring)."""
-    shape = layer.base.values.data.shape
-    buf = _WORKSPACE.get(shape)
-    if buf is None:
-        buf = _WORKSPACE[shape] = np.empty(shape)
-    return buf
+def _take(shape: tuple[int, int]) -> np.ndarray:
+    """A float64 buffer of ``shape`` from the pool, or a new one (module docstring)."""
+    if shape not in _POOL:  # a new shape frees the other shapes' buffers
+        _POOL.clear()
+    free = _POOL.setdefault(shape, [])
+    return free.pop() if free else np.empty(shape)
+
+
+def _give(*arrays: np.ndarray) -> None:
+    """Push buffers back on the pool; nothing else may read them afterwards."""
+    for arr in arrays:
+        _POOL.setdefault(arr.shape, []).append(arr)
 
 
 def merged_weight(w: DenseMatrix, a: DenseMatrix, b: DenseMatrix, alpha: float,
@@ -292,16 +300,17 @@ def _bhat(adapter: SppAdapter) -> DenseMatrix:
     return bhat
 
 
-def _merge(layer: AdaptedLayer, counters, out=None) -> DenseMatrix:
+def _merge(layer: AdaptedLayer, counters, out=None, bhat=None) -> DenseMatrix:
     """The layer's merged weight, into ``out`` when given (rRC + RC MACs, RC
     elementwise): W + alpha (A @ B) . M over the bool ``original_mask`` for a
     pair, W + W . (A @ Bhat) for an SppAdapter, built the same way in the one
-    buffer of A @ Bhat."""
+    buffer of A @ Bhat (``bhat`` when the caller has built it)."""
     w, adapter = layer.base.values, layer.adapter
     if not isinstance(adapter, SppAdapter):
         return merged_weight(w, adapter.a, adapter.b, adapter.alpha,
                              layer.original_mask, counters, out)
-    merged = mx.matmul(adapter.a, _bhat(adapter), counters, out)  # rRC
+    bhat = _bhat(adapter) if bhat is None else bhat
+    merged = mx.matmul(adapter.a, bhat, counters, out)            # rRC
     data = merged.data
     data *= w.data                                                # RC
     data += w.data
@@ -337,10 +346,10 @@ def lora_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
     return _add_bias(layer, y, counters), _Context(layer, x, [x, bx])
 
 
-def _merged_forward(layer: AdaptedLayer, x: DenseMatrix, counters, out):
-    """Y = merged X and the merged weight of ``_merge`` (into ``out`` if given), checked here."""
+def _merged_forward(layer: AdaptedLayer, x: DenseMatrix, counters):
+    """Y = merged X and the merged weight of ``_merge`` (pooled), checked here."""
     _check_x(layer, x)
-    merged = _merge(layer, counters, out)
+    merged = _merge(layer, counters, _take(layer.original_mask.shape))
     mx.check_finite(merged.data, "merged weight")
     y = mx.matmul(merged, x, counters)              # RCL
     return _add_bias(layer, y, counters), merged
@@ -349,21 +358,24 @@ def _merged_forward(layer: AdaptedLayer, x: DenseMatrix, counters, out):
 def sqft_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
     """Y = (W + alpha (AB) . M) X; saves X, the float mask M, and the merged weight.
 
-    sqft is the one variant that builds the RC float mask, because its cost
-    model counts it as saved for backward.
+    sqft is the one variant that builds the RC float mask, a pooled copy of
+    the bool mask, because its cost model counts it as saved for backward.
     """
-    y, merged = _merged_forward(layer, x, counters, None)
-    return y, _Context(layer, x, [x, layer.base.mask(), merged])
+    y, merged = _merged_forward(layer, x, counters)
+    mask = _take(layer.original_mask.shape)
+    np.copyto(mask, layer.original_mask)
+    return y, _Context(layer, x, [x, DenseMatrix._wrap(mask), merged])
 
 
 def lors_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
     """Y = merged X, keeping only X (CL elements).
 
-    The merged weight lives in the workspace and is rebuilt in backward.
-    sqft_gc is the same forward under another name, and so is spp_gc, whose
-    merged weight is the block-diagonal form of ``_merge``.
+    The merged weight goes back to the pool once Y is formed and is rebuilt
+    in backward. sqft_gc is the same forward under another name, and so is
+    spp_gc, whose merged weight is the block-diagonal form of ``_merge``.
     """
-    y, _ = _merged_forward(layer, x, counters, _workspace(layer))
+    y, merged = _merged_forward(layer, x, counters)
+    _give(merged.data)
     return y, _Context(layer, x, [x])
 
 
@@ -372,7 +384,7 @@ sqft_gc_forward = spp_gc_forward = lors_forward
 
 def _spp_delta(layer: AdaptedLayer, counters):
     """W . tile(A, 1, C/r), tile(B, R, 1) and their product, the Repeat
-    expression delta (2RC MACs).
+    expression delta (2RC MACs), in three pooled buffers.
 
     Column q of tile(A, 1, C/r) is A[:, q mod r], so A broadcasts over W's
     column groups and only tile(B, R, 1), which the saved set counts, is
@@ -381,11 +393,12 @@ def _spp_delta(layer: AdaptedLayer, counters):
     w, adapter = layer.base.values.data, layer.adapter
     (rows, cols), r = w.shape, adapter.rank
     if counters is not None:
-        counters.add_macs(w.size)
-    w_tiled_a = DenseMatrix._wrap((w.reshape(rows, -1, r) * adapter.a.data[:, None])
-                                  .reshape(rows, cols))
-    tiled_b = DenseMatrix._wrap(np.tile(adapter.b.data, (rows, 1)))
-    return w_tiled_a, tiled_b, mx.hadamard(w_tiled_a, tiled_b, counters)
+        counters.add_macs(2 * w.size)
+    w_tiled_a, tiled_b, delta = _take(w.shape), _take(w.shape), _take(w.shape)
+    np.multiply(w.reshape(rows, -1, r), adapter.a.data[:, None], w_tiled_a.reshape(rows, -1, r))
+    tiled_b[...] = adapter.b.data
+    np.multiply(w_tiled_a, tiled_b, delta)
+    return DenseMatrix._wrap(w_tiled_a), DenseMatrix._wrap(tiled_b), DenseMatrix._wrap(delta)
 
 
 def spp_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
@@ -422,26 +435,30 @@ def _lora_backward(ctx: _Context, grad_y: DenseMatrix, counters):
     return da, db, dx
 
 
-def _rebuilt_dx(ctx: _Context, grad_y: DenseMatrix, counters) -> DenseMatrix:
+def _rebuilt_dx(ctx: _Context, grad_y: DenseMatrix, counters, bhat=None) -> DenseMatrix:
     """The recompute of sqft_gc, spp_gc and lors: rebuild the merged weight in
-    the workspace (rRC + RC) and return dX = merged^T dY (RCL), its one reader."""
-    merged = _merge(ctx.layer, counters, _workspace(ctx.layer))
-    return mx.matmul(mx.transpose(merged), grad_y, counters)
+    a pooled buffer (rRC + RC), given back after dX = merged^T dY (RCL)."""
+    merged = _merge(ctx.layer, counters, _take(ctx.layer.original_mask.shape), bhat)
+    dx = mx.matmul(mx.transpose(merged), grad_y, counters)
+    _give(merged.data)
+    return dx
 
 
 def _product_grads(ctx: _Context, grad_y: DenseMatrix, factor: np.ndarray,
                    b: DenseMatrix, counters):
     """The gradients of A and of ``b`` through the product A @ b, which enters
     the merged weight times the R x C ``factor``: the mask for sqft and
-    sqft_gc, W for spp_gc. G = dY X^T is built in the workspace (RCL), times
+    sqft_gc, W for spp_gc. G = dY X^T is built in a pooled buffer (RCL), times
     the factor in place (RC), then G b^T and A^T G (rRC each). The caller has
-    formed dX, so G may overwrite a merged weight in the workspace."""
-    g = mx.matmul(grad_y, mx.transpose(ctx.x), counters, _workspace(ctx.layer))  # RCL
-    g.data *= factor                                                             # RC
+    formed dX and given its merged weight back, so G takes that buffer."""
+    g = mx.matmul(grad_y, mx.transpose(ctx.x), counters, _take(factor.shape))  # RCL
+    g.data *= factor                                                           # RC
     if counters is not None:
         counters.add_macs(factor.size)
     a = ctx.layer.adapter.a
-    return mx.matmul(g, mx.transpose(b), counters), mx.matmul(mx.transpose(a), g, counters)
+    grads = mx.matmul(g, mx.transpose(b), counters), mx.matmul(mx.transpose(a), g, counters)
+    _give(g.data)
+    return grads
 
 
 def _sqft_grads(ctx: _Context, grad_y: DenseMatrix, mask: np.ndarray, counters):
@@ -452,13 +469,16 @@ def _sqft_grads(ctx: _Context, grad_y: DenseMatrix, mask: np.ndarray, counters):
 
 
 def _sqft_backward(ctx: _Context, grad_y: DenseMatrix, counters):
-    """dX = merged^T dY from the saved merged weight, which then dies, and
-    dA/dB over the saved float mask."""
+    """dX = merged^T dY from the saved merged weight, which then goes back to
+    the pool, and dA/dB over the saved float mask, which follows it."""
     _, mask, merged = ctx.saved
     ctx.saved = None
     dx = mx.matmul(mx.transpose(merged), grad_y, counters)       # RCL
+    _give(merged.data)
     del merged
-    return (*_sqft_grads(ctx, grad_y, mask.data, counters), dx)
+    da, db = _sqft_grads(ctx, grad_y, mask.data, counters)
+    _give(mask.data)
+    return da, db, dx
 
 
 def _sqft_gc_backward(ctx: _Context, grad_y: DenseMatrix, counters):
@@ -488,10 +508,10 @@ def _lors_backward(ctx: _Context, grad_y: DenseMatrix, counters):
 
 
 def _spp_backward(ctx: _Context, grad_y: DenseMatrix, counters):
-    """Reverse of the Repeat expression Y = W X + delta X, in tape order.
+    """Reverse of the Repeat expression Y = W X + delta X.
 
-    dX = W^T dY + delta^T dY (the fan-in sum tallied, CL elementwise) and
-    d delta = dY X^T, in the workspace; the Hadamard factors' gradients
+    dX = W^T dY + delta^T dY (the fan-in sum tallied, CL elementwise), then
+    d delta = dY X^T in delta's buffer; the Hadamard factors' gradients
     d delta . tile(B) and d delta . (W . tile(A)), in place over the saved
     tile(B) and W . tile(A) (IEEE products commute: the bits hold); dB sums
     tile(B)'s gradient over its R row blocks, and dA sums (d(W . tile(A)) . W)
@@ -502,31 +522,30 @@ def _spp_backward(ctx: _Context, grad_y: DenseMatrix, counters):
     w = layer.base.values
     (rows, cols), r = w.data.shape, layer.adapter.rank
     dx = mx.matmul(mx.transpose(w), grad_y, counters)                   # RCL
-    d_delta = mx.matmul(grad_y, mx.transpose(x), counters, _workspace(layer)).data  # RCL
-    del x
     dx = mx.add(dx, mx.matmul(mx.transpose(delta), grad_y, counters), counters)  # RCL
-    del delta
+    _give(delta.data)
+    d_delta = mx.matmul(grad_y, mx.transpose(x), counters, _take(w.data.shape)).data  # RCL
     d_w_tiled_a, d_tiled_b = tiled_b.data, w_tiled_a.data
     d_w_tiled_a *= d_delta                                              # RC
     d_tiled_b *= d_delta                                                # RC
-    del tiled_b, w_tiled_a, d_delta
     if counters is not None:
         counters.add_macs(3 * rows * cols)
         counters.add_elementwise(2 * rows * cols)
     db = DenseMatrix._wrap(d_tiled_b.reshape(rows, 1, 1, cols).sum(axis=(0, 2)))
-    del d_tiled_b
     d_w_tiled_a *= w.data                                               # RC
-    return DenseMatrix._wrap(d_w_tiled_a.reshape(rows, -1, r).sum(axis=1)), db, dx
+    da = DenseMatrix._wrap(d_w_tiled_a.reshape(rows, -1, r).sum(axis=1))
+    _give(d_delta, d_tiled_b, d_w_tiled_a)
+    return da, db, dx
 
 
 def _spp_gc_backward(ctx: _Context, grad_y: DenseMatrix, counters):
     """The recompute for dX, then the product gradients with W as the factor:
     dA = G Bhat^T and dBhat = A^T G, of which dB gathers the diagonal blocks
-    (rC elementwise). The same 2RCL + 3rRC + 2RC MACs as sqft_gc.
+    (rC elementwise), over one Bhat. The same 2RCL + 3rRC + 2RC MACs as sqft_gc.
     """
-    dx = _rebuilt_dx(ctx, grad_y, counters)
-    da, d_bhat = _product_grads(ctx, grad_y, ctx.layer.base.values.data,
-                                _bhat(ctx.layer.adapter), counters)
+    bhat = _bhat(ctx.layer.adapter)
+    dx = _rebuilt_dx(ctx, grad_y, counters, bhat)
+    da, d_bhat = _product_grads(ctx, grad_y, ctx.layer.base.values.data, bhat, counters)
     r, cols = d_bhat.data.shape
     idx = np.arange(cols)
     if counters is not None:

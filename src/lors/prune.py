@@ -78,10 +78,6 @@ class SparseWeight:
             self._mask.flags.writeable = False
         return self._mask
 
-    def mask(self) -> DenseMatrix:
-        """The 0/1 float mask M = (values != 0), RC extra elements."""
-        return DenseMatrix._wrap(self.mask_bool().astype(np.float64))
-
     def nonzeros(self) -> int:
         return int(np.count_nonzero(self.values.data))
 

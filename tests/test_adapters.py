@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import weakref
 
@@ -753,7 +754,7 @@ def test_spp_delta_is_the_tiled_hadamard_bitwise(R, C, r):
 def test_spp_gc_merge_is_the_block_diagonal_merge_bitwise(R, C, r):
     """_bhat puts B[q] at (q mod r, q) and zeros elsewhere, and _merge of an
     spp_gc layer is bitwise W + W . (A @ Bhat) though it is built in A @
-    Bhat's buffer (the workspace when given), for rRC + RC MACs and RC
+    Bhat's buffer (a pooled one when given), for rRC + RC MACs and RC
     elementwise."""
     layer = random_layer(R * C + r, "spp_gc", R, C, r)
     w, a, b = layer.base.values.data, layer.adapter.a.data, layer.adapter.b.data
@@ -765,9 +766,23 @@ def test_spp_gc_merge_is_the_block_diagonal_merge_bitwise(R, C, r):
     c = CostCounters()
     assert adapters._merge(layer, c).data.tobytes() == want_merged
     assert _tallies(c) == (r * R * C + R * C, 0, 0, R * C, 0)
-    ws = adapters._workspace(layer)
+    ws = adapters._take((R, C))
     merged = adapters._merge(layer, None, ws)
     assert merged.data is ws and merged.data.tobytes() == want_merged
+
+
+def test_spp_gc_builds_bhat_once_per_pass(monkeypatch):
+    """spp_gc builds Bhat once in the forward's merge and once in the
+    backward, where the rebuilt merge and the product gradients share it."""
+    calls = []
+    real = adapters._bhat
+    monkeypatch.setattr(adapters, "_bhat", lambda adapter: calls.append(1) or real(adapter))
+    layer = random_layer(55, "spp_gc", R=6, C=9, r=3)
+    rng = np.random.default_rng(55)
+    _, ctx = variant_forward(layer, DenseMatrix(rng.normal(size=(9, 4))))
+    assert len(calls) == 1
+    variant_backward(layer, DenseMatrix(rng.normal(size=(6, 4))), ctx)
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("bias", [False, True])
@@ -806,11 +821,22 @@ def test_direct_passes_are_bitwise_the_tape_node(variant, bias):
     assert c_tape.saved_elements == tape.saved_ctx.peak == saved
 
 
+def pooled_alone(ref, shape):
+    """True when the array behind the weakref ``ref`` is in the pool once and
+    nothing else references it (the pool, ``buf`` and getrefcount's argument)."""
+    buf = ref()
+    return sum(p is buf for p in adapters._POOL.get(shape, [])) == 1 and sys.getrefcount(buf) == 3
+
+
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_backward_drops_every_saved_tensor(variant):
+def test_backward_drops_every_saved_tensor(monkeypatch, variant):
     """variant_backward hands the saved set to the variant's body and keeps
-    nothing: once it returns, the context holds no saved list and every saved
-    tensor but X, which the caller holds, is freed."""
+    nothing: once it returns, the context holds no saved list, lora's BX is
+    freed, and every saved RC tensor (sqft's two, spp's three) is back in the
+    pool and referenced by nothing else. X the caller holds. The pool then
+    holds each buffer the pass took once: none for lora, one for the
+    recompute variants."""
+    monkeypatch.setattr(adapters, "_POOL", {})
     r = 3 if variant in SPP_VARIANTS else 2
     layer = random_layer(50, variant, R=5, C=6, r=r)
     x = DenseMatrix(np.random.default_rng(50).normal(size=(6, 4)))
@@ -819,84 +845,108 @@ def test_backward_drops_every_saved_tensor(variant):
     assert len(refs) == {"lora": 1, "sqft": 2, "spp": 3}.get(variant, 0)
     variant_backward(layer, DenseMatrix(np.ones((5, 4))), ctx)
     assert ctx.saved is None
-    assert [ref() for ref in refs] == [None] * len(refs)
+    if variant == "lora":
+        assert refs[0]() is None and adapters._POOL == {}
+        return
+    assert [pooled_alone(ref, (5, 6)) for ref in refs] == [True] * len(refs)
+    pool = adapters._POOL[(5, 6)]
+    assert len({id(buf) for buf in pool}) == len(pool) == max(len(refs), 1)
 
 
 @pytest.mark.parametrize("variant", ["sqft", "sqft_gc", "spp_gc"])
 def test_merged_weight_dies_before_the_adapter_grads(monkeypatch, variant):
-    """The merged weight has one reader in the backward, dX = merged^T dY.
-    sqft's saved copy is freed before _product_grads forms dY X^T. sqft_gc
-    and spp_gc rebuild it in the workspace, and the order of the products
-    that touch that buffer shows dX has read it before _product_grads writes
-    dY X^T over it."""
+    """The merged weight has one reader in the backward, dX = merged^T dY,
+    and goes back to the pool right after it: sqft's saved copy and the merge
+    sqft_gc and spp_gc rebuild are in the pool, referenced by nothing else,
+    when _product_grads starts. dY X^T then takes that same buffer. The
+    pool and product events show the order: (rebuild the merge,) dX reads
+    it, it is given back, dY X^T overwrites it, dA and dB read that, and it
+    is given back again, before sqft's float mask."""
+    monkeypatch.setattr(adapters, "_POOL", {})
     r = 3 if variant in SPP_VARIANTS else 2
     layer = random_layer(51, variant, R=5, C=6, r=r)
     x = DenseMatrix(np.random.default_rng(51).normal(size=(6, 4)))
-    merges, alive, events = [], [], []
-    real_merge, real_grads, real_matmul = adapters._merge, adapters._product_grads, mx.matmul
+    _, ctx = variant_forward(layer, x)
+    # buffers by id, in order of first appearance; all stay alive throughout
+    ids = [id(t.data) for t in ctx.saved[:0:-1]] if variant == "sqft" else []
+    alone, events = [], []
+    real_take, real_give = adapters._take, adapters._give
+    real_grads, real_matmul = adapters._product_grads, mx.matmul
 
-    def spy_merge(*args):
-        merged = real_merge(*args)
-        merges.append(weakref.ref(merged.data))
-        return merged
+    def name(arr):
+        if id(arr) not in ids:
+            ids.append(id(arr))
+        return str(ids.index(id(arr)))
+
+    def spy_take(shape):
+        buf = real_take(shape)
+        events.append("take " + name(buf))
+        return buf
+
+    def spy_give(*arrays):
+        events.append("give " + " ".join(name(arr) for arr in arrays))
+        real_give(*arrays)
 
     def spy_grads(*args):
-        alive.append([ref() is not None for ref in merges])
+        alone.append(pooled_alone(weakref.ref(adapters._POOL[(5, 6)][-1]), (5, 6)))
         events.append("_product_grads")
         return real_grads(*args)
 
     def spy_matmul(a, b, counters=None, out=None):
-        ws = adapters._WORKSPACE.get((5, 6), np.empty(0))
-        reads = np.shares_memory(a.data, ws) or np.shares_memory(b.data, ws)
-        events.append(("reads" if reads else "") + ("writes" if out is ws else ""))
+        reads = [m for m in (a, b) if id(m.data) in ids or id(m.data.base) in ids]
+        events.append(" ".join(["reads"] * bool(reads) + ["writes"] * (id(out) in ids)))
         return real_matmul(a, b, counters, out)
 
-    monkeypatch.setattr(adapters, "_merge", spy_merge)
+    monkeypatch.setattr(adapters, "_take", spy_take)
+    monkeypatch.setattr(adapters, "_give", spy_give)
     monkeypatch.setattr(adapters, "_product_grads", spy_grads)
-    if variant == "sqft":
-        _, ctx = variant_forward(layer, x)
-        assert [ref() is not None for ref in merges] == [True]
-        variant_backward(layer, DenseMatrix(np.ones((5, 4))), ctx)
-        assert alive == [[False]]
-        return
-    _, ctx = variant_forward(layer, x)
     monkeypatch.setattr(mx, "matmul", spy_matmul)
     variant_backward(layer, DenseMatrix(np.ones((5, 4))), ctx)
-    # rebuild the merge, dX reads it, then dY X^T overwrites it; dA, dB read that
-    assert events == ["writes", "reads", "_product_grads", "writes", "reads", "reads"]
+    grads = ["_product_grads", "take 0", "writes", "reads", "reads", "give 0"]
+    if variant == "sqft":
+        assert events == ["reads", "give 0", *grads, "give 1"]
+    else:
+        assert events == ["take 0", "writes", "reads", "give 0", *grads]
+    assert alone == [True]
 
 
 @pytest.mark.parametrize("bias", [False, True])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_workspace_never_escapes_a_pass(monkeypatch, variant, bias):
-    """The workspace holds only transients with one reader in one body: no
-    output, saved tensor, gradient, merge or prediction shares memory with
-    it, in a direct pass and in a tape pass. Every variant but lora uses it."""
-    monkeypatch.setattr(adapters, "_WORKSPACE", {})
+def test_no_pooled_buffer_escapes_a_pass(monkeypatch, variant, bias):
+    """The pool holds only transients and saved tensors whose readers have all
+    run: after a direct pass and a tape pass every saved RC tensor is in the
+    pool, and no output, gradient, merge or prediction shares memory with a
+    pooled buffer. merge() and predict take buffers and drop them. Every
+    variant but lora uses the pool."""
+    monkeypatch.setattr(adapters, "_POOL", {})
     r = 3 if variant in SPP_VARIANTS else 2
     layer = random_layer(53, variant, R=6, C=9, r=r, bias=bias)
     rng = np.random.default_rng(53)
     x, dy = DenseMatrix(rng.normal(size=(9, 4))), DenseMatrix(rng.normal(size=(6, 4)))
     y, ctx = variant_forward(layer, x, CostCounters())
-    kept = [y, *counted_saved(layer, ctx)]
+    saved = [t.data for t in counted_saved(layer, ctx) if t.data.shape == (6, 9)]
     g = variant_backward(layer, dy, ctx, CostCounters())
     assert (g.dbias is not None) == bias
-    kept += [g.da, g.db, g.dx] + ([g.dbias] if bias else [])
+    kept = [y, g.da, g.db, g.dx] + ([g.dbias] if bias else [])
     tape = Tape()
     y_id = apply_layer(tape, layer, tape.leaf(x, requires_grad=True))
     kept.append(tape.value(y_id))
+    saved += [t.data for t in tape.nodes[y_id].saved if t.data.shape == (6, 9)]
     kept += tape.backward(y_id, range(y_id), seed=dy).values()
+    assert list(adapters._POOL) == ([] if variant == "lora" else [(6, 9)])
+    pool = adapters._POOL.get((6, 9), [])
+    assert len(saved) == {"sqft": 4, "spp": 6}.get(variant, 0)
+    assert all(any(buf is p for p in pool) for buf in saved)
     kept += [merge(layer).values, ToyModel([layer]).predict(x)]
-    assert list(adapters._WORKSPACE) == ([] if variant == "lora" else [(6, 9)])
-    buf = adapters._WORKSPACE.get((6, 9), np.empty(0))
-    assert [i for i, m in enumerate(kept) if np.shares_memory(m.data, buf)] == []
+    assert [i for i, m in enumerate(kept)
+            if any(np.shares_memory(m.data, p) for p in pool)] == []
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_interleaved_layers_of_one_shape_get_their_own_gradients(variant):
-    """Two layers of one weight shape share one workspace buffer. Run as
-    forward A, forward B, backward B, backward A, each gets bitwise the
-    outputs and gradients of its own separate pass."""
+    """Two layers of one weight shape share one pool. Run as forward A,
+    forward B, backward B, backward A, each gets bitwise the outputs and
+    gradients of its own separate pass."""
     r = 3 if variant in SPP_VARIANTS else 2
     layers = [random_layer(54 + i, variant, R=6, C=9, r=r) for i in range(2)]
     rng = np.random.default_rng(54)
@@ -946,7 +996,6 @@ def test_layers_over_one_base_share_its_read_only_mask():
     with pytest.raises(ValueError):
         mask[0, 0] = not mask[0, 0]
     assert np.array_equal(mask, base.values.data != 0.0)
-    assert np.array_equal(base.mask().data, mask.astype(np.float64))
     for layer in layers:
         layer.adapter.a = DenseMatrix(np.random.default_rng(32).normal(size=layer.adapter.a.shape))
         layer.adapter.b = DenseMatrix(np.random.default_rng(33).normal(size=layer.adapter.b.shape))

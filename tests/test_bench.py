@@ -1,10 +1,12 @@
 import functools
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lors import adapters
 from lors.bench import (
     BENCH_CSV_HEADER,
     close,
@@ -83,6 +85,25 @@ def test_bench_schema_is_pinned_to_readme():
     for obj, line in zip(report.json_obj(), report.csv_text().splitlines()[1:]):
         assert list(obj) == columns
         assert len(line.split(",")) == len(columns)
+
+
+def test_pool_keeps_only_the_shape_in_use_after_a_two_shape_bench(monkeypatch):
+    """run_bench runs its shapes one after another, and the buffer pool keeps
+    only the shape in use: after spp and sqft at 256 x 256 and then at
+    16 x 16, the pool holds the 16 x 16 buffers alone, and the memory still
+    held is below the nine RC that spp's saved set and transients can pool
+    at 16 x 16 (measured 7.7 KB; keeping the 256 x 256 pool holds 1.6 MB)."""
+    monkeypatch.setattr(adapters, "_POOL", {})
+    run_bench([(8, 8, 4, 2)], ["spp", "sqft"])  # imports and first-use caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        run_bench([(256, 256, 8, 16), (16, 16, 8, 4)], ["spp", "sqft"])
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert list(adapters._POOL) == [(16, 16)]
+    assert held < 9 * 16 * 16 * 8, held
 
 
 def test_run_bench_rejects_unknown_variant():

@@ -1,9 +1,11 @@
 import gc
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
+from lors import adapters
 from lors.adapters import VARIANTS, apply_layer, make_layer
 from lors.errors import GraphError, ShapeError
 from lors.matrix import DenseMatrix
@@ -256,10 +258,12 @@ def test_backward_returns_exactly_the_wanted_ids_and_frees_the_rest():
             assert node.saved == ()
 
 
-def test_spp_layer_graphs_die_with_their_backward():
-    """Once the model tape's backward returns, each spp layer's private graph
-    is gone, its saved tile(B) included, though the model tape itself is
-    still referenced."""
+def test_spp_layer_graphs_die_with_their_backward(monkeypatch):
+    """Once the model tape's backward returns, each spp layer's saved tile(B)
+    is back in the pool and referenced by nothing else (the pool, ``buf`` and
+    getrefcount's argument), though the model tape itself is still
+    referenced."""
+    monkeypatch.setattr(adapters, "_POOL", {})
     rng = np.random.default_rng(9)
     layers = [make_layer(SparseWeight(DenseMatrix(rng.normal(size=(8, 8)))), 2, "spp")
               for _ in range(3)]
@@ -274,7 +278,10 @@ def test_spp_layer_graphs_die_with_their_backward():
              if np.array_equal(s.data, np.tile(layer.adapter.b.data, (8, 1)))]
     assert len(tiles) == 3 and all(ref() is not None for ref in tiles)
     t.backward(t.sum_all(h), ())
-    assert [ref() for ref in tiles] == [None] * 3
+    for ref in tiles:
+        buf = ref()
+        assert sum(p is buf for p in adapters._POOL[(8, 8)]) == 1
+        assert sys.getrefcount(buf) == 3
 
 
 def test_identical_graphs_give_bitwise_identical_grads():

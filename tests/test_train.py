@@ -531,9 +531,10 @@ def test_recovery_single_seed_closes_gap():
 def test_straight_through_estimator_costs_no_closure():
     """lors and sqft_gc share the forward, the merge and the gradient-SVD init
     and differ only in the backward, so their closure gap is the quality cost
-    of the straight-through estimator: on seeds 0-4 lors closes at least
-    sqft_gc's closure minus 0.01 (measured gaps -0.003 to +0.001). Closure is
-    deterministic, and each of its validation losses runs evaluate."""
+    of the straight-through estimator. At 50% sparsity it costs nothing: on
+    seeds 0-4 lors closes at least sqft_gc's closure minus 0.01 (measured gaps
+    -0.003 to +0.001). Closure is deterministic, and each of its validation
+    losses runs evaluate."""
     for seed in range(5):
         spec = InitSpec("gradient_svd", seed=seed)
         lors = run_recovery(seed, "lors", spec).closure
@@ -553,18 +554,19 @@ def _biased_model(variant, seed=0, dims=(8, 6, 4), rank=2, with_bias=True):
     return model
 
 
-def test_float_mask_built_only_by_sqft(monkeypatch):
-    """One train_step builds the RC float mask once per layer for sqft (which
-    saves it) and never for sqft_gc or lors (which merge over the bool mask)."""
-    calls = []
-    original = SparseWeight.mask
-    monkeypatch.setattr(SparseWeight, "mask", lambda self: calls.append(1) or original(self))
-    for variant, per_layer in (("lors", 0), ("sqft_gc", 0), ("sqft", 1)):
+def test_float_mask_built_only_by_sqft():
+    """Only sqft's saved set holds the RC float mask, one per layer, which its
+    cost model counts; every other variant (sqft_gc and lors merge over the
+    bool mask) saves none."""
+    for variant in VARIANTS:
         model = _biased_model(variant)
-        data = small_data(model)
-        calls.clear()
-        train_step(model, data.head(8), OptimState(kind="adaptive", lr=1e-3))
-        assert len(calls) == per_layer * len(model.layers), variant
+        tape = Tape()
+        model.forward_loss(tape, small_data(model).head(8))
+        for layer in model.layers:
+            fmask = layer.original_mask.astype(np.float64).tobytes()
+            saved = tape.nodes[layer.last_nodes["out"]].saved
+            masks = [t for t in saved if t.data.tobytes() == fmask]
+            assert len(masks) == (variant == "sqft"), (variant, layer.name)
 
 
 def test_gradients_share_no_memory_with_parameters():
@@ -827,10 +829,11 @@ def _memory_gate_setup(width=256, L=32):
 
 
 # Each variant's traced warm-step peak over its counted saved set, in RC, at
-# three 256-wide layers, L = 32, r = 16, the workspace included (measured:
-# lora 0.65, lors 1.47, sqft_gc 1.52, spp_gc 1.46, sqft 0.52, spp 1.52). Every
-# tensor dies once its last reader has run, so what is left is each
-# schedule's own RC temporaries, one of them the workspace for all but lora.
+# three 256-wide layers, L = 32, r = 16, from an empty pool (measured: lora
+# 0.65, lors 1.47, sqft_gc 1.52, spp_gc 1.47, sqft 0.52, spp 0.52). Every
+# tensor goes back to the pool or dies once its last reader has run, so what
+# is left is each schedule's own RC temporaries: one pooled buffer for the
+# recompute variants, none beyond the saved set for sqft and spp.
 STEP_EXCESS_RC = {"lora": 0.75, "lors": 1.5, "sqft_gc": 1.75, "spp_gc": 1.5,
                   "sqft": 0.75, "spp": 1.75}
 
@@ -840,10 +843,11 @@ def test_step_transient_peaks_follow_the_memory_model(monkeypatch):
     r = 16): each variant holds at most its counted saved set plus its
     ``STEP_EXCESS_RC``, and lors's rank-r reordering holds less than sqft_gc,
     which holds less than sqft. The sqft, sqft_gc, spp and spp_gc bounds hold
-    only because each backward body drops its merged weight and saved tensors
-    after their last reader. The workspace stays resident between steps, so
-    the traced step starts without it and its one RC buffer is counted.
-    Deterministic for a given numpy."""
+    only because each backward body gives back its merged weight and saved
+    tensors after their last reader, so later takes reuse them. The pool
+    stays resident between steps, so the traced step starts from an empty
+    pool and every pooled buffer it takes, saved ones included, is allocated
+    and counted. Deterministic for a given numpy."""
     width, r = 256, 16
     bases, batch = _memory_gate_setup(width)
     peak, saved = {}, {}
@@ -851,13 +855,31 @@ def test_step_transient_peaks_follow_the_memory_model(monkeypatch):
         model = ToyModel([make_layer(base, rank=r, variant=variant) for base in bases])
         optim, counters = OptimState(kind="sgd", lr=1e-3), CostCounters()
         train_step(model, batch, optim)
-        monkeypatch.setattr(adapters, "_WORKSPACE", {})
+        monkeypatch.setattr(adapters, "_POOL", {})
         peak[variant] = _traced_peak(train_step, model, batch, optim, counters)
         saved[variant] = 8 * counters.saved_elements
     assert peak["lors"] < peak["sqft_gc"] < peak["sqft"], peak
     for variant, excess in STEP_EXCESS_RC.items():
         assert peak[variant] <= saved[variant] + excess * 8 * width * width, \
             (variant, (peak[variant] - saved[variant]) / (8 * width * width))
+
+
+def test_warm_pool_step_allocates_no_saved_set(monkeypatch):
+    """With the pool warm, one train_step of three 256-wide layers (L = 32,
+    r = 16) takes every RC array from the pool: each variant's traced peak
+    stays below 1.5 RC (measured 1.22 to 1.43), though sqft saves 2 RC and
+    spp 3 RC per layer. Allocating those saved sets afresh every step peaks
+    at about 7.1 RC for sqft and 10.3 RC for spp. Deterministic for a given
+    numpy."""
+    width, r = 256, 16
+    bases, batch = _memory_gate_setup(width)
+    monkeypatch.setattr(adapters, "_POOL", {})
+    for variant in VARIANTS:
+        model = ToyModel([make_layer(base, rank=r, variant=variant) for base in bases])
+        optim = OptimState(kind="sgd", lr=1e-3)
+        train_step(model, batch, optim)
+        peak = _traced_peak(train_step, model, batch, optim)
+        assert peak < 1.5 * 8 * width * width, (variant, peak / (8 * width * width))
 
 
 def test_evaluate_holds_one_layer_at_a_time():
@@ -883,7 +905,7 @@ def test_teacher_data_holds_little_beyond_the_dataset(monkeypatch):
     intermediates and peaks at kept + 6.25 RL."""
     teacher = model_from_weights(random_dense_weights(3, (64,) * 4), variant="lors", rank=1)
     make_teacher_data(teacher, seed=4, n=64, latent_dim=8)
-    monkeypatch.setattr(adapters, "_WORKSPACE", {})  # counted inside the trace
+    monkeypatch.setattr(adapters, "_POOL", {})  # counted inside the trace
     kept = []
     peak = _traced_peak(lambda: kept.append(make_teacher_data(teacher, seed=4, n=4096,
                                                               latent_dim=8)))
