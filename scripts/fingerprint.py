@@ -26,9 +26,13 @@ looks:
 - ``verify``: the stdout of ``lors verify``;
 - ``prune``: the three pruners over awkward inputs, and ``lors prune``'s
   output files;
-- ``bench``: the ``lors bench`` CSV without its ``wall_time_s`` column.
+- ``bench``: the ``lors bench`` CSV without its ``wall_time_s`` column;
+- ``data``: the inputs and targets of ``make_teacher_data`` at
+  ``run_recovery``'s training shape (seeds 0-3), at ``finetune-w512``'s (512
+  wide, n = 1024) and, latent and not, at widths 64 and sizes n around the
+  block width, and of ``make_cluster_data`` at the same sizes.
 
-BLAS runs one thread. The script takes about 15 s on one core and is not a
+BLAS runs one thread. The script takes about 20 s on one core and is not a
 test.
 """
 
@@ -68,6 +72,9 @@ def _feed(h, item) -> None:
     elif isinstance(item, np.ndarray):
         h.update(repr((item.shape, item.dtype.str)).encode())
         h.update(np.ascontiguousarray(item).tobytes())
+    elif isinstance(item, initialization.ProbeBatch):
+        for part in (item.loss, item.inputs, item.targets):
+            _feed(h, part)
     elif isinstance(item, CostCounters):
         _feed(h, repr((item.macs_forward, item.macs_backward, item.saved_elements,
                        item.elementwise_forward, item.elementwise_backward)))
@@ -263,6 +270,24 @@ def group_bench() -> Digest:
     return d
 
 
+def group_data() -> Digest:
+    d = Digest()
+    for seed in range(4):
+        teacher = train.model_from_weights(train.random_dense_weights(seed, (64,) * 4),
+                                           variant="lors", rank=1)
+        d.add(train.make_teacher_data(teacher, seed=seed + 1000, n=4096,
+                                      latent_dim=8, latent_seed=seed))
+        for n in (1, 511, 512, 1025):
+            d.add(train.make_teacher_data(teacher, seed=seed, n=n),
+                  train.make_teacher_data(teacher, seed=seed, n=n, latent_dim=8))
+    teacher = train.model_from_weights(train.random_dense_weights(41, (512,) * 4),
+                                       variant="lors", rank=1)
+    d.add(train.make_teacher_data(teacher, seed=42, n=1024))
+    for n in (1, 511, 512, 1025):
+        d.add(train.make_cluster_data(seed=n, k=10, dim=64, n=n))
+    return d
+
+
 def main() -> None:
     print(group_layers().line("layers"))
     print(group_finetune().line("finetune"))
@@ -272,6 +297,7 @@ def main() -> None:
     print(verify.line("verify", f"  {summary}"))
     print(group_prune().line("prune"))
     print(group_bench().line("bench"))
+    print(group_data().line("data"))
 
 
 if __name__ == "__main__":

@@ -54,10 +54,12 @@ Every R x C float64 array here comes from the pool, one free list per weight
 shape shared by all layers and models: ``_take`` pops a buffer or makes one,
 ``_give`` pushes it back after its last reader, in the same body for a
 transient (an unsaved merge, dY X^T, spp's d delta), in the backward for a
-saved tensor. A pass with no backward (predict, merge(), a forward that
-raises) drops its buffers, so nothing pooled is ever read again. Nothing
-returned is pooled. A shape not seen before empties the pool, so only the
-shapes in use keep buffers. Like the rest of the package, it assumes one thread.
+saved tensor. A pass with no backward gives its buffers back once its
+result is formed: ``forward_only`` (predict's layer pass) its saved set,
+merge() spp's delta parts; only a forward that raises drops them. Nothing
+pooled is ever read again, and nothing returned is pooled. A shape not seen
+before empties the pool, so only the shapes in use keep buffers. Like the
+rest of the package, it assumes one thread.
 
 Sparsity is preserved because every masked variant updates only through
 A, B and re-applies the mask on merge. ``merge`` uses the mask captured at
@@ -594,6 +596,17 @@ def checked_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
     return y, ctx
 
 
+def forward_only(layer: AdaptedLayer, x: DenseMatrix) -> DenseMatrix:
+    """checked_forward for a pass whose backward never runs: Y, with the
+    pooled saved tensors of sqft and spp given back. They are picked by
+    identity, every saved tensor but X: X is the caller's array, which at
+    R = C = L even has the weight's shape, and lora's BX is not pooled."""
+    y, ctx = checked_forward(layer, x)
+    if layer.variant in ("sqft", "spp"):
+        _give(*(t.data for t in ctx.saved if t is not x))
+    return y
+
+
 def variant_backward(layer: AdaptedLayer, grad_y: DenseMatrix, ctx, counters=None) -> VariantGrads:
     """Consume ctx once, check dY, and run the variant's backward body with
     the counters in the backward phase (switched here unless a tape backward
@@ -702,7 +715,9 @@ def merge(layer: AdaptedLayer) -> SparseWeight:
     the zeroing would hide from the checkpoint's own check.
     """
     if isinstance(layer.adapter, SppAdapter):
-        merged = mx.add(layer.base.values, _spp_delta(layer, None)[-1])
+        parts = _spp_delta(layer, None)
+        merged = mx.add(layer.base.values, parts[-1])
+        _give(*(part.data for part in parts))
     else:
         merged = _merge(layer, None)
         mx.check_finite(merged.data, "merged weight")

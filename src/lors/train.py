@@ -25,7 +25,7 @@ from . import matrix as mx
 from .matrix import DenseMatrix, Rng
 from .prune import SparseWeight, prune_magnitude
 from .tape import CostCounters, Tape
-from .adapters import apply_layer, checked_forward, make_layer
+from .adapters import apply_layer, forward_only, make_layer
 from .initialization import InitSpec, ProbeBatch, apply_init, record_loss
 
 OPTIMIZERS = ("sgd", "adaptive")
@@ -78,12 +78,13 @@ class ToyModel:
         return loss_id
 
     def predict(self, x: DenseMatrix) -> DenseMatrix:
-        """``forward``'s output, bitwise, with no tape: each saved set dies with its pass."""
-        y = x
-        for i, layer in enumerate(self.layers):
-            if i:
-                y = mx.relu(y)
-            y = checked_forward(layer, y)[0]
+        """``forward``'s output, bitwise, with no tape: each pass's pooled saved
+        tensors go back to the pool, and the ReLU between layers runs in place
+        on the fresh output of the layer before (never on ``x``)."""
+        y = forward_only(self.layers[0], x)
+        for layer in self.layers[1:]:
+            np.maximum(y.data, 0.0, out=y.data)
+            y = forward_only(layer, y)
         return y
 
     def named_trainable(self) -> dict[str, DenseMatrix]:
@@ -259,6 +260,16 @@ class Dataset(ProbeBatch):
         self._y = whole.targets.data.T.copy() if loss == "regression" else whole.targets.copy()
         self._x.flags.writeable = self._y.flags.writeable = False
 
+    @classmethod
+    def _from_rows(cls, x: np.ndarray, y: np.ndarray, loss: str = "regression") -> "Dataset":
+        """The dataset whose rows are x (N x C) and y (N x K, or N labels),
+        taken over with no copy and checked as ``__init__`` checks."""
+        data = object.__new__(cls)
+        data.loss, data._x, data._y = loss, x, y
+        ProbeBatch(data.inputs, data.targets, loss)
+        x.flags.writeable = y.flags.writeable = False
+        return data
+
     @property
     def inputs(self) -> DenseMatrix:
         return DenseMatrix._wrap(self._x.T)
@@ -392,6 +403,30 @@ def model_from_weights(weights, variant: str, rank: int, prune_ratio: float = 0.
     return ToyModel(layers)
 
 
+# Samples per block of a generated dataset: each block's inputs and targets
+# are made as columns and written straight into the dataset's rows, so no
+# full-size column copy of them exists beside the rows. Blocks split columns
+# only, and the last block takes the remainder (BLOCK to 2 BLOCK - 1 columns),
+# so no block is narrower than the whole set: a narrow block takes other BLAS
+# kernels (one column: gemv) and changes bits. Every BLAS result, so every
+# bit, is then that of the one-shot build.
+BLOCK = 512
+
+
+def _rows_by_block(n: int, widths, columns) -> list[np.ndarray]:
+    """One n x w row storage per width, filled one ``BLOCK`` of samples at a
+    time: ``columns(block)`` gives one w x b column block per storage for
+    the samples of the slice ``block``."""
+    rows, start = [np.empty((n, w)) for w in widths], 0
+    for stop in (*range(BLOCK, n - BLOCK + 1, BLOCK), n):
+        block = slice(start, stop)
+        for out, part in zip(rows, columns(block)):
+            out[block] = part.T
+        del part  # so the next block is made without this one's columns
+        start = stop
+    return rows
+
+
 def make_teacher_data(teacher: ToyModel, seed: int, n: int,
                       latent_dim: Optional[int] = None,
                       latent_seed: Optional[int] = None) -> Dataset:
@@ -402,32 +437,41 @@ def make_teacher_data(teacher: ToyModel, seed: int, n: int,
     subspace, like real activations do. P is drawn from latent_seed (default
     seed) so train and validation splits share one manifold; entrywise input
     variance stays 1 either way.
+
+    The set is built ``BLOCK`` columns at a time, each block's inputs (a
+    column slice of the one draw, or P times one of z) and the teacher's
+    ``predict`` of them going straight into the rows.
     """
-    rng = Rng(seed)
-    if latent_dim is None:
-        x = rng.normal_matrix(teacher.in_features, n, mean=0.0, std=1.0)
-    else:
+    proj = None
+    if latent_dim is not None:
         if latent_dim < 1:
             raise ArgumentError(f"latent_dim must be >= 1, got {latent_dim}")
         # tag 41 keeps the projection stream clear of random_dense_weights,
         # which consumes Rng(seed) directly
         proj_rng = Rng(seed if latent_seed is None else latent_seed).derive(41)
         proj = proj_rng.normal_matrix(teacher.in_features, latent_dim,
-                                      mean=0.0, std=1.0 / math.sqrt(latent_dim))
-        z = rng.normal_matrix(latent_dim, n, mean=0.0, std=1.0)
-        x = DenseMatrix._wrap(proj.data @ z.data)
-    return Dataset(inputs=x, targets=teacher.predict(x), loss="regression")
+                                      mean=0.0, std=1.0 / math.sqrt(latent_dim)).data
+    draw = Rng(seed).normal_matrix(teacher.in_features if proj is None else latent_dim, n,
+                                   mean=0.0, std=1.0).data
+
+    def columns(block):
+        x = draw[:, block] if proj is None else proj @ draw[:, block]
+        return x, teacher.predict(DenseMatrix._wrap(x)).data
+
+    widths = (teacher.in_features, teacher.out_features)
+    return Dataset._from_rows(*_rows_by_block(n, widths, columns))
 
 
 def make_cluster_data(seed: int, k: int, dim: int, n: int) -> Dataset:
     """K Gaussian clusters (centers std 3, unit noise) with labels; columns
-    cycle through the clusters."""
+    cycle through the clusters. Built ``BLOCK`` columns at a time from one
+    noise draw, as ``make_teacher_data`` is."""
     rng = Rng(seed)
-    centers = rng.normal_matrix(dim, k, mean=0.0, std=3.0)
+    centers = rng.normal_matrix(dim, k, mean=0.0, std=3.0).data
     labels = np.arange(n, dtype=np.int64) % k
-    x = rng.normal_matrix(dim, n, mean=0.0, std=1.0)
-    x = DenseMatrix._wrap(x.data + centers.data[:, labels])
-    return Dataset(inputs=x, targets=labels, loss="classification")
+    noise = rng.normal_matrix(dim, n, mean=0.0, std=1.0).data
+    x, = _rows_by_block(n, (dim,), lambda block: (noise[:, block] + centers[:, labels[block]],))
+    return Dataset._from_rows(x, labels, "classification")
 
 
 # ---------------------------------------------------------------------------

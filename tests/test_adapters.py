@@ -916,8 +916,8 @@ def test_no_pooled_buffer_escapes_a_pass(monkeypatch, variant, bias):
     """The pool holds only transients and saved tensors whose readers have all
     run: after a direct pass and a tape pass every saved RC tensor is in the
     pool, and no output, gradient, merge or prediction shares memory with a
-    pooled buffer. merge() and predict take buffers and drop them. Every
-    variant but lora uses the pool."""
+    pooled buffer. merge() and predict give back every buffer they take, so
+    the pool loses none. Every variant but lora uses the pool."""
     monkeypatch.setattr(adapters, "_POOL", {})
     r = 3 if variant in SPP_VARIANTS else 2
     layer = random_layer(53, variant, R=6, C=9, r=r, bias=bias)
@@ -937,7 +937,9 @@ def test_no_pooled_buffer_escapes_a_pass(monkeypatch, variant, bias):
     pool = adapters._POOL.get((6, 9), [])
     assert len(saved) == {"sqft": 4, "spp": 6}.get(variant, 0)
     assert all(any(buf is p for p in pool) for buf in saved)
+    before = list(pool)
     kept += [merge(layer).values, ToyModel([layer]).predict(x)]
+    assert all(any(buf is p for p in pool) for buf in before)
     assert [i for i, m in enumerate(kept)
             if any(np.shares_memory(m.data, p) for p in pool)] == []
 
