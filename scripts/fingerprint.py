@@ -16,11 +16,14 @@ looks:
 - ``layers``: every variant at six shapes, with and without a bias: Y, dA, dB,
   dX, dbias, the five counters and the tape's saved peak of an ``apply_layer``
   pass, the same of a direct ``variant_forward``/``variant_backward`` pass
-  with and without counters, and ``merge()``; then 5 adaptive training steps
-  of a 128-wide model per variant (losses, counters, factors, merges) and its
-  ``evaluate``;
+  with and without counters; then 5 adaptive training steps of a 128-wide
+  model per variant (losses, counters, factors) and its ``evaluate``;
 - ``finetune``: rounds of ``finetune-w512``-shaped training (six students of
   three 512-wide layers, batch 32, rank 16) at seeds 41 and 42;
+- ``pairmerge`` and ``sppmerge``: ``merge()`` of every layer of the two groups
+  above whose adapter is an ``AdapterPair`` (lora, sqft, sqft_gc, lors), and
+  of every one whose adapter is an ``SppAdapter`` (spp, spp_gc), so a change
+  that rounds one kind of merge differently moves one line alone;
 - ``recovery``: the closures of ``run_recovery`` over seeds 0-63 as float64
   bytes, and their minimum;
 - ``verify``: the stdout of ``lors verify``;
@@ -119,7 +122,19 @@ def _layer(seed, variant, R, C, r, bias):
     return layer
 
 
-def _pass_digest(d: Digest, layer, x, dy) -> None:
+class Merges:
+    """The ``pairmerge`` and ``sppmerge`` groups."""
+
+    def __init__(self):
+        self.pair, self.spp = Digest(), Digest()
+
+    def add(self, layer) -> None:
+        """``merge()`` of the layer, into the group of its adapter's kind."""
+        spp = isinstance(layer.adapter, adapters.SppAdapter)
+        (self.spp if spp else self.pair).add(adapters.merge(layer).values)
+
+
+def _pass_digest(d: Digest, merges: Merges, layer, x, dy) -> None:
     c = CostCounters()
     tape = Tape(c)
     x_id = tape.leaf(x, requires_grad=True)
@@ -134,10 +149,10 @@ def _pass_digest(d: Digest, layer, x, dy) -> None:
         y, ctx = adapters.variant_forward(layer, x, counters)
         g = adapters.variant_backward(layer, dy, ctx, counters)
         d.add(y, g.da, g.db, g.dx, g.dbias, counters)
-    d.add(adapters.merge(layer).values)
+    merges.add(layer)
 
 
-def group_layers() -> Digest:
+def group_layers(merges: Merges) -> Digest:
     d = Digest()
     for i, variant in enumerate(adapters.VARIANTS):
         for R, C, L, r in SHAPES:
@@ -146,7 +161,7 @@ def group_layers() -> Digest:
                 rng = np.random.default_rng(L + 7 * i)
                 x = DenseMatrix(rng.normal(size=(C, L)))
                 dy = DenseMatrix(rng.normal(size=(R, L)))
-                _pass_digest(d, layer, x, dy)
+                _pass_digest(d, merges, layer, x, dy)
     weights = train.random_dense_weights(5, (128,) * 4)
     teacher = train.model_from_weights(weights, variant="lors", rank=1)
     data = train.make_teacher_data(teacher, seed=6, n=256)
@@ -161,12 +176,13 @@ def group_layers() -> Digest:
             batch = data.batch(np.arange(32 * step, 32 * step + 32))
             d.add(train.train_step(model, batch, optim, counters), counters)
         for layer in model.layers:
-            d.add(layer.adapter.a, layer.adapter.b, adapters.merge(layer).values)
+            d.add(layer.adapter.a, layer.adapter.b)
+            merges.add(layer)
         d.add(train.evaluate(model, held_out))
     return d
 
 
-def group_finetune(rounds: int = 3) -> Digest:
+def group_finetune(merges: Merges, rounds: int = 3) -> Digest:
     """Finetune-w512's build (perfbench/workloads.py) and its rounds."""
     d = Digest()
     for seed in (41, 42):
@@ -192,7 +208,8 @@ def group_finetune(rounds: int = 3) -> Digest:
                 d.add(train.train_step(model, batch, optim, counters), counters)
         for model, _ in students.values():
             for layer in model.layers:
-                d.add(layer.adapter.a, layer.adapter.b, adapters.merge(layer).values)
+                d.add(layer.adapter.a, layer.adapter.b)
+                merges.add(layer)
             d.add(train.evaluate(model, held_out))
     return d
 
@@ -289,8 +306,11 @@ def group_data() -> Digest:
 
 
 def main() -> None:
-    print(group_layers().line("layers"))
-    print(group_finetune().line("finetune"))
+    merges = Merges()
+    print(group_layers(merges).line("layers"))
+    print(group_finetune(merges).line("finetune"))
+    print(merges.pair.line("pairmerge"))
+    print(merges.spp.line("sppmerge"))
     recovery, worst = group_recovery()
     print(recovery.line("recovery", f"  min {worst!r}"))
     verify, summary = group_verify()

@@ -39,7 +39,6 @@ from .adapters import (
     lors_forward,
     make_layer,
     merge,
-    merged_weight,
     predict_cost,
     spp_forward,
     spp_gc_forward,

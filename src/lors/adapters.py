@@ -22,19 +22,20 @@ lors      RCL + rRC + RC      RCL + 2rRL + 2rCL + rRC + RC       CL
   Y = merged X with the merged weight of ``_merge``, but only X is kept; the
   backward rebuilds the merged weight (+rRC + RC backward MACs) with the same
   ``_merge``, for dX alone (``_rebuilt_dx``).
-- ``_merge`` builds either kind of merged weight in the one RC buffer of its
-  rank-r product (A @ B, or A @ Bhat for spp_gc). The masked variants go through ``merged_weight`` over the layer's bool
-  ``original_mask``: the mask, alpha and W are applied in place. The forward
-  checks the merged weight for finiteness; the backward recompute rebuilds
-  the same bits, so it is not scanned again. Only sqft builds the RC float
-  mask, a copy of the bool mask once per forward, because it saves it.
+- ``_merge`` is the one code path that builds a merged weight: for the
+  forwards, for the backward recompute and for merge() of all six variants.
+  It works in the one RC buffer of its rank-r product (A @ B, or A @ Bhat for
+  an SppAdapter), which it multiplies in place by the layer's bool
+  ``original_mask`` and alpha, or by W, then adds W to. The forward and
+  merge() check the merged weight for finiteness; the backward recompute
+  rebuilds the same bits, so it is not scanned again. Only sqft builds the RC
+  float mask, a copy of the bool mask once per forward, because it saves it.
 - sqft, sqft_gc and spp_gc share one product-gradient body,
   ``_product_grads``: G = dY X^T in a pooled buffer, times a factor in place
   (the mask, or W for spp_gc), then G B^T and A^T G. The pair variants scale
   those by alpha.
 - spp: Y = WX + (W . tile(A, 1, C/r) . tile(B, R, 1)) X; the backward is the
-  reverse of this Repeat expression. ``_spp_delta`` evaluates the expression
-  once, for the forward and for merge().
+  reverse of this Repeat expression, which spp_forward alone evaluates.
 - spp_gc: the same function in merged form Y = (W + W . (A @ Bhat)) X with
   Bhat (``_bhat``) the block-diagonal expansion of B, so its factor in the
   merged weight and in the product gradients is W. dB gathers the diagonal
@@ -50,16 +51,16 @@ consumes the context once, checks dY, switches the counters to the backward
 phase, runs the variant's hand-written body (dA, dB, dX), and adds dbias as
 the row sum of dY.
 
-Every R x C float64 array here comes from the pool, one free list per weight
-shape shared by all layers and models: ``_take`` pops a buffer or makes one,
-``_give`` pushes it back after its last reader, in the same body for a
-transient (an unsaved merge, dY X^T, spp's d delta), in the backward for a
-saved tensor. A pass with no backward gives its buffers back once its
-result is formed: ``forward_only`` (predict's layer pass) its saved set,
-merge() spp's delta parts; only a forward that raises drops them. Nothing
-pooled is ever read again, and nothing returned is pooled. A shape not seen
-before empties the pool, so only the shapes in use keep buffers. Like the
-rest of the package, it assumes one thread.
+Every R x C float64 array of a layer pass comes from the pool, one free list
+per weight shape shared by all layers and models: ``_take`` pops a buffer or
+makes one, ``_give`` pushes it back after its last reader, in the same body
+for a transient (an unsaved merge, dY X^T, spp's d delta), in the backward for
+a saved tensor. ``forward_only`` (predict's layer pass, which has no backward)
+gives its saved set back once Y is formed; only a forward that raises drops
+its buffers. merge() takes nothing from the pool. Nothing pooled is ever read
+again, and nothing returned is pooled. A shape not seen before empties the
+pool, so only the shapes in use keep buffers. Like the rest of the package, it
+assumes one thread.
 
 Sparsity is preserved because every masked variant updates only through
 A, B and re-applies the mask on merge. ``merge`` uses the mask captured at
@@ -263,36 +264,6 @@ def _give(*arrays: np.ndarray) -> None:
         _POOL.setdefault(arr.shape, []).append(arr)
 
 
-def merged_weight(w: DenseMatrix, a: DenseMatrix, b: DenseMatrix, alpha: float,
-                  mask: np.ndarray, counters=None, out=None) -> DenseMatrix:
-    """W + alpha * ((A @ B) . M), in the one evaluation order used everywhere.
-
-    ``mask`` is an R x C bool array (a 0/1 float array gives the same bits,
-    signs of zero included). The merge lives in one RC buffer: the product
-    A @ B, then, in place, the mask, the scaling by alpha and the addition of
-    W. That buffer is ``out`` when given, else a fresh array. The result is
-    not scanned: the forward and merge() check it, and the backward recompute
-    is bitwise the forward's merge.
-
-    sqft saves this matrix, sqft_gc and lors rebuild it in backward, and
-    merge() finalizes with it; sharing the helper keeps all of those bitwise
-    identical. Costs rRC + RC MACs plus one elementwise pass.
-    """
-    shape = w.data.shape
-    if mask.shape != shape or (a.data.shape[0], b.data.shape[1]) != shape:
-        raise ShapeError(f"merged_weight: W is {w.rows}x{w.cols}, A @ B is "
-                         f"{a.rows}x{b.cols}, mask is {mask.shape}")
-    merged = mx.matmul(a, b, counters, out)      # rRC
-    out = merged.data
-    out *= mask                                  # RC
-    out *= alpha
-    out += w.data
-    if counters is not None:
-        counters.add_macs(out.size)
-        counters.add_elementwise(out.size)
-    return merged
-
-
 def _bhat(adapter: SppAdapter) -> DenseMatrix:
     """The r x C block-diagonal expansion of spp's B: Bhat[q mod r, q] = B[q],
     zeros elsewhere, so W . (A @ Bhat) is W . tile(A, 1, C/r) . tile(B, R, 1)."""
@@ -303,22 +274,30 @@ def _bhat(adapter: SppAdapter) -> DenseMatrix:
 
 
 def _merge(layer: AdaptedLayer, counters, out=None, bhat=None) -> DenseMatrix:
-    """The layer's merged weight, into ``out`` when given (rRC + RC MACs, RC
-    elementwise): W + alpha (A @ B) . M over the bool ``original_mask`` for a
-    pair, W + W . (A @ Bhat) for an SppAdapter, built the same way in the one
-    buffer of A @ Bhat (``bhat`` when the caller has built it)."""
-    w, adapter = layer.base.values, layer.adapter
-    if not isinstance(adapter, SppAdapter):
-        return merged_weight(w, adapter.a, adapter.b, adapter.alpha,
-                             layer.original_mask, counters, out)
-    bhat = _bhat(adapter) if bhat is None else bhat
-    merged = mx.matmul(adapter.a, bhat, counters, out)            # rRC
+    """The layer's merged weight (module docstring), into ``out`` when given,
+    else a fresh array: W + alpha (A @ B) . M over the bool ``original_mask``
+    for a pair, W + W . (A @ Bhat) for an SppAdapter (``bhat`` when the caller
+    has built it). rRC + RC MACs and RC elementwise; the result is not
+    scanned."""
+    w, adapter = layer.base.values.data, layer.adapter
+    spp = isinstance(adapter, SppAdapter)
+    if spp and bhat is None:
+        bhat = _bhat(adapter)
+    b = bhat if spp else adapter.b
+    if (adapter.a.data.shape[0], b.data.shape[1]) != w.shape:
+        raise ShapeError(f"merge: W is {w.shape}, the adapter's product is "
+                         f"{adapter.a.rows}x{b.cols}")
+    merged = mx.matmul(adapter.a, b, counters, out)               # rRC
     data = merged.data
-    data *= w.data                                                # RC
-    data += w.data
+    if spp:
+        data *= w                                                 # RC
+    else:
+        data *= layer.original_mask                               # RC
+        data *= adapter.alpha
+    data += w
     if counters is not None:
-        counters.add_macs(data.size)
-        counters.add_elementwise(data.size)
+        counters.add_macs(w.size)
+        counters.add_elementwise(w.size)
     return merged
 
 
@@ -384,37 +363,30 @@ def lors_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
 sqft_gc_forward = spp_gc_forward = lors_forward
 
 
-def _spp_delta(layer: AdaptedLayer, counters):
-    """W . tile(A, 1, C/r), tile(B, R, 1) and their product, the Repeat
-    expression delta (2RC MACs), in three pooled buffers.
+def spp_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
+    """Y = W X + delta X with delta = W . tile(A, 1, C/r) . tile(B, R, 1), the
+    Repeat expression (2RC MACs), in three pooled buffers.
 
     Column q of tile(A, 1, C/r) is A[:, q mod r], so A broadcasts over W's
-    column groups and only tile(B, R, 1), which the saved set counts, is
-    built. spp_forward and merge() evaluate delta here.
-    """
-    w, adapter = layer.base.values.data, layer.adapter
-    (rows, cols), r = w.shape, adapter.rank
-    if counters is not None:
-        counters.add_macs(2 * w.size)
-    w_tiled_a, tiled_b, delta = _take(w.shape), _take(w.shape), _take(w.shape)
-    np.multiply(w.reshape(rows, -1, r), adapter.a.data[:, None], w_tiled_a.reshape(rows, -1, r))
-    tiled_b[...] = adapter.b.data
-    np.multiply(w_tiled_a, tiled_b, delta)
-    return DenseMatrix._wrap(w_tiled_a), DenseMatrix._wrap(tiled_b), DenseMatrix._wrap(delta)
-
-
-def spp_forward(layer: AdaptedLayer, x: DenseMatrix, counters=None):
-    """Y = W X + delta X with delta the Repeat expression of ``_spp_delta``.
-
-    Saves what the reverse pass of this expression reads: tile(B) and
-    W . tile(A) for the Hadamard factors' gradients, X and delta for
-    d delta and dX (3RC + CL).
+    column groups and only tile(B, R, 1) is built. Saves what the reverse pass
+    of this expression reads: tile(B) and W . tile(A) for the Hadamard
+    factors' gradients, X and delta for d delta and dX (3RC + CL).
     """
     _check_x(layer, x)
-    w_tiled_a, tiled_b, delta = _spp_delta(layer, counters)
-    adapted = mx.matmul(delta, x, counters)                              # RCL
-    y = mx.add(mx.matmul(layer.base.values, x, counters), adapted, counters)  # RCL
-    return _add_bias(layer, y, counters), _Context(layer, x, [tiled_b, w_tiled_a, x, delta])
+    w, adapter = layer.base.values, layer.adapter
+    shape, r = w.data.shape, adapter.rank
+    if counters is not None:
+        counters.add_macs(2 * w.data.size)
+    w_tiled_a, tiled_b, delta = _take(shape), _take(shape), _take(shape)
+    np.multiply(w.data.reshape(shape[0], -1, r), adapter.a.data[:, None],
+                w_tiled_a.reshape(shape[0], -1, r))
+    tiled_b[...] = adapter.b.data
+    np.multiply(w_tiled_a, tiled_b, delta)
+    delta = DenseMatrix._wrap(delta)
+    adapted = mx.matmul(delta, x, counters)                                   # RCL
+    y = mx.add(mx.matmul(w, x, counters), adapted, counters)                  # RCL
+    saved = [DenseMatrix._wrap(tiled_b), DenseMatrix._wrap(w_tiled_a), x, delta]
+    return _add_bias(layer, y, counters), _Context(layer, x, saved)
 
 
 # ---------------------------------------------------------------------------
@@ -703,23 +675,15 @@ def predict_cost(variant: str, R: int, C: int, L: int, r: int) -> CostPrediction
 
 
 def merge(layer: AdaptedLayer) -> SparseWeight:
-    """Finalize the layer into a plain sparse weight.
+    """Finalize the layer into a plain sparse weight: ``_merge``'s merged
+    weight with the entries outside the mask captured at construction zeroed,
+    so the pattern is a subset of the original.
 
-    Pair variants produce W + alpha * (AB) . M with the mask captured at
-    construction; spp variants produce W + delta with delta the Repeat
-    expression spp_forward records, which is masked by W itself. The result's
-    pattern is a subset of the original.
-
-    The pair merge is checked for finiteness before the pruned entries are
-    zeroed: an overflow of A @ B at a pruned entry gives inf * 0 = NaN, which
-    the zeroing would hide from the checkpoint's own check.
+    The merge is checked for finiteness before the pruned entries are zeroed:
+    an overflow of the rank-r product at a pruned entry gives inf * 0 = NaN,
+    which the zeroing would hide from the checkpoint's own check.
     """
-    if isinstance(layer.adapter, SppAdapter):
-        parts = _spp_delta(layer, None)
-        merged = mx.add(layer.base.values, parts[-1])
-        _give(*(part.data for part in parts))
-    else:
-        merged = _merge(layer, None)
-        mx.check_finite(merged.data, "merged weight")
+    merged = _merge(layer, None)
+    mx.check_finite(merged.data, "merged weight")
     merged.data[~layer.original_mask] = 0.0
     return SparseWeight(merged, pattern=layer.base.pattern)

@@ -217,7 +217,8 @@ def cmd_train(args) -> int:
         "variant": args.variant,
         "init": args.init,
         "final_loss": trace.final_loss if trace.rows else None,
-        "eval": evaluate(model, dataset),
+        # the written checkpoint's loss, which lora's masked merge() moves
+        "eval": evaluate(_load_model(args.out, "lors", 1, args.alpha, args.samples), dataset),
         "out": str(args.out),
         "metrics": str(metrics_path),
     }
@@ -319,7 +320,7 @@ def _define(p, name: str, seed: int):
         p.add_argument("--out", required=True, type=_output_path)
         p.add_argument("--metrics", default=None, type=_output_path, help="metrics CSV path")
         p.add_argument("--variant", choices=VARIANTS, default="lors")
-        p.add_argument("--init", choices=STRATEGIES, default="zero_A_zero_B")
+        p.add_argument("--init", choices=STRATEGIES, default="zero_A_random_B")
         p.add_argument("--task", choices=("teacher", "clusters"), default="teacher")
         p.add_argument("--steps", type=int, default=100)
         p.add_argument("--batch-size", type=int, default=32)

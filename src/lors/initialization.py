@@ -55,7 +55,7 @@ LOSS_KINDS = ("regression", "classification")
 class InitSpec:
     """How to initialize adapter factors before training."""
 
-    strategy: str = "zero_A_zero_B"
+    strategy: str = "zero_A_random_B"  # A = B = 0 is a stationary point
     seed: int = 0
     std: float = 0.02
 

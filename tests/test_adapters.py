@@ -20,7 +20,6 @@ from lors.adapters import (
     counted_saved,
     make_layer,
     merge,
-    merged_weight,
     predict_cost,
     spp_gc_forward,
     variant_backward,
@@ -225,7 +224,7 @@ def test_backward_schedules_match_finite_differences():
 
 
 def test_masked_forwards_bitwise_identical():
-    """sqft, sqft_gc, and lors share merged_weight, so outputs match bitwise."""
+    """sqft, sqft_gc, and lors share _merge, so outputs match bitwise."""
     for seed in range(10):
         ref = random_layer(seed, "sqft", R=5, C=7, r=2)
         x = DenseMatrix(np.random.default_rng(seed).normal(size=(7, 3)))
@@ -365,13 +364,31 @@ def test_merge_values_spp():
     assert np.allclose(merged.values.data, w + tiled, rtol=1e-15, atol=1e-15)
 
 
-def test_merge_spp_is_bitwise_the_repeat_expression():
-    layer = random_layer(25, "spp", R=4, C=8, r=2)
-    w = layer.base.values.data
-    want = w + (w * np.tile(layer.adapter.a.data, (1, 4))) * np.tile(layer.adapter.b.data, (4, 1))
+@pytest.mark.parametrize("variant", ["sqft", "sqft_gc", "lors", "spp", "spp_gc"])
+@pytest.mark.parametrize("R, C, L, r, seed", [(5, 8, 3, 2, 0), (64, 64, 32, 16, 2),
+                                              (33, 48, 1, 8, 3)])
+def test_merge_is_bitwise_the_forward_merged_weight(monkeypatch, variant, R, C, L, r, seed):
+    """merge() is the merged weight the forward multiplied X by, bit for bit,
+    with the pruned entries zeroed (+0.0): one _merge builds both. spp's
+    forward evaluates the Repeat expression instead; its merge() is bitwise
+    that of spp_gc, the same function in merged form, over the same factors."""
+    layer = random_layer(seed, variant, R, C, r)
+    twin = random_layer(seed, "spp_gc" if variant == "spp" else variant, R, C, r)
+    x = DenseMatrix(np.random.default_rng(seed + 100).normal(size=(C, L)))
+    used, real = [], mx.matmul
+
+    def spy(a, b, *args):
+        if b is x:
+            used.append(a.data.tobytes())
+        return real(a, b, *args)
+
+    monkeypatch.setattr(mx, "matmul", spy)
+    variant_forward(twin, x)
+    monkeypatch.undo()
+    want = np.frombuffer(used[0]).reshape(R, C).copy()
     want[~layer.original_mask] = 0.0
     got = merge(layer).values.data
-    assert (~layer.original_mask).any()
+    assert len(used) == 1 and (~layer.original_mask).any()
     assert got.tobytes() == want.tobytes()
     assert not np.signbit(got[~layer.original_mask]).any()
 
@@ -386,14 +403,11 @@ def test_merge_preserves_two_four():
     assert merged.pattern == "two_four"
 
 
-def test_merged_weight_helper_matches_formula():
-    rng = np.random.default_rng(29)
-    w = DenseMatrix(rng.normal(size=(4, 5)))
-    a = DenseMatrix(rng.normal(size=(4, 2)))
-    b = DenseMatrix(rng.normal(size=(2, 5)))
-    m = rng.random(size=(4, 5)) > 0.5
-    got = merged_weight(w, a, b, 1.5, m)
-    want = w.data + 1.5 * ((a.data @ b.data) * m.astype(float))
+def test_pair_merge_matches_formula():
+    layer = random_layer(29, "lors", R=4, C=5, r=2, alpha=1.5)
+    w, a, b = layer.base.values.data, layer.adapter.a.data, layer.adapter.b.data
+    got = adapters._merge(layer, None)
+    want = w + 1.5 * ((a @ b) * layer.original_mask.astype(float))
     assert np.allclose(got.data, want, rtol=1e-15, atol=1e-15)
 
 
@@ -554,33 +568,40 @@ def test_apply_layer_exposes_named_nodes_and_grads():
     assert mx.bitwise_equal(grads[x_id], direct.dx)
 
 
-def _overflow_layer(w, a, b, alpha):
+def _overflow_layer(w, a, b, alpha, variant):
     base = SparseWeight(DenseMatrix(w))
+    if variant in SPP_VARIANTS:
+        return AdaptedLayer(base, SppAdapter(DenseMatrix(a), DenseMatrix(b)), variant)
     pair = AdapterPair(DenseMatrix(a), DenseMatrix(b), alpha=alpha)
-    return AdaptedLayer(base, pair, "lors")
+    return AdaptedLayer(base, pair, variant)
 
 
-@pytest.mark.parametrize("w00, a0, b, alpha", [
-    (1.0, 1e200, [[1e200, 0.0]], 2.0),     # A @ B overflows at a kept entry
-    (1.0, 1e200, [[0.0, 1e200]], 2.0),     # ... at a pruned entry (inf * 0 = NaN)
-    (1.0, 1e150, [[1e150, 0.0]], 1e10),    # alpha * masked overflows
-    (1.7e308, 1e154, [[1e154, 0.0]], 1.0),  # W + alpha * masked overflows
+@pytest.mark.parametrize("variant, w00, a0, b, alpha", [
+    ("lors", 1.0, 1e200, [[1e200, 0.0]], 2.0),     # A @ B overflows at a kept entry
+    ("lors", 1.0, 1e200, [[0.0, 1e200]], 2.0),     # ... at a pruned entry (inf * 0 = NaN)
+    ("lors", 1.0, 1e150, [[1e150, 0.0]], 1e10),    # alpha * masked overflows
+    ("lors", 1.7e308, 1e154, [[1e154, 0.0]], 1.0),  # W + alpha * masked overflows
+    ("spp", 1.0, 1e200, [[0.0, 1e200]], None),     # A @ Bhat overflows at a pruned entry
+    ("spp_gc", 1.0, 1e200, [[0.0, 1e200]], None),
+    ("spp_gc", 1.0, 1e200, [[1e200, 0.0]], None),  # ... at a kept entry
 ])
-def test_fused_merge_keeps_finiteness_checks(w00, a0, b, alpha):
+def test_fused_merge_keeps_finiteness_checks(variant, w00, a0, b, alpha):
     """The one-buffer merge raises wherever the per-op scans did, at both
     boundaries that read it: the forward and merge(), which checks before it
-    zeroes the pruned entries."""
+    zeroes the pruned entries. spp's forward evaluates the Repeat expression,
+    which never forms A @ Bhat, so only its merge() raises."""
     w = np.array([[w00, 0.0], [0.0, 1.0]])
     a = np.array([[a0], [0.0]])
-    layer = _overflow_layer(w, a, np.array(b), alpha)
+    layer = _overflow_layer(w, a, np.array(b), alpha, variant)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericError, match="non-finite merged weight"):
             merge(layer)
-        with pytest.raises(NumericError, match="non-finite merged weight"):
-            variant_forward(layer, DenseMatrix(np.ones((2, 1))))
+        if variant != "spp":
+            with pytest.raises(NumericError, match="non-finite merged weight"):
+                variant_forward(layer, DenseMatrix(np.ones((2, 1))))
 
 
-def test_merged_weight_tallies_and_bool_mask_bits():
+def test_pair_merge_tallies_and_bool_mask_bits():
     R, C, r, alpha = 5, 7, 3, 1.5
     rng = np.random.default_rng(48)
     mask = rng.random(size=(R, C)) > 0.5
@@ -588,25 +609,30 @@ def test_merged_weight_tallies_and_bool_mask_bits():
     w = DenseMatrix(np.where(mask, rng.normal(size=(R, C)), -0.0))
     a = DenseMatrix(rng.normal(size=(R, r)))
     b = DenseMatrix(rng.normal(size=(r, C)))
+    layer = AdaptedLayer(SparseWeight(w), AdapterPair(a, b, alpha=alpha), "lors")
+    assert np.array_equal(layer.original_mask, mask)
     fmask = mask.astype(np.float64)
     want = (w.data + alpha * ((a.data @ b.data) * fmask)).tobytes()
     old = mx.add_scaled(w, mx.hadamard(mx.matmul(a, b), DenseMatrix(fmask)), alpha)
     assert old.data.tobytes() == want
-    assert merged_weight(w, a, b, alpha, mask).data.tobytes() == want
-    assert merged_weight(w, a, b, alpha, fmask).data.tobytes() == want
+    assert adapters._merge(layer, None).data.tobytes() == want
+    layer.original_mask = fmask
+    assert adapters._merge(layer, None).data.tobytes() == want
+    layer.original_mask = mask
     for backward in (False, True):
         c = CostCounters()
         if backward:
             with c.backward_phase():
-                got = merged_weight(w, a, b, alpha, mask, c)
+                got = adapters._merge(layer, c)
         else:
-            got = merged_weight(w, a, b, alpha, mask, c)
+            got = adapters._merge(layer, c)
         assert got.data.tobytes() == want
         tallies = (r * R * C + R * C, R * C)
         assert (c.macs_backward, c.elementwise_backward) == (tallies if backward else (0, 0))
         assert (c.macs_forward, c.elementwise_forward) == ((0, 0) if backward else tallies)
+    layer.adapter.b = DenseMatrix(b.data[:, :1])
     with pytest.raises(ShapeError):
-        merged_weight(w, a, b, alpha, mask[:, :1])
+        adapters._merge(layer, None)
 
 
 @pytest.mark.parametrize("variant", ["lors", "sqft_gc"])
@@ -616,23 +642,21 @@ def test_backward_recompute_is_the_forward_merge_bitwise(monkeypatch, variant, R
     """The merged weight the backward rebuilds is the forward's, bit for bit,
     which is why only the forward checks it for finiteness."""
     merges = []
-    real = adapters.merged_weight
+    real = adapters._merge
 
     def spy(*args, **kwargs):
         out = real(*args, **kwargs)
         merges.append(out.data.tobytes())
         return out
 
-    monkeypatch.setattr(adapters, "merged_weight", spy)
+    monkeypatch.setattr(adapters, "_merge", spy)
     layer = random_layer(seed, variant, R, C, r, bias=True)
     rng = np.random.default_rng(seed + 100)
     x, dy = DenseMatrix(rng.normal(size=(C, L))), DenseMatrix(rng.normal(size=(R, L)))
     _, ctx = variant_forward(layer, x, CostCounters())
     variant_backward(layer, dy, ctx, CostCounters())
     assert len(merges) == 2 and merges[0] == merges[1]
-    pair = layer.adapter
-    assert merges[0] == real(layer.base.values, pair.a, pair.b, pair.alpha,
-                             layer.original_mask).data.tobytes()
+    assert merges[0] == real(layer, None).data.tobytes()
 
 
 def spp_tile_oracle(layer, x, dy):
@@ -734,20 +758,24 @@ def _tallies(c):
             c.elementwise_forward, c.elementwise_backward)
 
 
-@pytest.mark.parametrize("R, C, r", [(R, C, r) for R, C, _, r in _SHAPES])
-def test_spp_delta_is_the_tiled_hadamard_bitwise(R, C, r):
-    """_spp_delta broadcasts A over W's column groups, yet W . tile(A, 1, C/r),
-    tile(B, R, 1) and delta are bitwise the materialized tiles' products, for
-    2RC MACs and no other tally, with or without counters."""
+@pytest.mark.parametrize("R, C, L, r", _SHAPES)
+def test_spp_forward_saves_the_tiled_hadamard_bitwise(R, C, L, r):
+    """spp_forward broadcasts A over W's column groups, yet the tile(B, R, 1),
+    W . tile(A, 1, C/r) and delta it saves are bitwise the materialized tiles'
+    products, with or without counters, and delta costs 2RC MACs."""
     layer = random_layer(R * C + r, "spp", R, C, r)
     w, a, b = layer.base.values.data, layer.adapter.a.data, layer.adapter.b.data
+    x = DenseMatrix(np.random.default_rng(R + C).normal(size=(C, L)))
     w_tiled_a = w * np.tile(a, (1, C // r))
     tiled_b = np.tile(b, (R, 1))
-    want = [w_tiled_a.tobytes(), tiled_b.tobytes(), (w_tiled_a * tiled_b).tobytes()]
+    want = [tiled_b.tobytes(), w_tiled_a.tobytes(), x.data.tobytes(),
+            (w_tiled_a * tiled_b).tobytes()]
     c = CostCounters()
-    assert [t.data.tobytes() for t in adapters._spp_delta(layer, c)] == want
-    assert _tallies(c) == (2 * R * C, 0, 0, 0, 0)
-    assert [t.data.tobytes() for t in adapters._spp_delta(layer, None)] == want
+    _, ctx = variant_forward(layer, x, c)
+    assert [t.data.tobytes() for t in ctx.saved] == want
+    assert c.macs_forward == 2 * R * C * L + 2 * R * C
+    _, ctx = variant_forward(layer, x, None)
+    assert [t.data.tobytes() for t in ctx.saved] == want
 
 
 @pytest.mark.parametrize("R, C, r", [(R, C, r) for R, C, _, r in _SHAPES])

@@ -11,6 +11,7 @@ from lors import cli
 from lors.cli import EXIT_COUNTER, EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY, main
 from lors.errors import ArgumentError
 from lors.matrix import DenseMatrix
+from lors.train import evaluate
 
 
 def make_ckpt(path, dims=(6, 8, 4), seed=0, bias=True):
@@ -266,6 +267,44 @@ def test_train_end_to_end(tmp_path, capsys):
     lines = metrics.read_text().strip().splitlines()
     assert lines[0].startswith("step,")
     assert len(lines) == 1 + 5
+
+
+def _pruned_ckpt(tmp_path, capsys):
+    src = make_ckpt(tmp_path / "base.lors", dims=(16, 16, 16))
+    sparse = tmp_path / "sparse.lors"
+    assert main(["prune", "--input", str(src), "--output", str(sparse)]) == EXIT_OK
+    capsys.readouterr()
+    return sparse
+
+
+def _ckpt_eval(path, seed=0, samples=64):
+    """evaluate() of a checkpoint's weights on lors train's teacher task."""
+    model = cli._load_model(path, "lors", 1, 2.0, samples)
+    return evaluate(model, cli._task_dataset("teacher", model, seed, samples))
+
+
+@pytest.mark.parametrize("variant", ["lora", "lors", "spp_gc"])
+def test_train_eval_is_the_written_checkpoints(variant, tmp_path, capsys):
+    """The summary's eval is the loss of the checkpoint train writes, which
+    for lora is the masked merge, not the dense-update model it trained."""
+    sparse, out = _pruned_ckpt(tmp_path, capsys), tmp_path / "tuned.lors"
+    assert main(["train", "--ckpt", str(sparse), "--out", str(out), "--variant", variant,
+                 "--init", "zero_A_random_B", "--steps", "40", "--samples", "64",
+                 "--optimizer", "adaptive", "--rank", "4", "--seed", "0"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["eval"] == _ckpt_eval(out)
+
+
+@pytest.mark.parametrize("variant", ["lora", "lors", "spp", "spp_gc"])
+def test_default_train_lowers_the_loss(variant, tmp_path, capsys):
+    """With no --init, training moves the adapters (A = B = 0 would be a
+    stationary point) and the written checkpoint beats the pruned base."""
+    sparse, out = _pruned_ckpt(tmp_path, capsys), tmp_path / "tuned.lors"
+    assert main(["train", "--ckpt", str(sparse), "--out", str(out), "--variant", variant,
+                 "--steps", "40", "--samples", "64", "--optimizer", "adaptive",
+                 "--seed", "0"]) == EXIT_OK
+    summary = json.loads(capsys.readouterr().out)
+    assert summary["init"] == "zero_A_random_B"
+    assert summary["eval"]["loss"] < 0.9 * _ckpt_eval(sparse)["loss"]
 
 
 def test_train_rejects_nonfinite_lr(tmp_path, capsys):
