@@ -6,13 +6,17 @@ length as u64 little-endian, the manifest itself (UTF-8 JSON: a list of
 then the payload of raw little-endian IEEE-754 doubles in row-major order.
 
 Loading validates magic, version, manifest structure, dtype, and that tensor
-extents stay inside the payload without overlapping. Round-trips are bitwise
-exact. Saving refuses a non-finite tensor before it opens the file.
+extents stay inside the payload without overlapping, all before it allocates
+a tensor; then it reads each tensor straight into its own array. Round-trips
+are bitwise exact. Saving refuses a non-finite tensor before it opens the file.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import stat
 import struct
 from typing import Dict
 
@@ -59,32 +63,60 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _fill(fh, buf, path) -> None:
+    """Read exactly len(buf) bytes from ``fh`` into the writable buffer ``buf``."""
+    view = memoryview(buf).cast("B")
+    got = 0
+    while got < len(view):
+        n = fh.readinto(view[got:])
+        if not n:
+            raise CheckpointFormatError(f"checkpoint {path} is truncated")
+        got += n
+
+
 def load_checkpoint(path) -> Dict[str, DenseMatrix]:
+    """Every tensor of the checkpoint at ``path``, in manifest order.
+
+    The header and the whole manifest are checked against the file size before
+    any tensor is allocated; then each tensor is read straight into its own
+    aligned, writable array, so a load holds one copy of the payload. A file
+    that is not a regular one (a pipe) is read whole first.
+    """
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb", buffering=0) as fh:
+            info = os.fstat(fh.fileno())
+            if stat.S_ISREG(info.st_mode):
+                return _read_tensors(fh, info.st_size, path)
             blob = fh.read()
+            return _read_tensors(io.BytesIO(blob), len(blob), path)
     except OSError as exc:
         raise CheckpointFormatError(f"cannot read checkpoint {path}: {exc}") from exc
-    if len(blob) < _HEADER.size:
+
+
+def _read_tensors(fh, size: int, path) -> Dict[str, DenseMatrix]:
+    if size < _HEADER.size:
         raise CheckpointFormatError(f"checkpoint {path} is truncated before the header")
-    magic, version, manifest_len = _HEADER.unpack_from(blob)
+    header = bytearray(_HEADER.size)
+    _fill(fh, header, path)
+    magic, version, manifest_len = _HEADER.unpack(header)
     if magic != MAGIC:
         raise CheckpointFormatError(f"bad magic {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise CheckpointFormatError(f"unsupported format version {version}, expected {VERSION}")
     manifest_end = _HEADER.size + manifest_len
-    if manifest_end > len(blob):
+    if manifest_end > size:
         raise CheckpointFormatError("manifest length exceeds file size")
+    raw = bytearray(manifest_len)
+    _fill(fh, raw, path)
     try:
-        manifest = json.loads(blob[_HEADER.size:manifest_end].decode("utf-8"))
+        manifest = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointFormatError(f"manifest is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(manifest, list):
         raise CheckpointFormatError("manifest must be a JSON list")
 
-    payload = memoryview(blob)[manifest_end:]
-    tensors: Dict[str, DenseMatrix] = {}
-    spans = []
+    payload_len = size - manifest_end
+    entries = {}
     for entry in manifest:
         if not isinstance(entry, dict):
             raise CheckpointFormatError(f"manifest entry is not an object: {entry!r}")
@@ -102,25 +134,30 @@ def load_checkpoint(path) -> Dict[str, DenseMatrix]:
         if (not isinstance(shape, list) or len(shape) != 2
                 or not all(_is_int(d) and d > 0 for d in shape)):
             raise CheckpointFormatError(f"tensor {name!r} has invalid shape {shape!r}")
-        if name in tensors:
+        if name in entries:
             raise CheckpointFormatError(f"duplicate tensor name {name!r}")
         offset = entry["offset"]
         nbytes = shape[0] * shape[1] * 8
-        if not _is_int(offset) or offset < 0 or offset + nbytes > len(payload):
+        if not _is_int(offset) or offset < 0 or offset + nbytes > payload_len:
             raise CheckpointFormatError(
                 f"tensor {name!r} extent [{offset}, {offset + nbytes}) falls outside "
-                f"the {len(payload)}-byte payload"
+                f"the {payload_len}-byte payload"
             )
-        spans.append((offset, offset + nbytes, name))
-        # DenseMatrix copies the view: one aligned, writable array per tensor,
-        # whatever the payload offset's alignment
-        tensors[name] = DenseMatrix(np.frombuffer(
-            payload, dtype="<f8", count=shape[0] * shape[1], offset=offset).reshape(shape))
+        entries[name] = (offset, nbytes, tuple(shape))
 
-    spans.sort()
+    spans = sorted((offset, offset + nbytes, name)
+                   for name, (offset, nbytes, _) in entries.items())
     for (s0, e0, n0), (s1, e1, n1) in zip(spans, spans[1:]):
         if s1 < e0:
             raise CheckpointFormatError(f"tensors {n0!r} and {n1!r} overlap in the payload")
+
+    tensors: Dict[str, DenseMatrix] = {}
+    for name, (offset, _, shape) in entries.items():
+        arr = np.empty(shape, dtype="<f8")
+        fh.seek(manifest_end + offset)
+        _fill(fh, arr, path)
+        check_finite(arr, "DenseMatrix entries")
+        tensors[name] = DenseMatrix._wrap(arr)
     return tensors
 
 

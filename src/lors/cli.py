@@ -167,21 +167,26 @@ def cmd_prune(args) -> int:
             )
         calib = CalibrationBatch(calib_tensors["calib"])
 
+    # each input weight is dropped once its pruned output exists, so the run
+    # holds one model (inputs still to prune, outputs made) and one layer's
+    # working set
     out = {}
     summary = {"method": args.method, "tensors": {}}
-    for name, m in tensors.items():
+    for name in list(tensors):
         if not name.endswith(".weight"):
-            out[name] = m
+            out[name] = tensors[name]
             continue
+        m = tensors.pop(name)
         if args.method == "magnitude":
             sw = prune_magnitude(m, args.ratio)
         elif args.method == "activation":
             sw = prune_activation_scaled(m, calib, args.ratio)
         else:
             sw = prune_two_four(m)
+        del m
         out[name] = sw.values
         summary["tensors"][name] = {
-            "rows": m.rows, "cols": m.cols,
+            "rows": sw.rows, "cols": sw.cols,
             "sparsity": sparsity(sw), "pattern": sw.pattern,
         }
     if not summary["tensors"]:

@@ -97,7 +97,8 @@ def _lowest(scores: np.ndarray, n: int) -> np.ndarray:
     smallest score ``kth``; every entry below it is in, and entries equal to
     it are taken in index order until the row has n. No sort: O(rows * cols).
     """
-    kth = np.partition(scores, n - 1, axis=1)[:, n - 1:n]
+    # a copy of the kth column, so the partitioned copy of scores dies here
+    kth = np.partition(scores, n - 1, axis=1)[:, n - 1:n].copy()
     low = scores < kth
     tie = scores == kth
     need = n - np.count_nonzero(low, axis=1)
@@ -139,8 +140,9 @@ def _activation_scores(w: DenseMatrix, calib: CalibrationBatch) -> np.ndarray:
             f"calibration batch has {calib.x.rows} feature rows, weight needs {w.cols}"
         )
     norms = calib.feature_norms()
+    scores = np.abs(w.data)
     with np.errstate(over="ignore"):
-        scores = np.abs(w.data) * norms[np.newaxis, :]
+        scores *= norms[np.newaxis, :]
     if scores.max() == np.inf:
         raise NumericError("non-finite activation scores")
     return scores
@@ -152,6 +154,7 @@ def _pruned(w: DenseMatrix, keep, pattern: str) -> SparseWeight:
     A removed negative entry becomes -0.0, which ``SparseWeight`` normalizes.
     Every entry is an entry of the already-checked W or zero, so the product
     is wrapped, not scanned again; it is C-ordered whatever W's layout.
+    Callers drop their scores first, so scores and output never coexist.
     """
     out = np.multiply(w.data, keep, order="C")
     return SparseWeight(DenseMatrix._wrap(out), pattern=pattern)
@@ -180,6 +183,7 @@ def prune_activation_scaled(w: DenseMatrix, calib: CalibrationBatch, ratio: floa
     scores = _activation_scores(w, calib)
     n_remove = int(ratio * w.cols)
     keep = ~_lowest(scores, n_remove) if n_remove else True
+    del scores
     return _pruned(w, keep, "unstructured")
 
 
@@ -196,7 +200,9 @@ def prune_two_four(w: DenseMatrix, score: str = "magnitude",
         scores = _activation_scores(w, calib)
     else:
         raise ArgumentError(f"unknown score {score!r}")
-    return _pruned(w, _two_four_keep(scores), "two_four")
+    keep = _two_four_keep(scores)
+    del scores
+    return _pruned(w, keep, "two_four")
 
 
 def sparsity(sw: SparseWeight) -> float:

@@ -1,5 +1,7 @@
 import json
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,8 +225,9 @@ def test_single_byte_damage_is_refused_or_round_trips(tmp_path_factory, kind, at
     assert _tensor_bytes(load_checkpoint(work / "again.lors")) == _tensor_bytes(loaded)
 
 
-def _oracle_bytes(tensors):
-    """The documented layout, built independently of save_checkpoint."""
+def _oracle_bytes(tensors, pad=0):
+    """The documented layout, built independently of save_checkpoint; ``pad``
+    spaces after the manifest JSON move the payload to any offset."""
     manifest, chunks, offset = [], [], 0
     for name, m in tensors.items():
         raw = m.data.astype("<f8").tobytes(order="C")
@@ -232,13 +235,17 @@ def _oracle_bytes(tensors):
                          "offset": offset})
         chunks.append(raw)
         offset += len(raw)
-    mb = json.dumps(manifest).encode("utf-8")
+    mb = json.dumps(manifest).encode("utf-8") + b" " * pad
     return struct.pack("<4sIQ", b"LORS", 1, len(mb)) + mb + b"".join(chunks)
 
 
-def test_save_writes_the_documented_bytes_for_any_layout(tmp_path):
+@pytest.mark.parametrize("pad", [0, 1, 3, 5])
+def test_save_writes_the_documented_bytes_for_any_layout(tmp_path, pad):
     """A C-ordered tensor, an F-ordered one (a transpose view) and a sliced
-    non-contiguous one are each written as row-major little-endian doubles."""
+    non-contiguous one are each written as row-major little-endian doubles,
+    and the documented bytes load back bitwise whatever the manifest's length
+    (``pad`` spaces after its JSON; odd pads put the payload off 8-byte
+    alignment)."""
     rng = np.random.default_rng(5)
     base = rng.normal(size=(6, 9))
     base[0, 0] = -0.0
@@ -251,7 +258,8 @@ def test_save_writes_the_documented_bytes_for_any_layout(tmp_path):
     tensors = {"c": c_ordered, "f": f_ordered, "sliced": sliced}
     save_checkpoint(tmp_path / "t.lors", tensors)
     assert (tmp_path / "t.lors").read_bytes() == _oracle_bytes(tensors)
-    loaded = load_checkpoint(tmp_path / "t.lors")
+    (tmp_path / "padded.lors").write_bytes(_oracle_bytes(tensors, pad))
+    loaded = load_checkpoint(tmp_path / "padded.lors")
     for name, m in tensors.items():
         assert loaded[name].data.tobytes() == m.data.tobytes(), name
 
@@ -280,3 +288,68 @@ def test_loaded_tensors_are_aligned_writable_and_separate(tmp_path, pad):
     sw = SparseWeight(weight)
     assert sw.values is weight
     assert np.array_equal(np.signbit(weight.data), w < 0.0)
+
+
+def _traced_peak(fn, *args):
+    """Bytes tracemalloc sees allocated at the peak of fn(*args)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_holds_one_copy_of_the_tensors(tmp_path):
+    """Each tensor is read straight into its own array: no whole-file buffer
+    and no second copy, so a load peaks near the tensors' own bytes
+    (measured 1.03x; reading the file whole first made it 2.03x)."""
+    rng = np.random.default_rng(3)
+    tensors = {}
+    for i in range(4):
+        tensors[f"layers.{i}.weight"] = DenseMatrix(rng.normal(size=(128, 128)))
+        tensors[f"layers.{i}.bias"] = DenseMatrix(rng.normal(size=(128, 1)))
+    save_checkpoint(tmp_path / "m.lors", tensors)
+    nbytes = sum(m.data.nbytes for m in tensors.values())
+    del tensors
+    peak = _traced_peak(load_checkpoint, tmp_path / "m.lors")
+    assert peak <= 1.25 * nbytes, peak / nbytes
+
+
+def test_tensor_larger_than_the_file_is_refused_before_any_read(tmp_path):
+    """Every manifest entry is checked against the file size before a tensor
+    array exists: a valid 512 KiB first tensor is never allocated when the
+    second claims far more than the file holds."""
+    first = np.arange(256 * 256, dtype="<f8")
+    manifest = [{"name": "a", "shape": [256, 256], "dtype": "f64", "offset": 0},
+                {"name": "b", "shape": [2**20, 2**20], "dtype": "f64",
+                 "offset": first.nbytes}]
+    p = write_with_manifest(tmp_path / "huge.lors", manifest, first.tobytes())
+
+    def load():
+        with pytest.raises(CheckpointFormatError,
+                           match=r"tensor 'b' extent \[524288, 8796093546496\) falls "
+                                 r"outside the 524288-byte payload"):
+            load_checkpoint(p)
+
+    assert _traced_peak(load) < first.nbytes // 8
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_checkpoint_loads_from_a_pipe(tmp_path):
+    """A file that is not a regular one (``--input <(cat model.lors)``) is
+    read whole and loads like the file it came from."""
+    save_checkpoint(tmp_path / "m.lors", sample_tensors())
+    blob = (tmp_path / "m.lors").read_bytes()
+    r, w = os.pipe()
+    try:
+        os.write(w, blob)  # a few hundred bytes: fits the pipe's buffer
+        os.close(w)
+        w = None
+        loaded = load_checkpoint(f"/dev/fd/{r}")
+    finally:
+        os.close(r)
+        if w is not None:
+            os.close(w)
+    assert _tensor_bytes(loaded) == _tensor_bytes(sample_tensors())
