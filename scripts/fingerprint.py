@@ -13,11 +13,12 @@ moves only counters leaves every ``bits`` hash as it was. Two trees whose
 lines all agree compute the same bits, gradients and counters everywhere it
 looks:
 
-- ``layers``: every variant at six shapes, with and without a bias: Y, dA, dB,
-  dX, dbias, the five counters and the tape's saved peak of an ``apply_layer``
-  pass, the same of a direct ``variant_forward``/``variant_backward`` pass
-  with and without counters; then 5 adaptive training steps of a 128-wide
-  model per variant (losses, counters, factors) and its ``evaluate``;
+- ``layers``: every variant at six shapes, with and without a bias: Y, dX,
+  dA, dB, dbias, the five counters and the saved-element count of a
+  ``variant_forward``/``variant_backward`` pass whose counters tally its saved
+  set as a training step does, then the same pass with fresh counters and
+  with none; then 5 adaptive training steps of a 128-wide model per variant
+  (losses, counters, factors) and its ``evaluate``;
 - ``finetune``: rounds of ``finetune-w512``-shaped training (six students of
   three 512-wide layers, batch 32, rank 16) at seeds 41 and 42;
 - ``pairmerge`` and ``sppmerge``: ``merge()`` of every layer of the two groups
@@ -61,7 +62,7 @@ sys.path.insert(0, str(Path(sys.argv[1]).resolve()))
 
 from lors import adapters, checkpoint, cli, initialization, prune, train  # noqa: E402
 from lors.matrix import DenseMatrix, Rng  # noqa: E402
-from lors.tape import CostCounters, Tape  # noqa: E402
+from lors.tape import CostCounters  # noqa: E402
 
 SHAPES = ((4, 8, 3, 2), (7, 12, 5, 3), (16, 32, 9, 16), (9, 10, 1, 1),
           (64, 64, 32, 16), (40, 24, 6, 4))
@@ -136,15 +137,13 @@ class Merges:
 
 def _pass_digest(d: Digest, merges: Merges, layer, x, dy) -> None:
     c = CostCounters()
-    tape = Tape(c)
-    x_id = tape.leaf(x, requires_grad=True)
-    y_id = adapters.apply_layer(tape, layer, x_id)
-    d.add(tape.value(y_id))
-    params = layer.last_nodes
-    wanted = (x_id, *(params[k] for k in ("a", "b", "bias") if k in params))
-    grads = tape.backward(y_id, wanted, seed=dy)
-    d.add(*(grads.get(i) for i in wanted), c)
-    d.count(tape.saved_ctx.peak)
+    y, ctx = adapters.variant_forward(layer, x, c)
+    saved = sum(t.data.size for t in ctx.saved)
+    c.saved_elements += saved        # what a training step tallies for the pass
+    d.add(y)
+    g = adapters.variant_backward(layer, dy, ctx, c)
+    d.add(g.dx, g.da, g.db, *(() if layer.bias is None else (g.dbias,)), c)
+    d.count(saved)
     for counters in (CostCounters(), None):
         y, ctx = adapters.variant_forward(layer, x, counters)
         g = adapters.variant_backward(layer, dy, ctx, counters)
