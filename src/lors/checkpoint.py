@@ -110,7 +110,7 @@ def _read_tensors(fh, size: int, path) -> Dict[str, DenseMatrix]:
     _fill(fh, raw, path)
     try:
         manifest = json.loads(raw.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointFormatError(f"manifest is not valid UTF-8 JSON: {exc}") from exc
     if not isinstance(manifest, list):
         raise CheckpointFormatError("manifest must be a JSON list")

@@ -393,7 +393,7 @@ def _with_config(argv: list, submap) -> list:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ArgumentError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ArgumentError("config file must hold a JSON object")

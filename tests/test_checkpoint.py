@@ -105,6 +105,14 @@ def test_manifest_not_json(tmp_path):
         load_checkpoint(p)
 
 
+def test_manifest_nested_past_the_parsers_recursion(tmp_path):
+    manifest = b"[" * 100000
+    p = tmp_path / "deep.lors"
+    p.write_bytes(_HEADER.pack(MAGIC, VERSION, len(manifest)) + manifest)
+    with pytest.raises(CheckpointFormatError, match="not valid UTF-8 JSON: maximum recursion"):
+        load_checkpoint(p)
+
+
 def write_with_manifest(path, manifest, payload):
     mb = json.dumps(manifest).encode()
     path.write_bytes(_HEADER.pack(MAGIC, VERSION, len(mb)) + mb + payload)

@@ -480,6 +480,26 @@ def test_config_must_be_object(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("what, content, fragment", [
+    ("config", b"\xff\xfe{}", "cannot read config {path}: 'utf-8' codec can't decode"),
+    ("config", b"[" * 100000, "cannot read config {path}: maximum recursion depth"),
+    ("checkpoint", b"[" * 100000, "manifest is not valid UTF-8 JSON: maximum recursion depth"),
+], ids=["config not utf-8", "config nested 100000 deep", "manifest nested 100000 deep"])
+def test_undecodable_json_exits_2_with_its_message(tmp_path, capsys, what, content, fragment):
+    """A --config file that is not UTF-8, or one whose JSON nests deeper than
+    the parser recurses, and a checkpoint manifest that nests as deep, end in
+    exit 2 and the message of any other unreadable config or manifest."""
+    path = tmp_path / "in.bin"
+    if what == "config":
+        path.write_bytes(content)
+        argv = ["prune", "--config", str(path), "--input", str(make_ckpt(tmp_path / "b.lors"))]
+    else:
+        path.write_bytes(struct.pack("<4sIQ", MAGIC, VERSION, len(content)) + content)
+        argv = ["prune", "--input", str(path)]
+    assert main(argv + ["--output", str(tmp_path / "o.lors")]) == EXIT_IO
+    assert capsys.readouterr().err.startswith("error: " + fragment.format(path=path))
+
+
 def test_config_supplies_required_flags(tmp_path, capsys):
     src = make_ckpt(tmp_path / "b.lors", dims=(4, 4))
     out = tmp_path / "t.lors"
