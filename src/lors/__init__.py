@@ -17,7 +17,7 @@ from .errors import (
 )
 from .matrix import DenseMatrix, Rng
 from .svd import SvdResult, svd
-from .tape import CostCounters, SavedContext, Tape, TapeNode
+from .tape import CostCounters, SavedContext, Tape
 from .prune import (
     CalibrationBatch,
     SparseWeight,
@@ -34,7 +34,6 @@ from .adapters import (
     CostPrediction,
     SppAdapter,
     VariantGrads,
-    apply_layer,
     lora_forward,
     lors_forward,
     make_layer,

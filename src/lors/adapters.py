@@ -81,7 +81,6 @@ from .errors import ArgumentError, GraphError, NumericError, ShapeError
 from . import matrix as mx
 from .matrix import DenseMatrix
 from .prune import SparseWeight
-from .tape import Tape
 
 VARIANTS = ("lora", "sqft", "sqft_gc", "spp", "spp_gc", "lors")
 SPP_VARIANTS = ("spp", "spp_gc")  # the variants with an SppAdapter
@@ -181,7 +180,6 @@ class AdaptedLayer:
         self.bias = bias
         self.name = name
         self.original_mask = base.mask_bool()  # the base's mask, fixed at first use
-        self.last_nodes: dict[str, int] = {}
 
     @property
     def out_features(self) -> int:
@@ -581,13 +579,13 @@ def forward_only(layer: AdaptedLayer, x: DenseMatrix) -> DenseMatrix:
 
 def variant_backward(layer: AdaptedLayer, grad_y: DenseMatrix, ctx, counters=None) -> VariantGrads:
     """Consume ctx once, check dY, and run the variant's backward body with
-    the counters in the backward phase (switched here unless a tape backward
+    the counters in the backward phase (switched here unless the caller
     already did); dbias is the row sum of dY."""
     ctx = ctx.consume()
     want = (ctx.layer.base.values.data.shape[0], ctx.x.data.shape[1])
     if grad_y.data.shape != want:
         raise ShapeError(f"gradient must be {want[0]}x{want[1]}, got {grad_y.rows}x{grad_y.cols}")
-    in_phase = counters is None or counters.phase == "backward"  # e.g. in Tape.backward
+    in_phase = counters is None or counters.phase == "backward"  # e.g. in a step's backward
     with _NO_SWITCH if in_phase else counters.backward_phase():
         da, db, dx = _BACKWARD[layer.variant](ctx, grad_y, counters)
         dbias = mx.reduce_sum_rows(grad_y, counters) if ctx.layer.bias is not None else None
@@ -597,28 +595,6 @@ def variant_backward(layer: AdaptedLayer, grad_y: DenseMatrix, ctx, counters=Non
 def counted_saved(layer: AdaptedLayer, ctx: _Context) -> list[DenseMatrix]:
     """The tensors a layer keeps alive between forward and backward."""
     return ctx.saved
-
-
-def apply_layer(tape: Tape, layer: AdaptedLayer, x_id: int) -> int:
-    """Record the layer on a model tape as one fused node.
-
-    Inputs are (x, a, b[, bias]) so the gradient map exposes every trainable
-    parameter; node ids are remembered on the layer for the optimizer.
-    """
-    x = tape._input("apply_layer", x_id)
-    params = {key: tape.leaf(m, requires_grad=True)
-              for key, m in layer.trainable().items()}
-    inputs = (x_id, *params.values())
-    y, ctx = checked_forward(layer, x, tape.counters)
-    c = tape.counters
-
-    def bwd(dy):
-        g = variant_backward(layer, dy, ctx, c)
-        return (g.dx, g.da, g.db, g.dbias)[:len(inputs)]
-
-    y_id = tape.record(layer.variant, inputs, y, bwd, saved=ctx.saved)
-    layer.last_nodes = {"in": x_id, "out": y_id, **params}
-    return y_id
 
 
 @dataclass

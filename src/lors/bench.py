@@ -22,14 +22,13 @@ from .errors import ArgumentError
 from . import matrix as mx
 from .matrix import DenseMatrix, Rng
 from .prune import SparseWeight, prune_two_four, sparsity, two_four_valid
-from .tape import CostCounters, Tape
+from .tape import CostCounters
 from .adapters import (
     SPP_VARIANTS,
     VARIANTS,
     AdaptedLayer,
     AdapterPair,
     SppAdapter,
-    apply_layer,
     lors_forward,
     make_layer,
     merge,
@@ -171,7 +170,8 @@ class BenchReport:
 
 def run_variant_bench(variant: str, R: int, C: int, L: int, r: int,
                       seed: int = 0, repeats: int = 1) -> BenchRow:
-    """One instrumented forward/backward; MAC and saved tallies are repeat-
+    """One instrumented forward/backward with dY = ones, the saved set
+    tallied as a training step tallies it; MAC and saved tallies are repeat-
     invariant, wall time is the median over repeats."""
     if repeats < 1:
         raise ArgumentError(f"repeats must be positive, got {repeats}")
@@ -185,11 +185,9 @@ def run_variant_bench(variant: str, R: int, C: int, L: int, r: int,
     for _ in range(repeats):
         counters = CostCounters()
         start = time.perf_counter()
-        tape = Tape(counters=counters)
-        x_id = tape.leaf(x, requires_grad=True)
-        y_id = apply_layer(tape, layer, x_id)
-        loss_id = tape.sum_all(y_id)
-        tape.backward(loss_id, ())
+        y, ctx = variant_forward(layer, x, counters)
+        counters.saved_elements += sum(t.data.size for t in ctx.saved)
+        variant_backward(layer, mx.ones(*y.data.shape), ctx, counters)
         times.append(time.perf_counter() - start)
         snapshot = (counters.macs_forward, counters.macs_backward,
                     counters.saved_elements)

@@ -27,7 +27,7 @@ class NumericError(ArithmeticError):
 
 
 class GraphError(RuntimeError):
-    """Raised on tape misuse: dangling input ids, reuse of a consumed tape."""
+    """Raised on reuse of what runs once: a layer's backward context, a step's tape."""
 
 
 class CheckpointFormatError(Exception):

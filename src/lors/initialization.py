@@ -12,9 +12,10 @@ claim.
 dW is the raw output gradient: it has rank at most L (the probe width),
 whereas dW . M would not be low rank.
 
-``record_loss`` is the one loss in the package: training, evaluation, the
-gradient-SVD probe, and ``first_step_update_check`` all record it on a tape,
-and dLoss/dY comes from the tape's reverse pass.
+``tape.loss_forward`` is the one loss in the package: training, evaluation,
+the gradient-SVD probe, and ``first_step_update_check`` all compute it, and
+dLoss/dY comes from ``tape.loss_backward``. The gradient-SVD probe reads each
+layer's X and dY off one chain pass (``Tape.backward(io=...)``).
 
 ``first_step_update_check`` verifies the motivating identity empirically:
 with A = 0, one gradient step of rate lr moves the merged weight by
@@ -35,7 +36,7 @@ from .errors import ArgumentError, NumericError, ShapeError
 from . import matrix as mx
 from .matrix import DenseMatrix, Rng
 from .svd import SvdResult, svd
-from .tape import Tape
+from .tape import Tape, loss_backward, loss_forward
 from .adapters import (
     AdaptedLayer,
     AdapterPair,
@@ -104,18 +105,6 @@ class ProbeBatch:
     @property
     def size(self) -> int:
         return self.inputs.cols
-
-
-def record_loss(tape: Tape, y_id: int, probe: ProbeBatch) -> int:
-    """Record the probe's loss of output node y_id; returns the 1x1 loss node.
-
-    Regression: 0.5 * sum of squared errors / L, so dY = (Y - T) / L.
-    Classification: mean softmax cross-entropy over columns,
-    dY = (softmax(Y) - onehot) / L.
-    """
-    if probe.loss == "regression":
-        return tape.squared_error(y_id, probe.targets)
-    return tape.softmax_cross_entropy(y_id, probe.targets)
 
 
 class MemoryGauge:
@@ -190,15 +179,13 @@ def init_gradient_svd(model, probe: ProbeBatch, *,
             )
         layer.adapter.a.data[:] = 0.0
 
-    tape = Tape()
-    loss_id = model.forward_loss(tape, probe)
-    xs = [tape.value(layer.last_nodes["in"]) for layer in model.layers]
-    grads = tape.backward(loss_id, [layer.last_nodes["out"] for layer in model.layers])
+    tape, io = Tape(), []
+    tape.forward(model.layers, probe)
+    tape.backward(io)
 
     pairs = []
-    for layer, x in zip(model.layers, xs):
+    for layer, (x, dy) in zip(model.layers, io):
         r = layer.rank
-        dy = grads[layer.last_nodes["out"]]
         n_elems = layer.out_features * layer.in_features
         if gauge is not None:
             gauge.alloc(n_elems)
@@ -277,11 +264,8 @@ def first_step_update_check(layer: AdaptedLayer, probe: ProbeBatch,
 
     w0 = merge(work).values
     y, ctx = variant_forward(work, x)
-    tape = Tape()
-    y_id = tape.leaf(y, requires_grad=True)
-    loss_id = record_loss(tape, y_id, probe)
-    loss = float(tape.value(loss_id).data[0, 0])
-    dy = tape.backward(loss_id, (y_id,))[y_id]
+    loss, saved = loss_forward(y, probe)
+    dy = loss_backward(saved, probe)
     grads = variant_backward(work, dy, ctx)
 
     work.adapter.a.data[:] -= lr * grads.da.data

@@ -1,9 +1,11 @@
 """Desk-scale training stack: toy models, optimizers, and the finetune loop.
 
-Everything trains through the tape so every step's MAC and saved-element
-tallies come from the same counters the benchmarks check. Base weights stay
-frozen by construction: they are never handed to the optimizer, and a byte
-hash before/after a run proves it.
+Every step runs as one chain pass (``tape.Tape``): the layers' forward with a
+ReLU between them and the loss, then the loss gradient and the layers'
+backward in reverse, so every step's MAC and saved-element tallies come from
+the same counters the benchmarks check. Base weights stay frozen by
+construction: they are never handed to the optimizer, and a byte hash
+before/after a run proves it.
 
 The synthetic tasks are (a) teacher-student regression against a frozen dense
 network, which gives a controllable pruning-recovery gap with a known floor
@@ -24,9 +26,9 @@ from .errors import ArgumentError, NumericError, ShapeError
 from . import matrix as mx
 from .matrix import DenseMatrix, Rng
 from .prune import SparseWeight, prune_magnitude
-from .tape import CostCounters, Tape
-from .adapters import apply_layer, forward_only, make_layer
-from .initialization import InitSpec, ProbeBatch, apply_init, record_loss
+from .tape import CostCounters, Tape, loss_forward
+from .adapters import forward_only, make_layer
+from .initialization import InitSpec, ProbeBatch, apply_init
 
 OPTIMIZERS = ("sgd", "adaptive")
 
@@ -36,7 +38,7 @@ CSV_HEADER = "step,loss,macs_fwd,macs_bwd,saved_peak"
 class ToyModel:
     """Adapted layers with ReLU between them. The layers own their variant,
     rank and alpha; the data's loss kind ("regression" or "classification")
-    picks the head in ``forward_loss``."""
+    picks the loss (``tape.loss_forward``)."""
 
     def __init__(self, layers):
         layers = list(layers)
@@ -57,30 +59,11 @@ class ToyModel:
     def out_features(self) -> int:
         return self.layers[-1].out_features
 
-    def forward(self, tape: Tape, x_id: int) -> int:
-        h = apply_layer(tape, self.layers[0], x_id)
-        for layer in self.layers[1:]:
-            h = apply_layer(tape, layer, tape.relu(h))
-        return h
-
-    def forward_loss(self, tape: Tape, probe: ProbeBatch) -> int:
-        """Record the forward pass plus the probe's loss; returns the loss node."""
-        return self._record_loss(tape, self.forward(tape, tape.leaf(probe.inputs)), probe)
-
-    def _record_loss(self, tape: Tape, y_id: int, probe: ProbeBatch) -> int:
-        """Record the probe's loss of output y_id; NumericError names the last layer."""
-        loss_id = record_loss(tape, y_id, probe)
-        try:
-            mx.check_finite(tape.value(loss_id).data, "loss")
-        except NumericError as exc:
-            exc.layer = self.layers[-1].name
-            raise
-        return loss_id
-
     def predict(self, x: DenseMatrix) -> DenseMatrix:
-        """``forward``'s output, bitwise, with no tape: each pass's pooled saved
-        tensors go back to the pool, and the ReLU between layers runs in place
-        on the fresh output of the layer before (never on ``x``)."""
+        """The output of a step's forward (``Tape.forward``), bitwise, with no
+        backward: each pass's pooled saved tensors go back to the pool, and
+        the ReLU between layers runs in place on the fresh output of the layer
+        before (never on ``x``)."""
         y = forward_only(self.layers[0], x)
         for layer in self.layers[1:]:
             np.maximum(y.data, 0.0, out=y.data)
@@ -90,14 +73,6 @@ class ToyModel:
     def named_trainable(self) -> dict[str, DenseMatrix]:
         return {f"layers.{i}.{key}": m for i, layer in enumerate(self.layers)
                 for key, m in layer.trainable().items()}
-
-    def param_grads(self, tape: Tape, loss_id: int) -> dict[str, DenseMatrix]:
-        """Run the tape's backward from loss_id, keeping only the gradients of
-        the parameters, named via each layer's node ids."""
-        ids = {f"layers.{i}.{key}": node for i, layer in enumerate(self.layers)
-               for key, node in layer.last_nodes.items() if key not in ("in", "out")}
-        grads = tape.backward(loss_id, ids.values())
-        return {name: grads[node] for name, node in ids.items()}
 
     def base_hash(self) -> str:
         """SHA-256 over the frozen base weight bytes, for the frozen-base check."""
@@ -295,11 +270,12 @@ class Dataset(ProbeBatch):
 
 def _run_step(model: ToyModel, batch: ProbeBatch, optim: OptimState,
               counters: CostCounters):
+    """One chain pass and one update; returns the loss and the step's saved peak."""
     tape, step = Tape(counters=counters), optim.step_count
     try:
-        loss_id = model.forward_loss(tape, batch)
-        loss = float(tape.value(loss_id).data[0, 0])
-        optim.apply(model.named_trainable(), model.param_grads(tape, loss_id))
+        loss = tape.forward(model.layers, batch)
+        params = model.named_trainable()
+        optim.apply(params, dict(zip(params, tape.backward())))
     except NumericError as exc:
         exc.step = step
         raise
@@ -366,10 +342,9 @@ def finetune(model: ToyModel, dataset: Dataset, config: TrainConfig):
 def evaluate(model: ToyModel, dataset: Dataset) -> dict:
     """Deterministic metrics on the full dataset: loss, and accuracy for
     classification (None for regression). Forward only, through
-    ``ToyModel.predict``; only the loss is recorded, over the output."""
+    ``ToyModel.predict``, then the loss of its output."""
     y = model.predict(dataset.inputs)
-    tape = Tape()
-    loss = float(tape.value(model._record_loss(tape, tape.leaf(y), dataset)).data[0, 0])
+    loss, _ = loss_forward(y, dataset, layer=model.layers[-1].name)
     if dataset.loss == "regression":
         return {"loss": loss, "accuracy": None}
     accuracy = float(np.mean(np.argmax(y.data, axis=0) == dataset.targets))

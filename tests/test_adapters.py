@@ -15,7 +15,6 @@ from lors.adapters import (
     AdaptedLayer,
     AdapterPair,
     SppAdapter,
-    apply_layer,
     check_rank,
     counted_saved,
     make_layer,
@@ -28,6 +27,7 @@ from lors.adapters import (
 from lors.errors import ArgumentError, GraphError, NumericError, ShapeError
 from lors.matrix import DenseMatrix, Rng
 from lors.prune import SparseWeight, prune_magnitude, prune_two_four
+from lors.initialization import ProbeBatch
 from lors.tape import CostCounters, Tape
 from lors.train import ToyModel
 
@@ -43,6 +43,14 @@ def random_layer(seed, variant, R, C, r, L=None, alpha=2.0, zero_frac=0.5, bias=
     layer.adapter.a = DenseMatrix(rng.normal(size=layer.adapter.a.shape))
     layer.adapter.b = DenseMatrix(rng.normal(size=layer.adapter.b.shape))
     return layer
+
+
+def measured_pass(layer, x, c, dy=None):
+    """One forward and backward, dY = ones by default (what ``lors bench``
+    measures), with the saved set tallied into c as a training step tallies it."""
+    y, ctx = variant_forward(layer, x, c)
+    c.saved_elements += sum(t.data.size for t in ctx.saved)
+    return variant_backward(layer, mx.ones(*y.data.shape) if dy is None else dy, ctx, c)
 
 
 def forward_oracle(layer, x):
@@ -86,11 +94,7 @@ def test_frozen_counter_values_4_4_4_1():
         layer = random_layer(1, variant, R=4, C=4, r=1)
         x = DenseMatrix(np.random.default_rng(2).normal(size=(4, 4)))
         c = CostCounters()
-        tape = Tape(c)
-        x_id = tape.leaf(x, requires_grad=True)
-        y_id = apply_layer(tape, layer, x_id)
-        loss = tape.sum_all(y_id)
-        tape.backward(loss, ())
+        measured_pass(layer, x, c)
         assert c.macs_forward == fwd, variant
         assert c.macs_backward == bwd, variant
         assert c.saved_elements == saved, variant
@@ -100,9 +104,7 @@ def test_lora_saved_is_rl_plus_cl_at_8_8_8_2():
     layer = random_layer(3, "lora", R=8, C=8, r=2)
     x = DenseMatrix(np.random.default_rng(4).normal(size=(8, 8)))
     c = CostCounters()
-    tape = Tape(c)
-    x_id = tape.leaf(x, requires_grad=True)
-    apply_layer(tape, layer, x_id)
+    measured_pass(layer, x, c)
     assert c.saved_elements == 2 * 8 + 8 * 8 == 80
 
 
@@ -121,10 +123,7 @@ def test_counters_equal_cost_model_on_random_shapes():
         layer = random_layer(n, variant, R=R, C=C, r=r)
         x = DenseMatrix(np.random.default_rng(n).normal(size=(C, L)))
         c = CostCounters()
-        tape = Tape(c)
-        x_id = tape.leaf(x, requires_grad=True)
-        loss = tape.sum_all(apply_layer(tape, layer, x_id))
-        tape.backward(loss, ())
+        measured_pass(layer, x, c)
         pred = predict_cost(variant, R, C, L, r)
         tag = f"{variant} R={R} C={C} L={L} r={r}"
         assert c.macs_forward == pred.macs_forward, tag
@@ -135,7 +134,7 @@ def test_counters_equal_cost_model_on_random_shapes():
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.data())
 def test_counters_equal_cost_model_on_edge_shapes(data):
-    """apply_layer tallies equal predict_cost at the edge shapes: L=1,
+    """A layer pass's tallies equal predict_cost at the edge shapes: L=1,
     r=min(R, C) (r=C for spp), and R=1 or C=1; with and without a bias."""
     variant = data.draw(st.sampled_from(VARIANTS), label="variant")
     bias = data.draw(st.booleans(), label="bias")
@@ -153,9 +152,7 @@ def test_counters_equal_cost_model_on_edge_shapes(data):
     layer = random_layer(R * 100 + C * 10 + L, variant, R=R, C=C, r=r, bias=bias)
     x = DenseMatrix(np.random.default_rng(L).normal(size=(C, L)))
     c = CostCounters()
-    tape = Tape(c)
-    x_id = tape.leaf(x, requires_grad=True)
-    tape.backward(tape.sum_all(apply_layer(tape, layer, x_id)), ())
+    measured_pass(layer, x, c)
     pred = predict_cost(variant, R, C, L, r)
     assert (c.macs_forward, c.macs_backward, c.saved_elements) == (
         pred.macs_forward, pred.macs_backward, pred.saved_elements)
@@ -549,25 +546,6 @@ def test_direct_passes_tally_predicted_macs_and_restore_phase():
     assert c.phase == "forward"
 
 
-def test_apply_layer_exposes_named_nodes_and_grads():
-    layer = random_layer(32, "lors", R=4, C=5, r=2, bias=True)
-    x = DenseMatrix(np.random.default_rng(32).normal(size=(5, 3)))
-    tape = Tape()
-    x_id = tape.leaf(x, requires_grad=True)
-    y_id = apply_layer(tape, layer, x_id)
-    loss = tape.sum_all(y_id)
-    nodes = layer.last_nodes
-    grads = tape.backward(loss, (x_id, nodes["a"], nodes["b"], nodes["bias"]))
-    assert {"in", "a", "b", "bias", "out"} <= set(nodes)
-    # tape-level grads equal direct schedule grads with grad_y = ones
-    _, ctx = variant_forward(layer, x)
-    direct = variant_backward(layer, DenseMatrix(np.ones((4, 3))), ctx)
-    assert mx.bitwise_equal(grads[nodes["a"]], direct.da)
-    assert mx.bitwise_equal(grads[nodes["b"]], direct.db)
-    assert mx.bitwise_equal(grads[nodes["bias"]], direct.dbias)
-    assert mx.bitwise_equal(grads[x_id], direct.dx)
-
-
 def _overflow_layer(w, a, b, alpha, variant):
     base = SparseWeight(DenseMatrix(w))
     if variant in SPP_VARIANTS:
@@ -660,7 +638,7 @@ def test_backward_recompute_is_the_forward_merge_bitwise(monkeypatch, variant, R
 
 
 def spp_tile_oracle(layer, x, dy):
-    """spp's (dA, dB, dX, dbias) and five tallies for one apply_layer pass, as
+    """spp's (dA, dB, dX, dbias) and five tallies for one measured pass, as
     the graph of materialized tiles gives them: delta = (W . np.tile(A)) .
     np.tile(B), each product's backward a hadamard, each tile's a block sum."""
     w, a, b = layer.base.values.data, layer.adapter.a.data, layer.adapter.b.data
@@ -689,14 +667,9 @@ def test_spp_backward_is_bitwise_the_tiled_graph(R, C, L, r, bias):
     rng = np.random.default_rng(L)
     x, dy = rng.normal(size=(C, L)), rng.normal(size=(R, L))
     c = CostCounters()
-    tape = Tape(c)
-    x_id = tape.leaf(DenseMatrix(x), requires_grad=True)
-    y_id = apply_layer(tape, layer, x_id)
-    ids = layer.last_nodes
-    grads = tape.backward(y_id, (x_id, *ids.values()), seed=DenseMatrix(dy))
+    g = measured_pass(layer, DenseMatrix(x), c, DenseMatrix(dy))
     want, tallies = spp_tile_oracle(layer, x, dy)
-    got = [g.data for g in (grads[ids["a"]], grads[ids["b"]], grads[x_id])]
-    got.append(grads[ids["bias"]].data if bias else None)
+    got = [g.da.data, g.db.data, g.dx.data, g.dbias.data if bias else None]
     for name, g, w in zip(("dA", "dB", "dX", "dbias"), got, want):
         assert (g is None) == (w is None) and (w is None or g.tobytes() == w.tobytes()), name
     assert (c.macs_forward, c.macs_backward, c.saved_elements,
@@ -704,7 +677,7 @@ def test_spp_backward_is_bitwise_the_tiled_graph(R, C, L, r, bias):
 
 
 def spp_gc_merged_oracle(layer, x, dy):
-    """spp_gc's (dA, dB, dX, dbias) and five tallies for one apply_layer pass,
+    """spp_gc's (dA, dB, dX, dbias) and five tallies for one measured pass,
     as the merged-form graph gives them: Bhat the block-diagonal expansion of
     B, merged = W + W . (A @ Bhat), rebuilt in the backward for dX alone;
     d merged = dY X^T, d(A @ Bhat) = d merged . W, and dB the gather of
@@ -736,14 +709,9 @@ def test_spp_gc_backward_is_bitwise_the_merged_graph(R, C, L, r, bias):
     rng = np.random.default_rng(L)
     x, dy = rng.normal(size=(C, L)), rng.normal(size=(R, L))
     c = CostCounters()
-    tape = Tape(c)
-    x_id = tape.leaf(DenseMatrix(x), requires_grad=True)
-    y_id = apply_layer(tape, layer, x_id)
-    ids = layer.last_nodes
-    grads = tape.backward(y_id, (x_id, *ids.values()), seed=DenseMatrix(dy))
+    g = measured_pass(layer, DenseMatrix(x), c, DenseMatrix(dy))
     want, tallies = spp_gc_merged_oracle(layer, x, dy)
-    got = [g.data for g in (grads[ids["a"]], grads[ids["b"]], grads[x_id])]
-    got.append(grads[ids["bias"]].data if bias else None)
+    got = [g.da.data, g.db.data, g.dx.data, g.dbias.data if bias else None]
     for name, g, w in zip(("dA", "dB", "dX", "dbias"), got, want):
         assert (g is None) == (w is None) and (w is None or g.tobytes() == w.tobytes()), name
     assert (c.macs_forward, c.macs_backward, c.saved_elements,
@@ -811,42 +779,6 @@ def test_spp_gc_builds_bhat_once_per_pass(monkeypatch):
     assert len(calls) == 1
     variant_backward(layer, DenseMatrix(rng.normal(size=(6, 4))), ctx)
     assert len(calls) == 2
-
-
-@pytest.mark.parametrize("bias", [False, True])
-@pytest.mark.parametrize("variant", VARIANTS)
-def test_direct_passes_are_bitwise_the_tape_node(variant, bias):
-    """variant_forward and variant_backward called directly, as the
-    benchmark's span hooks call them, give bitwise the output, gradients and
-    MAC and elementwise tallies of apply_layer's node under a Tape.backward
-    seeded with the same dY; the tape counts exactly the direct pass's
-    saved set."""
-    r = 3 if variant in SPP_VARIANTS else 2
-    layer = random_layer(60, variant, R=6, C=9, r=r, bias=bias)
-    rng = np.random.default_rng(61)
-    x, dy = rng.normal(size=(9, 4)), rng.normal(size=(6, 4))
-    c_tape = CostCounters()
-    tape = Tape(c_tape)
-    x_id = tape.leaf(DenseMatrix(x), requires_grad=True)
-    y_id = apply_layer(tape, layer, x_id)
-    y_tape = tape.value(y_id).data.tobytes()
-    ids = layer.last_nodes
-    grads = tape.backward(y_id, (x_id, *ids.values()), seed=DenseMatrix(dy))
-
-    c = CostCounters()
-    y, ctx = variant_forward(layer, DenseMatrix(x), c)
-    saved = sum(t.data.size for t in counted_saved(layer, ctx))
-    g = variant_backward(layer, DenseMatrix(dy), ctx, c)
-    assert y.data.tobytes() == y_tape
-    pairs = [("dA", g.da, ids["a"]), ("dB", g.db, ids["b"]), ("dX", g.dx, x_id)]
-    if bias:
-        pairs.append(("dbias", g.dbias, ids["bias"]))
-    else:
-        assert g.dbias is None
-    for name, direct, node in pairs:
-        assert direct.data.tobytes() == grads[node].data.tobytes(), name
-    assert _tallies(c)[:2] + _tallies(c)[3:] == _tallies(c_tape)[:2] + _tallies(c_tape)[3:]
-    assert c_tape.saved_elements == tape.saved_ctx.peak == saved
 
 
 def pooled_alone(ref, shape):
@@ -942,9 +874,9 @@ def test_merged_weight_dies_before_the_adapter_grads(monkeypatch, variant):
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_no_pooled_buffer_escapes_a_pass(monkeypatch, variant, bias):
     """The pool holds only transients and saved tensors whose readers have all
-    run: after a direct pass and a tape pass every saved RC tensor is in the
-    pool, and no output, gradient, merge or prediction shares memory with a
-    pooled buffer. merge() and predict give back every buffer they take, so
+    run: after a direct pass and a one-layer chain step every saved RC tensor
+    is in the pool, and no output, gradient, (X, dY), merge or prediction
+    shares memory with a pooled buffer. merge() and predict give back every buffer they take, so
     the pool loses none. Every variant but lora uses the pool."""
     monkeypatch.setattr(adapters, "_POOL", {})
     r = 3 if variant in SPP_VARIANTS else 2
@@ -956,11 +888,10 @@ def test_no_pooled_buffer_escapes_a_pass(monkeypatch, variant, bias):
     g = variant_backward(layer, dy, ctx, CostCounters())
     assert (g.dbias is not None) == bias
     kept = [y, g.da, g.db, g.dx] + ([g.dbias] if bias else [])
-    tape = Tape()
-    y_id = apply_layer(tape, layer, tape.leaf(x, requires_grad=True))
-    kept.append(tape.value(y_id))
-    saved += [t.data for t in tape.nodes[y_id].saved if t.data.shape == (6, 9)]
-    kept += tape.backward(y_id, range(y_id), seed=dy).values()
+    tape, io = Tape(), []
+    tape.forward([layer], ProbeBatch(x, dy))
+    saved += [t.data for t in tape._links[0][1].saved if t.data.shape == (6, 9)]
+    kept += tape.backward(io) + [m for pair in io for m in pair]
     assert list(adapters._POOL) == ([] if variant == "lora" else [(6, 9)])
     pool = adapters._POOL.get((6, 9), [])
     assert len(saved) == {"sqft": 4, "spp": 6}.get(variant, 0)

@@ -15,13 +15,12 @@ from lors.initialization import (
     init_zero_random,
     init_zero_zero,
     projection_residual,
-    record_loss,
     singular_tail,
 )
 from lors.matrix import DenseMatrix, Rng
 from lors.prune import SparseWeight, prune_magnitude
 from lors.svd import svd
-from lors.tape import Tape
+from lors.tape import Tape, loss_backward, loss_forward
 from lors.train import ToyModel, model_from_weights, random_dense_weights
 
 
@@ -45,16 +44,19 @@ def test_fit_rank_r_rows_is_orthonormal_and_optimal():
             assert res <= cand_res + 1e-9
 
 
+def first_step_dws(model, probe):
+    """Each layer's dW = dY X^T, off one chain step's (X, dY) pairs."""
+    tape, io = Tape(), []
+    tape.forward(model.layers, probe)
+    tape.backward(io)
+    return [mx.matmul(dy, mx.transpose(x)) for x, dy in io]
+
+
 def test_fit_rank_r_scale():
     # init_gradient_svd sets B to the fitted rows of each layer's dW itself
     model = make_model(seed=1)
     probe = make_probe(model, seed=2)
-    tape = Tape()
-    loss_id = model.forward_loss(tape, probe)
-    xs = [tape.value(layer.last_nodes["in"]) for layer in model.layers]
-    grads = tape.backward(loss_id, [layer.last_nodes["out"] for layer in model.layers])
-    dws = [mx.matmul(grads[layer.last_nodes["out"]], mx.transpose(x))
-           for layer, x in zip(model.layers, xs)]
+    dws = first_step_dws(model, probe)
     init_gradient_svd(model, probe)
     for layer, dw in zip(model.layers, dws):
         assert np.array_equal(layer.adapter.b.data, fit_rank_r_rows(dw, 2).data)
@@ -170,12 +172,7 @@ def test_gradient_svd_takes_each_layers_own_rank():
                                  name=f"layers.{i}")
                       for i, (w, r) in enumerate(zip(weights, (3, 2)))])
     probe = make_probe(model, seed=5)
-    tape = Tape()
-    loss_id = model.forward_loss(tape, probe)
-    xs = [tape.value(layer.last_nodes["in"]) for layer in model.layers]
-    grads = tape.backward(loss_id, [layer.last_nodes["out"] for layer in model.layers])
-    dws = [mx.matmul(grads[layer.last_nodes["out"]], mx.transpose(x))
-           for layer, x in zip(model.layers, xs)]
+    dws = first_step_dws(model, probe)
     apply_init(model, InitSpec("gradient_svd"), probe=probe)
     for layer, dw, r in zip(model.layers, dws, (3, 2)):
         assert layer.rank == r and layer.adapter.b.shape == (r, layer.in_features)
@@ -225,14 +222,12 @@ def test_probe_batch_validation():
 
 
 def loss_and_grad(y, probe):
-    """Loss value and dLoss/dY of the shared recorder for a raw output y."""
-    tape = Tape()
-    y_id = tape.leaf(DenseMatrix(y), requires_grad=True)
-    loss_id = record_loss(tape, y_id, probe)
-    return float(tape.value(loss_id).data[0, 0]), tape.backward(loss_id, (y_id,))[y_id]
+    """Loss value and dLoss/dY of the shared loss for a raw output y."""
+    loss, saved = loss_forward(DenseMatrix(y), probe)
+    return loss, loss_backward(saved, probe)
 
 
-def test_record_loss_regression():
+def test_loss_regression():
     rng = np.random.default_rng(5)
     y = rng.normal(size=(3, 6))
     t = rng.normal(size=(3, 6))
@@ -242,7 +237,7 @@ def test_record_loss_regression():
     assert np.allclose(g.data, (y - t) / 6, atol=1e-15)
 
 
-def test_record_loss_classification_matches_fd():
+def test_loss_classification_matches_fd():
     rng = np.random.default_rng(6)
     y0 = rng.normal(size=(4, 5))
     labels = rng.integers(0, 4, size=5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lors import adapters, train as train_module
+from lors import adapters, tape as tape_module, train as train_module
 from lors.adapters import (
     VARIANTS,
     AdaptedLayer,
@@ -51,6 +51,24 @@ def small_data(model, seed=0, n=40):
     return make_teacher_data(teacher, seed=seed, n=n)
 
 
+def step_output(model, x):
+    """The Y a training step's forward (``Tape.forward``) hands to its loss."""
+    seen, real = [], tape_module.loss_forward
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tape_module, "loss_forward",
+                   lambda y, *args: seen.append(y.data.tobytes()) or real(y, *args))
+        targets = DenseMatrix(np.zeros((model.out_features, x.cols)))
+        Tape().forward(model.layers, ProbeBatch(x, targets))
+    return seen[0]
+
+
+def step_grads(model, probe):
+    """The named parameter gradients of one chain step, as ``_run_step`` names them."""
+    tape = Tape()
+    tape.forward(model.layers, probe)
+    return dict(zip(model.named_trainable(), tape.backward()))
+
+
 def test_model_composition_validation():
     w1 = DenseMatrix(np.ones((4, 5)))
     w2 = DenseMatrix(np.ones((3, 4)))
@@ -78,9 +96,10 @@ def test_predict_is_relu_sandwich():
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_predict_is_bitwise_the_tape_forward(variant):
-    """predict runs forward only, with no tape, and gives bitwise the output
-    the tape forward records, for every variant (bias on the middle layer)."""
+def test_predict_is_bitwise_the_step_forward(variant):
+    """predict runs forward only, with no backward context kept, and gives
+    bitwise the output a training step's forward computes, for every variant
+    (bias on the middle layer)."""
     rng = np.random.default_rng(70)
     layers = []
     for i, (rows, cols) in enumerate(((6, 4), (6, 6), (3, 6))):
@@ -91,9 +110,7 @@ def test_predict_is_bitwise_the_tape_forward(variant):
         layer.adapter.b = DenseMatrix(rng.normal(size=layer.adapter.b.shape))
         layers.append(layer)
     model, x = ToyModel(layers), DenseMatrix(rng.normal(size=(4, 5)))
-    tape = Tape()
-    want = tape.value(model.forward(tape, tape.leaf(x)))
-    assert model.predict(x).data.tobytes() == want.data.tobytes()
+    assert model.predict(x).data.tobytes() == step_output(model, x)
 
 
 def _square_model(variant, width=8):
@@ -115,13 +132,12 @@ def _square_model(variant, width=8):
 def test_predict_relu_in_place_leaves_its_input_alone(variant):
     """predict applies each ReLU in place on the fresh output of the layer
     before: at R = C = L its input keeps its bytes, though it has every
-    layer output's shape, and the result is bitwise the tape forward's."""
+    layer output's shape, and the result is bitwise the step forward's."""
     model, x = _square_model(variant)
     before = x.data.tobytes()
     got = model.predict(x)
     assert x.data.tobytes() == before
-    tape = Tape()
-    assert got.data.tobytes() == tape.value(model.forward(tape, tape.leaf(x))).data.tobytes()
+    assert got.data.tobytes() == step_output(model, x)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -142,16 +158,15 @@ def test_evaluate_gives_back_what_it_takes_from_the_pool(monkeypatch, variant):
     assert not any(np.shares_memory(p, data.inputs.data) for p in pool)
 
 
-def test_forward_loss_matches_half_sse_over_l():
+def test_step_loss_matches_half_sse_over_l():
     model = small_model()
     rng = Rng(1)
     probe = ProbeBatch(rng.normal_matrix(5, 6, 0.0, 1.0),
                        rng.normal_matrix(3, 6, 0.0, 1.0))
-    tape = Tape()
-    loss_id = model.forward_loss(tape, probe)
+    loss = Tape().forward(model.layers, probe)
     y = model.predict(probe.inputs)
     want = 0.5 * np.sum((y.data - probe.targets.data) ** 2) / 6
-    assert abs(tape.value(loss_id).data[0, 0] - want) < 1e-12
+    assert abs(loss - want) < 1e-12
 
 
 def test_sgd_step_is_closed_form():
@@ -163,9 +178,7 @@ def test_sgd_step_is_closed_form():
     probe = ProbeBatch(rng.normal_matrix(4, 5, 0.0, 1.0),
                        rng.normal_matrix(3, 5, 0.0, 1.0))
 
-    tape = Tape()
-    loss_id = model.forward_loss(tape, probe)
-    grads = model.param_grads(tape, loss_id)
+    grads = step_grads(model, probe)
     a0 = layer.adapter.a.data.copy()
     b0 = layer.adapter.b.data.copy()
 
@@ -185,8 +198,7 @@ def test_adaptive_first_step_is_signlike():
     rng = Rng(5)
     probe = ProbeBatch(rng.normal_matrix(4, 5, 0.0, 1.0),
                        rng.normal_matrix(3, 5, 0.0, 1.0))
-    tape = Tape()
-    grads = model.param_grads(tape, model.forward_loss(tape, probe))
+    grads = step_grads(model, probe)
     b0 = layer.adapter.b.data.copy()
     optim = OptimState(kind="adaptive", lr=0.01)
     train_step(model, probe, optim)
@@ -322,7 +334,7 @@ def test_reshaped_parameter_raises_before_anything_moves():
     (("layers.1.b", "layers.2.a"), "layers.2.a"),
 ])
 @pytest.mark.parametrize("dims, rank", [((5, 4, 3, 2), 2), ((96,) * 4, 90)])
-def test_nonfinite_gradient_moves_nothing(kind, overflow, named, dims, rank):
+def test_nonfinite_gradient_moves_nothing(monkeypatch, kind, overflow, named, dims, rank):
     """A 3-layer model (all parameters in one bucket, or each factor larger
     than a bucket) whose named gradients are overflowed after two clean
     steps: the error names the last overflowed parameter in backward order,
@@ -332,16 +344,17 @@ def test_nonfinite_gradient_moves_nothing(kind, overflow, named, dims, rank):
     optim = OptimState(kind=kind, lr=1e-3)
     for _ in range(2):
         train_step(model, batch, optim)
-    gather = model.param_grads
+    names, gather = list(model.named_trainable()), Tape.backward
 
-    def overflowing(tape, loss_id):
-        out = gather(tape, loss_id)
+    def overflowing(tape, io=None):
+        out = gather(tape, io)
         for name in overflow:
-            out[name] = DenseMatrix._wrap(out[name].data.copy())
-            out[name].data[0, -1] = np.inf
+            i = names.index(name)
+            out[i] = DenseMatrix._wrap(out[i].data.copy())
+            out[i].data[0, -1] = np.inf
         return out
 
-    model.param_grads = overflowing
+    monkeypatch.setattr(Tape, "backward", overflowing)
 
     def state():
         return (_bytes({k: p.data for k, p in model.named_trainable().items()}),
@@ -649,10 +662,10 @@ def test_float_mask_built_only_by_sqft():
     for variant in VARIANTS:
         model = _biased_model(variant)
         tape = Tape()
-        model.forward_loss(tape, small_data(model).head(8))
-        for layer in model.layers:
+        tape.forward(model.layers, small_data(model).head(8))
+        for layer, (_, ctx, _) in zip(model.layers, tape._links):
             fmask = layer.original_mask.astype(np.float64).tobytes()
-            saved = tape.nodes[layer.last_nodes["out"]].saved
+            saved = ctx.saved
             masks = [t for t in saved if t.data.tobytes() == fmask]
             assert len(masks) == (variant == "sqft"), (variant, layer.name)
 
@@ -665,10 +678,10 @@ def test_gradients_share_no_memory_with_parameters():
         params = list(model.named_trainable().values())
         params += [layer.base.values for layer in model.layers]
         data = small_data(model)
-        tape = Tape()
-        loss_id = model.forward_loss(tape, data.head(8))
-        grads = tape.backward(loss_id, range(len(tape.nodes)))
-        for g in grads.values():
+        tape, io = Tape(), []
+        tape.forward(model.layers, data.head(8))
+        grads = tape.backward(io)
+        for g in grads + [dy for _, dy in io]:
             assert not any(np.shares_memory(g.data, p.data) for p in params), variant
         layer = model.layers[0]
         x = DenseMatrix(np.random.default_rng(1).normal(size=(layer.in_features, 3)))
@@ -975,7 +988,7 @@ def test_evaluate_holds_one_layer_at_a_time():
     an spp model stays below one layer's saved set (3RC + CL) plus four RL
     (measured 4.02 RL in all, as the saved set comes from the pool the
     first evaluate gave it back to; 28.02 RL when each pass drops its
-    saved set); a tape would keep all three layers' saved sets."""
+    saved set); a step's forward keeps all three layers' saved sets."""
     width, L, r = 256, 32, 16
     bases, batch = _memory_gate_setup(width, L)
     model = ToyModel([make_layer(base, rank=r, variant="spp") for base in bases])
@@ -1008,8 +1021,8 @@ def test_teacher_data_holds_little_beyond_the_dataset(monkeypatch):
 def test_evaluate_peak_does_not_grow_with_depth(variant):
     """A held-out evaluate of three layers peaks at most 1.5 RL above one
     layer's (measured at most 1.005 RL at width 128, L = 32: the next
-    layer's input); a pass that kept each layer's saved set or recorded the
-    layers on a tape would add at least two layers' CL."""
+    layer's input); a pass that kept each layer's saved set for a backward
+    would add at least two layers' CL."""
     width, L, r = 128, 32, 16
     bases, batch = _memory_gate_setup(width, L)
     held_out = Dataset(batch.inputs, batch.targets)
