@@ -65,21 +65,33 @@ def old_tape_step(model, probe):
     layer calls and the tape's numpy expressions: a fresh ReLU output and a
     0/1 gate per hidden layer, the loss of the last output seeded with 1.0,
     and dY = dX (.) gate between layers. Returns the loss, each layer's dY
-    (first layer first) and the parameter gradients in trainable order."""
-    ctxs, gates, y = [], [], probe.inputs
+    (first layer first), the parameter gradients in trainable order and the
+    five tallies: the layer passes', and per ReLU RL elementwise and RL
+    saved forward and RL MACs backward, and the loss nodes' (see
+    ``test_squared_error_is_the_four_op_chain``)."""
+    c, ctxs, gates, y = CostCounters(), [], [], probe.inputs
     for i, layer in enumerate(model.layers):
         if i:
             gates.append(DenseMatrix((y.data > 0.0).astype(np.float64)))
             y = DenseMatrix(np.maximum(y.data, 0.0))
-        y, ctx = variant_forward(layer, y)
+            c.elementwise_forward += y.data.size
+            c.saved_elements += y.data.size
+            c.macs_backward += y.data.size
+        y, ctx = variant_forward(layer, y, c)
+        c.saved_elements += sum(t.data.size for t in ctx.saved)
         ctxs.append(ctx)
-    n = y.cols
+    n, size = y.cols, y.data.size
+    c.saved_elements += size
     if probe.loss == "regression":
         d = y.data - probe.targets.data
         alpha = 0.5 / n
         loss = float(np.array([[np.add.reduce(d * d, axis=None) * alpha]])[0, 0])
         dy = d * (1.0 * alpha)
         dy *= 2.0
+        c.macs_forward += size
+        c.macs_backward += size
+        c.elementwise_forward += 2 * size + 1
+        c.elementwise_backward += 2 * size + 1
     else:
         z = y.data
         ez = np.exp(z - z.max(axis=0, keepdims=True))
@@ -88,15 +100,17 @@ def old_tape_step(model, probe):
         dy = probs.copy()
         dy[probe.targets, np.arange(n)] -= 1.0
         dy *= 1.0 / n
+        c.elementwise_forward += 3 * size
+        c.elementwise_backward += size
     dys, grads = [], []
     dy = DenseMatrix(dy)
     for i in reversed(range(len(model.layers))):
-        g = variant_backward(model.layers[i], dy, ctxs[i])
+        g = variant_backward(model.layers[i], dy, ctxs[i], c)
         dys.insert(0, dy.data.tobytes())
         grads[:0] = [g.da, g.db] + ([g.dbias] if g.dbias is not None else [])
         if i:
             dy = DenseMatrix(g.dx.data * gates[i - 1].data)
-    return loss, dys, [t.data.tobytes() for t in grads]
+    return loss, dys, [t.data.tobytes() for t in grads], tallies(c)
 
 
 # ---------------------------------------------------------------------------
@@ -107,9 +121,9 @@ def old_tape_step(model, probe):
 @pytest.mark.parametrize("bias", [False, True])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_losses_dy_and_grads_are_bitwise_the_tapes(variant, bias, loss):
-    """The chain's loss, each layer's dY and the parameter gradients (in the
-    order of ``named_trainable``) are bitwise those of the general tape's
-    step, spelled out in ``old_tape_step``."""
+    """The chain's loss, each layer's dY, the parameter gradients (in the
+    order of ``named_trainable``) and all five tallies are those of the
+    general tape's step, spelled out in ``old_tape_step``, bit for bit."""
     probe = chain_probe(loss)
     want = old_tape_step(chain_model(variant, bias), probe)
     model = chain_model(variant, bias)
@@ -118,7 +132,7 @@ def test_losses_dy_and_grads_are_bitwise_the_tapes(variant, bias, loss):
     grads = tape.backward(io)
     assert len(grads) == len(model.named_trainable())
     assert (got_loss, [dy.data.tobytes() for _, dy in io],
-            [g.data.tobytes() for g in grads]) == want
+            [g.data.tobytes() for g in grads], tallies(tape.counters)) == want
 
 
 def test_step_gradients_match_finite_differences():
