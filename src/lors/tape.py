@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GraphError, NumericError
+from .errors import GraphError, NumericError, ShapeError
 from . import matrix as mx
 from .matrix import DenseMatrix
 from .adapters import checked_forward, variant_backward
@@ -89,8 +89,9 @@ def loss_forward(y: DenseMatrix, probe, counters=None, layer: Optional[str] = No
     for D, RL MACs for the square, RL + 1 elementwise for the sum and the
     scaling. Classification: the mean softmax cross-entropy over the columns
     of K x L logits with labels in [0, K), saving the K x L probabilities;
-    3KL elementwise. With ``layer`` (the name of the layer that gave Y), a
-    non-finite loss raises NumericError naming it.
+    3KL elementwise; a label count other than L raises ShapeError. With
+    ``layer`` (the name of the layer that gave Y), a non-finite loss raises
+    NumericError naming it.
     """
     if probe.loss == "regression":
         saved = mx.sub(y, probe.targets, counters).data
@@ -100,6 +101,9 @@ def loss_forward(y: DenseMatrix, probe, counters=None, layer: Optional[str] = No
         loss = float(np.add.reduce(saved * saved, axis=None) * (0.5 / saved.shape[1]))
     else:
         z = y.data
+        if probe.targets.shape != (z.shape[1],):
+            raise ShapeError(f"need {z.shape[1]} labels for {z.shape[0]}x{z.shape[1]} logits, "
+                             f"got {probe.targets.shape}")
         ez = np.exp(z - z.max(axis=0, keepdims=True))
         saved = ez / ez.sum(axis=0, keepdims=True)
         if counters is not None:

@@ -2,12 +2,13 @@
 the loss they share with evaluation (``loss_forward``, ``loss_backward``)."""
 
 import gc
+import sys
 import weakref
 
 import numpy as np
 import pytest
 
-from lors import tape as tape_module
+from lors import adapters, tape as tape_module
 from lors.adapters import VARIANTS, make_layer, predict_cost, variant_backward, variant_forward
 from lors.errors import GraphError, NumericError, ShapeError
 from lors.initialization import ProbeBatch
@@ -135,10 +136,7 @@ def test_losses_dy_and_grads_are_bitwise_the_tapes(variant, bias, loss):
             [g.data.tobytes() for g in grads], tallies(tape.counters)) == want
 
 
-def test_step_gradients_match_finite_differences():
-    """dLoss/dA, dB and dbias of a three-layer lora chain, with the ReLU gates
-    and the regression loss, against central differences."""
-    model, probe = chain_model("lora", bias=True), chain_probe("regression")
+def assert_step_matches_fd(model, probe):
     tape = Tape()
     tape.forward(model.layers, probe)
     grads = tape.backward()
@@ -152,6 +150,35 @@ def test_step_gradients_match_finite_differences():
         want = fd(f, p0)
         p.data[:] = p0
         assert np.allclose(g.data, want, rtol=1e-5, atol=1e-7), name
+
+
+def test_step_gradients_match_finite_differences():
+    """dLoss/dA, dB and dbias of a three-layer lora chain, with the ReLU gates
+    and the regression loss, against central differences."""
+    assert_step_matches_fd(chain_model("lora", bias=True), chain_probe("regression"))
+
+
+def test_classification_step_gradients_match_finite_differences():
+    """The same through the softmax cross-entropy, on a biased sqft_gc chain,
+    whose gradients go through the mask and the recomputed merged weight."""
+    assert_step_matches_fd(chain_model("sqft_gc", bias=True), chain_probe("classification"))
+
+
+def test_backward_io_holds_each_layers_input():
+    """``backward(io)`` lists each layer's input X beside its dY, first layer
+    first: the probe's own inputs, then the ReLU of the output of the layer
+    below, bit for bit."""
+    model, probe = chain_model("spp", bias=True), chain_probe("regression")
+    want, x = [probe.inputs.data.tobytes()], probe.inputs
+    for layer in chain_model("spp", bias=True).layers[:-1]:
+        x = DenseMatrix(np.maximum(variant_forward(layer, x)[0].data, 0.0))
+        want.append(x.data.tobytes())
+    tape, io = Tape(), []
+    tape.forward(model.layers, probe)
+    tape.backward(io)
+    assert io[0][0] is probe.inputs
+    assert [x.data.tobytes() for x, _ in io] == want
+    assert [dy.shape for _, dy in io] == [(rows, L) for rows in DIMS[1:]]
 
 
 def test_identical_steps_give_bitwise_identical_grads():
@@ -210,6 +237,12 @@ def test_softmax_cross_entropy_loss_and_gradient():
     assert tallies(c) == (0, 0, 0, 3 * 35, 35)
 
 
+def test_softmax_label_count_must_match():
+    probe = ProbeBatch(DenseMatrix(np.ones((2, 2))), np.array([0, 1]), "classification")
+    with pytest.raises(ShapeError, match="^need 4 labels for 3x4 logits"):
+        loss_forward(DenseMatrix(np.zeros((3, 4))), probe)
+
+
 def test_a_nonfinite_loss_names_the_layer_given():
     probe = ProbeBatch(DenseMatrix(np.ones((2, 2))), DenseMatrix(np.zeros((1, 2))))
     y = DenseMatrix(np.full((1, 2), 1e200))
@@ -259,6 +292,23 @@ def test_saved_peak_is_the_counted_saved_set(monkeypatch, variant, bias, loss):
     assert (seen, tape.saved_ctx.peak, c.saved_elements) == ([want], want, want)
     _, peak = _run_step(chain_model(variant, bias), probe, OptimState(), CostCounters())
     assert peak == want and seen == [want, want]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_a_one_layer_chain_saves_no_gate(variant):
+    """With one layer there is no ReLU: the saved peak is the layer's counted
+    set and the loss's R x L tensor, and the backward adds no Hadamard to the
+    layer's and the loss's MACs."""
+    dims = DIMS[:2]
+    model, probe = chain_model(variant, dims=dims), chain_probe("regression", dims=dims)
+    pred = predict_cost(variant, dims[1], dims[0], L, 3)
+    tape = Tape()
+    tape.forward(model.layers, probe)
+    assert tape._links[0][2] is None
+    tape.backward()
+    c, rl = tape.counters, dims[1] * L
+    assert (tape.saved_ctx.peak, c.saved_elements) == (pred.saved_elements + rl,) * 2
+    assert c.macs_backward == pred.macs_backward + rl
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +396,29 @@ def test_a_failed_forward_leaves_nothing_to_run_back():
     assert info.value.layer == "layers.1"
     with pytest.raises(GraphError):
         tape.backward()
+
+
+def test_spp_layer_graphs_die_with_their_backward(monkeypatch):
+    """Once the step's backward returns, each spp layer's saved tile(B) is
+    back in the pool and referenced by nothing else (the pool, ``buf`` and
+    getrefcount's argument), though the tape itself is still referenced."""
+    monkeypatch.setattr(adapters, "_POOL", {})
+    rng = np.random.default_rng(9)
+    layers = [make_layer(SparseWeight(DenseMatrix(rng.normal(size=(8, 8)))), 2, "spp")
+              for _ in range(3)]
+    for layer in layers:
+        layer.adapter.b.data[:] = rng.normal(size=(1, 8))
+    probe = ProbeBatch(DenseMatrix(rng.normal(size=(8, 5))), DenseMatrix(rng.normal(size=(8, 5))))
+    t = Tape()
+    t.forward(layers, probe)
+    tiles = [weakref.ref(ctx.saved[0].data) for _, ctx, _ in t._links]
+    for layer, ref in zip(layers, tiles):
+        assert np.array_equal(ref(), np.tile(layer.adapter.b.data, (8, 1)))
+    t.backward()
+    for ref in tiles:
+        buf = ref()
+        assert sum(p is buf for p in adapters._POOL[(8, 8)]) == 1
+        assert sys.getrefcount(buf) == 3
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
