@@ -138,7 +138,7 @@ class Merges:
 def _pass_digest(d: Digest, merges: Merges, layer, x, dy) -> None:
     c = CostCounters()
     y, ctx = adapters.variant_forward(layer, x, c)
-    saved = sum(t.data.size for t in ctx.saved)
+    saved = sum(t.data.size for t in adapters.counted_saved(layer, ctx))
     c.saved_elements += saved        # what a training step tallies for the pass
     d.add(y)
     g = adapters.variant_backward(layer, dy, ctx, c)

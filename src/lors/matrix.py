@@ -7,12 +7,14 @@ cost counter at the call site. The counting convention, used consistently
 by every caller:
 
 - matmul of (m x k) @ (k x n)    -> m*k*n MACs
-- hadamard of (m x n) * (m x n)  -> m*n MACs
+- hadamard of (m x n) * (m x n)  -> m*n MACs (the callers' in-place
+  products, tallied where they run)
 - additions, scalings, bias adds -> 0 MACs, tallied separately as
   elementwise ops (they never appear in MAC comparisons)
 
 Counters are duck-typed: anything with ``add_macs`` / ``add_elementwise``
-works, so this module does not depend on the tape.
+works (a ``CostCounters`` or its ``backward`` view), so this module does not
+depend on the tape.
 
 Ops do not scan their results; ``check_finite`` is the one finiteness check.
 """
@@ -117,14 +119,6 @@ def matmul(a: DenseMatrix, b: DenseMatrix, counters=None, out=None) -> DenseMatr
     return res
 
 
-def hadamard(a: DenseMatrix, b: DenseMatrix, counters=None) -> DenseMatrix:
-    """Elementwise product. Tallies m*n MACs (one multiply per entry)."""
-    size = _same_size("hadamard", a, b)
-    if counters is not None:
-        counters.add_macs(size)
-    return DenseMatrix._wrap(a.data * b.data)
-
-
 def add(a: DenseMatrix, b: DenseMatrix, counters=None) -> DenseMatrix:
     """Elementwise sum. Additions cost 0 MACs; tallied as elementwise ops."""
     size = _same_size("add", a, b)
@@ -179,12 +173,6 @@ def reduce_sum_rows(a: DenseMatrix, counters=None) -> DenseMatrix:
     if counters is not None:
         counters.add_elementwise(a.data.size)
     return DenseMatrix._wrap(a.data.sum(axis=1, keepdims=True))
-
-
-def relu(a: DenseMatrix, counters=None) -> DenseMatrix:
-    if counters is not None:
-        counters.add_elementwise(a.data.size)
-    return DenseMatrix._wrap(np.maximum(a.data, 0.0))
 
 
 def frobenius_norm(a: DenseMatrix) -> float:

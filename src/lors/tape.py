@@ -1,17 +1,19 @@
 """One training step as a chain, with MAC and saved-element accounting.
 
 A ``ToyModel`` is a strict chain: input X, layer, ReLU, layer, ..., loss.
-``Tape.forward`` runs it: ``checked_forward`` per layer, the ReLU between
+``Tape.forward`` runs it: ``variant_forward`` per layer, the ReLU between
 layers, then the loss; ``Tape.backward`` runs it back once: the loss
 gradient, then per layer in reverse ``variant_backward`` and the ReLU's
 Hadamard product with its gate. Each tensor is dropped after its last reader:
 a layer's output Y after the ReLU (which runs in place on it) or the loss,
-each layer's context, gate and incoming gradient after its backward.
+each layer's saved list, gate and incoming gradient after its backward.
 
 Accounting rules (shared with the adapter layers):
 
-- MACs: matmul m*k*n, hadamard m*n; recorded into macs_forward or
-  macs_backward according to the counter's phase.
+- MACs: matmul m*k*n, hadamard m*n. Ops tally into macs_forward through a
+  ``CostCounters`` itself and into macs_backward through its ``backward``
+  view, which every backward (the loss's, each layer's, each gate's) is
+  handed.
 - Elementwise ops (adds, scalings, bias adds, reductions): 0 MACs, tallied
   into a separate elementwise bucket excluded from MAC comparisons.
 - Saved elements: each layer's counted saved set, each ReLU's gate and the
@@ -26,7 +28,6 @@ Accounting rules (shared with the adapter layers):
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,41 +36,46 @@ import numpy as np
 from .errors import GraphError, NumericError, ShapeError
 from . import matrix as mx
 from .matrix import DenseMatrix
-from .adapters import checked_forward, variant_backward
+from .adapters import variant_backward, variant_forward
 
 
 @dataclass
 class CostCounters:
-    """Cumulative cost tallies; a fresh ``CostCounters()`` starts at zero."""
+    """Cumulative cost tallies; a fresh ``CostCounters()`` starts at zero.
+
+    Ops handed the counters tally into the forward buckets; ops handed
+    ``backward``, a view with the same two methods, tally into the backward
+    buckets. Nothing is switched, so nothing has to be restored."""
 
     macs_forward: int = 0
     macs_backward: int = 0
     saved_elements: int = 0
     elementwise_forward: int = 0
     elementwise_backward: int = 0
-    phase: str = "forward"
 
     def add_macs(self, n: int) -> None:
-        if self.phase == "forward":
-            self.macs_forward += n
-        else:
-            self.macs_backward += n
+        self.macs_forward += n
 
     def add_elementwise(self, n: int) -> None:
-        if self.phase == "forward":
-            self.elementwise_forward += n
-        else:
-            self.elementwise_backward += n
+        self.elementwise_forward += n
 
-    @contextmanager
-    def backward_phase(self):
-        """Tally into the backward buckets inside the block, then restore the
-        prior phase (also when the block raises)."""
-        prior, self.phase = self.phase, "backward"
-        try:
-            yield self
-        finally:
-            self.phase = prior
+    @property
+    def backward(self) -> "CostCounters._Backward":
+        return CostCounters._Backward(self)
+
+    class _Backward:
+        """The backward buckets of one ``CostCounters``."""
+
+        __slots__ = ("counters",)
+
+        def __init__(self, counters: "CostCounters"):
+            self.counters = counters
+
+        def add_macs(self, n: int) -> None:
+            self.counters.macs_backward += n
+
+        def add_elementwise(self, n: int) -> None:
+            self.counters.elementwise_backward += n
 
 
 class SavedContext:
@@ -89,7 +95,8 @@ def loss_forward(y: DenseMatrix, probe, counters=None, layer: Optional[str] = No
     for D, RL MACs for the square, RL + 1 elementwise for the sum and the
     scaling. Classification: the mean softmax cross-entropy over the columns
     of K x L logits with labels in [0, K), saving the K x L probabilities;
-    3KL elementwise; a label count other than L raises ShapeError. With
+    3KL elementwise; a label count other than L, or a label outside [0, K),
+    raises ShapeError. With
     ``layer`` (the name of the layer that gave Y), a non-finite loss raises
     NumericError naming it.
     """
@@ -104,6 +111,10 @@ def loss_forward(y: DenseMatrix, probe, counters=None, layer: Optional[str] = No
         if probe.targets.shape != (z.shape[1],):
             raise ShapeError(f"need {z.shape[1]} labels for {z.shape[0]}x{z.shape[1]} logits, "
                              f"got {probe.targets.shape}")
+        lo, hi = probe.targets.min(), probe.targets.max()
+        if lo < 0 or hi >= z.shape[0]:
+            raise ShapeError(f"label {lo if lo < 0 else hi} is outside [0, {z.shape[0]}) "
+                             f"for {z.shape[0]}x{z.shape[1]} logits")
         ez = np.exp(z - z.max(axis=0, keepdims=True))
         saved = ez / ez.sum(axis=0, keepdims=True)
         if counters is not None:
@@ -144,7 +155,7 @@ class Tape:
     def __init__(self, counters: Optional[CostCounters] = None):
         self.counters = counters if counters is not None else CostCounters()
         self.saved_ctx = SavedContext()
-        self._links: Optional[list] = None  # (layer, context, gate) per layer
+        self._links: Optional[list] = None  # (layer, saved list, gate) per layer
         self._loss = None                   # (saved tensor, probe)
 
     def _save(self, n: int) -> None:
@@ -164,10 +175,10 @@ class Tape:
                 np.maximum(y.data, 0.0, out=y.data)   # Y's last reader: the ReLU in place
                 c.add_elementwise(gate.size)
                 self._save(gate.size)
-            y, ctx = checked_forward(layer, y, c)
-            for t in ctx.saved:
+            y, saved = variant_forward(layer, y, c)
+            for t in saved:
                 self._save(t.data.size)
-            self._links.append((layer, ctx, gate))
+            self._links.append((layer, saved, gate))
         loss, saved = loss_forward(y, probe, c, layers[-1].name)
         self._save(saved.size)
         self._loss = saved, probe
@@ -182,17 +193,17 @@ class Tape:
             raise GraphError("backward runs once, after forward")
         (saved, probe), self._loss = self._loss, None
         links, c, grads = self._links, self.counters, []
-        with c.backward_phase():
-            dy = loss_backward(saved, probe, c)
-            del saved
-            while links:
-                layer, ctx, gate = links.pop()
-                g = variant_backward(layer, dy, ctx, c)
-                if io is not None:
-                    io.insert(0, (ctx.x, dy))
-                grads.append((g.da, g.db) if g.dbias is None else (g.da, g.db, g.dbias))
-                dy = g.dx
-                if gate is not None:
-                    dy.data *= gate                   # IEEE products commute: the bits hold
-                    c.add_macs(gate.size)
+        back = c.backward
+        dy = loss_backward(saved, probe, back)
+        del saved
+        while links:
+            layer, saved, gate = links.pop()
+            if io is not None:
+                io.insert(0, (saved[0], dy))      # X leads the saved list
+            g = variant_backward(layer, dy, saved, c)
+            grads.append((g.da, g.db) if g.dbias is None else (g.da, g.db, g.dbias))
+            dy = g.dx
+            if gate is not None:
+                dy.data *= gate                   # IEEE products commute: the bits hold
+                back.add_macs(gate.size)
         return [t for layer_grads in reversed(grads) for t in layer_grads]

@@ -27,7 +27,7 @@ from . import matrix as mx
 from .matrix import DenseMatrix, Rng
 from .prune import SparseWeight, prune_magnitude
 from .tape import CostCounters, Tape, loss_forward
-from .adapters import forward_only, make_layer
+from .adapters import _give, make_layer, variant_forward
 from .initialization import InitSpec, ProbeBatch, apply_init
 
 OPTIMIZERS = ("sgd", "adaptive")
@@ -61,13 +61,19 @@ class ToyModel:
 
     def predict(self, x: DenseMatrix) -> DenseMatrix:
         """The output of a step's forward (``Tape.forward``), bitwise, with no
-        backward: each pass's pooled saved tensors go back to the pool, and
-        the ReLU between layers runs in place on the fresh output of the layer
+        backward. Each pass's saved list is dropped before the next layer
+        runs; the tensors after X in it, pooled for sqft and spp, go back to
+        the pool (X is the caller's array or the layer below's output). The
+        ReLU between layers runs in place on the fresh output of the layer
         before (never on ``x``)."""
-        y = forward_only(self.layers[0], x)
-        for layer in self.layers[1:]:
-            np.maximum(y.data, 0.0, out=y.data)
-            y = forward_only(layer, y)
+        y = x
+        for i, layer in enumerate(self.layers):
+            if i:
+                np.maximum(y.data, 0.0, out=y.data)
+            y, saved = variant_forward(layer, y)
+            if layer.variant in ("sqft", "spp"):
+                _give(*(t.data for t in saved[1:]))
+            del saved
         return y
 
     def named_trainable(self) -> dict[str, DenseMatrix]:
@@ -158,10 +164,11 @@ class OptimState:
     def apply(self, params: dict[str, DenseMatrix], grads: dict[str, DenseMatrix]) -> None:
         """One update of every parameter from its gradient.
 
-        Every gradient is checked for finiteness before anything moves: a
-        non-finite one raises NumericError naming the last such parameter in
-        ``grads`` (backward order), and parameters, moments and
-        ``step_count`` keep their values.
+        Every gradient is checked for finiteness, in backward order, before
+        anything moves: a non-finite one raises NumericError naming the last
+        such parameter in ``grads``, and parameters, moments and
+        ``step_count`` keep their values. Then the runs are updated one at a
+        time, each from its own concatenated gradient.
         """
         layout = tuple(zip(params, map(operator.attrgetter("data.shape"), params.values())))
         if self._layout is None:
@@ -169,22 +176,19 @@ class OptimState:
         elif layout != self._layout:
             raise ShapeError(f"optimizer layout is fixed at the first update: "
                              f"planned {self._layout}, got {layout}")
-        runs, flat = self._runs, []
-        for members, _, _ in runs:
-            gs = [grads[name].data for name, *_ in members]
-            flat.append(gs[0].reshape(-1) if len(gs) == 1 else np.concatenate(gs, axis=None))
-            if not np.logical_and.reduce(np.isfinite(flat[-1])):
-                for name, g in reversed(grads.items()):  # backward order: last layer first
-                    try:
-                        mx.check_finite(g.data, "gradient")
-                    except NumericError as exc:
-                        exc.layer = name
-                        raise
+        for name, g in reversed(grads.items()):  # backward order: last layer first
+            try:
+                mx.check_finite(g.data, "gradient")
+            except NumericError as exc:
+                exc.layer = name
+                raise
         self.step_count += 1
         b1, b2, lr = BETA1, BETA2, self.lr
         c1 = 1.0 - b1 ** self.step_count
         c2 = 1.0 - b2 ** self.step_count
-        for (members, m, v), g in zip(runs, flat):
+        for members, m, v in self._runs:
+            gs = [grads[name].data for name, *_ in members]
+            g = gs[0].reshape(-1) if len(gs) == 1 else np.concatenate(gs, axis=None)
             if m is None:
                 upd = g * lr
             else:

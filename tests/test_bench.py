@@ -1,11 +1,13 @@
 import functools
 import importlib.util
+import inspect
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lors
 from lors import adapters
 from lors.bench import (
     BENCH_CSV_HEADER,
@@ -21,7 +23,7 @@ from lors.initialization import MemoryGauge, ProbeBatch, init_gradient_svd
 from lors.matrix import DenseMatrix, Rng
 from lors.prune import two_four_valid
 from lors.tape import Tape
-from lors.train import model_from_weights, random_dense_weights
+from lors.train import OptimState, model_from_weights, random_dense_weights, train_step
 
 
 def test_fd_grad_quadratic():
@@ -126,16 +128,22 @@ def test_random_sparse_base_patterns():
     assert np.all(dense.values.data != 0.0)
 
 
+def load_spans():
+    """perfbench/spans.py, imported from its file (perfbench is no package)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
 def test_every_name_the_perfbench_spans_read_resolves_in_lors():
     """perfbench/spans.py wraps and reads these program names by string, and
     its gradient-SVD hook hands ``init_gradient_svd`` a ``MemoryGauge`` by
     keyword when a call has at most 5 positional arguments; a deletion,
     rename or signature change in lors would break the benchmark, not a test
     of its own."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load_spans()
     names = list(spans.HOOKS) + [f"{m}.{a}" for m, a in spans._EXTRA_FUNCTIONS]
     for name in names:
         module, *attrs = name.split(".")
@@ -151,3 +159,49 @@ def test_every_name_the_perfbench_spans_read_resolves_in_lors():
     init_gradient_svd(*args, **kwargs)
     assert (gauge.peak, gauge.current) == (32, 0)
     assert Tape().saved_ctx.peak == 0
+
+
+def _bindings():
+    """Every name of the lors modules and of their classes, bound to what."""
+    out = {}
+    for mod in [lors] + [m for m in vars(lors).values() if inspect.ismodule(m)]:
+        for attr, obj in vars(mod).items():
+            out[mod.__name__, attr] = obj
+            if inspect.isclass(obj) and obj.__module__.startswith("lors."):
+                out.update(((obj.__qualname__, k), v) for k, v in vars(obj).items())
+    return out
+
+
+def test_perfbench_hooks_fit_a_training_step_of_every_variant():
+    """The hooks of perfbench/spans.py, installed around one train_step per
+    variant on a 2-layer, 16-wide model: they record no failure, check one
+    layer pass (forward and backward against ``predict_cost``) per layer, put
+    no span on a counter tally, and ``uninstall`` rebinds every name as it
+    was. This is the signature check that ``python3 -m pytest perfbench``
+    makes over full rounds."""
+    spans = load_spans()
+    for module in spans.MODULES:  # install imports them all
+        importlib.import_module(f"lors.{module}")
+    before = _bindings()
+    tracer = spans.Tracer()
+    installation = spans.Installation(tracer)
+    installation.install()
+    try:
+        op = tracer.begin_op(0, "step")
+        for variant in adapters.VARIANTS:
+            model = model_from_weights(random_dense_weights(0, (16, 16, 16)), variant,
+                                       rank=4, prune_ratio=0.5)
+            batch = ProbeBatch(Rng(1).normal_matrix(16, 8), Rng(2).normal_matrix(16, 8))
+            train_step(model, batch, OptimState(kind="adaptive", lr=1e-3))
+        tracer.end_op(op)
+    finally:
+        installation.uninstall()
+    assert dict(tracer.failures) == {}
+    assert [p["variant"] for p in tracer.layer_passes] == [
+        v for v in adapters.VARIANTS for _ in range(2)]
+    names = {span[0] for span in tracer.spans}
+    assert "adapters.variant_backward" in names and "train._run_step" in names
+    assert not [n for n in names if n.endswith(("add_macs", "add_elementwise"))]
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert [k for k in before if after[k] is not before[k]] == []

@@ -64,25 +64,15 @@ def test_matmul_into_out_is_the_fresh_product_bitwise(shape):
     assert c.macs_forward == m * k * n
 
 
-def test_counter_phase_routing():
+def test_backward_view_routing():
+    """Ops handed the counters tally forward; ops handed ``backward`` tally
+    into the same counters' backward buckets."""
     c = CostCounters()
-    c.phase = "backward"
-    mx.matmul(mx.ones(2, 2), mx.ones(2, 2), c)
-    mx.add(mx.ones(2, 2), mx.ones(2, 2), c)
-    assert c.macs_backward == 8
-    assert c.macs_forward == 0
-    assert c.elementwise_backward == 4
-    assert c.elementwise_forward == 0
-
-
-def test_hadamard_counts_mn_macs_and_matches_numpy():
-    rng = np.random.default_rng(5)
-    a = rng.normal(size=(4, 6))
-    b = rng.normal(size=(4, 6))
-    c = CostCounters()
-    got = mx.hadamard(DenseMatrix(a), DenseMatrix(b), c)
-    assert np.array_equal(got.data, a * b)
-    assert c.macs_forward == 24
+    mx.matmul(mx.ones(2, 2), mx.ones(2, 2), c.backward)
+    mx.add(mx.ones(2, 2), mx.ones(2, 2), c.backward)
+    mx.scale(mx.ones(1, 3), 2.0, c)
+    assert (c.macs_forward, c.macs_backward) == (0, 8)
+    assert (c.elementwise_forward, c.elementwise_backward) == (3, 4)
 
 
 def test_adds_scales_cost_zero_macs():
@@ -92,9 +82,8 @@ def test_adds_scales_cost_zero_macs():
     mx.sub(a, a, c)
     mx.add_scaled(a, a, 2.5, c)
     mx.scale(a, 0.5, c)
-    mx.relu(a, c)
     assert c.macs_forward == 0
-    assert c.elementwise_forward == 5 * 9
+    assert c.elementwise_forward == 4 * 9
 
 
 def test_elementwise_ops_values():
@@ -107,7 +96,6 @@ def test_elementwise_ops_values():
     assert np.array_equal(mx.add_scaled(am, bm, 3.0).data, a + 3.0 * b)
     assert np.array_equal(mx.scale(am, -2.0).data, a * -2.0)
     assert np.array_equal(mx.transpose(am).data, a.T)
-    assert np.array_equal(mx.relu(am).data, np.maximum(a, 0.0))
 
 
 def test_add_bias_broadcasts_one_column():
@@ -145,8 +133,6 @@ def test_shape_errors():
         mx.matmul(a, mx.ones(2, 2))
     with pytest.raises(ShapeError):
         mx.add(a, b)
-    with pytest.raises(ShapeError):
-        mx.hadamard(a, b)
     with pytest.raises(ShapeError):
         mx.max_abs_diff(a, b)
 

@@ -78,9 +78,9 @@ def old_tape_step(model, probe):
             c.elementwise_forward += y.data.size
             c.saved_elements += y.data.size
             c.macs_backward += y.data.size
-        y, ctx = variant_forward(layer, y, c)
-        c.saved_elements += sum(t.data.size for t in ctx.saved)
-        ctxs.append(ctx)
+        y, saved = variant_forward(layer, y, c)
+        c.saved_elements += sum(t.data.size for t in saved)
+        ctxs.append(saved)
     n, size = y.cols, y.data.size
     c.saved_elements += size
     if probe.loss == "regression":
@@ -207,8 +207,7 @@ def test_squared_error_is_the_four_op_chain():
     c = CostCounters()
     loss, saved = loss_forward(DenseMatrix(y0), probe, c)
     assert saved.size == 35
-    with c.backward_phase():
-        grad = loss_backward(saved, probe, c)
+    grad = loss_backward(saved, probe, c.backward)
     alpha = 0.5 / 7
     d = y0 - t0
     assert loss == (d * d).sum() * alpha
@@ -229,8 +228,7 @@ def test_softmax_cross_entropy_loss_and_gradient():
     ez = np.exp(z0 - z0.max(axis=0, keepdims=True))
     p = ez / ez.sum(axis=0, keepdims=True)
     assert abs(loss - -np.mean(np.log(p[labels, np.arange(7)]))) < 1e-12
-    with c.backward_phase():
-        g = loss_backward(saved, probe, c).data
+    g = loss_backward(saved, probe, c.backward).data
     assert g is saved  # built in place over the probabilities
     assert np.allclose(g, fd(lambda z: loss_forward(DenseMatrix(z), probe)[0], z0),
                        rtol=1e-5, atol=1e-8)
@@ -241,6 +239,18 @@ def test_softmax_label_count_must_match():
     probe = ProbeBatch(DenseMatrix(np.ones((2, 2))), np.array([0, 1]), "classification")
     with pytest.raises(ShapeError, match="^need 4 labels for 3x4 logits"):
         loss_forward(DenseMatrix(np.zeros((3, 4))), probe)
+
+
+@pytest.mark.parametrize("labels, bad", [([0, -1], -1), ([-3, 2], -3), ([3, 0], 3),
+                                         ([1, 7], 7), ([-1, 3], -1)])
+def test_softmax_labels_must_lie_in_range(labels, bad):
+    """A label outside [0, K) raises ShapeError, where numpy would read a
+    negative one as a row from the end and a large one as an IndexError."""
+    probe = ProbeBatch(DenseMatrix(np.ones((2, 2))), np.array(labels), "classification")
+    with pytest.raises(ShapeError, match=rf"^label {bad} is outside \[0, 3\) for 3x2 logits$"):
+        loss_forward(DenseMatrix(np.zeros((3, 2))), probe)
+    edges = ProbeBatch(DenseMatrix(np.ones((2, 2))), np.array([0, 2]), "classification")
+    assert loss_forward(DenseMatrix(np.zeros((3, 2))), edges)[0] == pytest.approx(np.log(3))
 
 
 def test_a_nonfinite_loss_names_the_layer_given():
@@ -257,7 +267,7 @@ def test_a_nonfinite_loss_names_the_layer_given():
 # accounting
 # ---------------------------------------------------------------------------
 
-def test_phase_routing_forward_vs_backward_macs():
+def test_forward_and_backward_macs_of_a_step():
     """A 2 x 3 lora layer (r = 1) over a 3 x 4 input, then the squared error."""
     layer = make_layer(SparseWeight(DenseMatrix(np.ones((2, 3)))), 1, "lora")
     c = CostCounters()
@@ -266,7 +276,7 @@ def test_phase_routing_forward_vs_backward_macs():
     t.backward()
     # forward RCL + rCL + rRL = 24 + 12 + 8 and the square's 8;
     # backward RCL + 2rRL + 2rCL = 24 + 16 + 24 and the square's 8
-    assert (c.macs_forward, c.macs_backward, c.phase) == (44 + 8, 64 + 8, "forward")
+    assert (c.macs_forward, c.macs_backward) == (44 + 8, 64 + 8)
 
 
 @pytest.mark.parametrize("loss", ["regression", "classification"])
@@ -324,7 +334,7 @@ def test_each_tensor_dies_after_its_last_reader(monkeypatch, variant):
     the last output died with the loss, and every other output, gate and
     dY is gone. After the backward only the gradients it returns are left."""
     outputs, dys, seen = [], [], []
-    real_fwd, real_bwd = tape_module.checked_forward, tape_module.variant_backward
+    real_fwd, real_bwd = tape_module.variant_forward, tape_module.variant_backward
 
     def alive(refs):
         return [r() is not None for r in refs]
@@ -339,7 +349,7 @@ def test_each_tensor_dies_after_its_last_reader(monkeypatch, variant):
         dys.append(weakref.ref(dy.data))
         return real_bwd(layer, dy, ctx, counters)
 
-    monkeypatch.setattr(tape_module, "checked_forward", fwd)
+    monkeypatch.setattr(tape_module, "variant_forward", fwd)
     monkeypatch.setattr(tape_module, "variant_backward", bwd)
     model, probe = chain_model(variant, bias=True), chain_probe("regression")
     tape = Tape()
@@ -356,24 +366,24 @@ def test_each_tensor_dies_after_its_last_reader(monkeypatch, variant):
 
 
 def test_each_context_is_consumed_once(monkeypatch):
-    """The step hands each layer's context to exactly one backward, which
-    consumes it: afterwards a second backward of it raises GraphError, and so
+    """The step hands each layer's saved list to exactly one backward, which
+    empties it: afterwards a second backward of it raises GraphError, and so
     does a second backward or forward of the tape."""
-    contexts, real = [], tape_module.checked_forward
+    contexts, real = [], tape_module.variant_forward
 
     def fwd(layer, x, counters=None):
         y, ctx = real(layer, x, counters)
         contexts.append((layer, ctx))
         return y, ctx
 
-    monkeypatch.setattr(tape_module, "checked_forward", fwd)
+    monkeypatch.setattr(tape_module, "variant_forward", fwd)
     model, probe = chain_model("lors"), chain_probe("regression")
     tape = Tape()
     with pytest.raises(GraphError, match="^backward runs once, after forward$"):
         tape.backward()
     tape.forward(model.layers, probe)
     tape.backward()
-    assert [ctx.saved for _, ctx in contexts] == [None] * 3
+    assert [ctx for _, ctx in contexts] == [[]] * 3
     for layer, ctx in contexts:
         with pytest.raises(GraphError, match="^backward context already consumed$"):
             variant_backward(layer, DenseMatrix(np.ones((layer.out_features, L))), ctx)
@@ -411,7 +421,7 @@ def test_spp_layer_graphs_die_with_their_backward(monkeypatch):
     probe = ProbeBatch(DenseMatrix(rng.normal(size=(8, 5))), DenseMatrix(rng.normal(size=(8, 5))))
     t = Tape()
     t.forward(layers, probe)
-    tiles = [weakref.ref(ctx.saved[0].data) for _, ctx, _ in t._links]
+    tiles = [weakref.ref(saved[1].data) for _, saved, _ in t._links]
     for layer, ref in zip(layers, tiles):
         assert np.array_equal(ref(), np.tile(layer.adapter.b.data, (8, 1)))
     t.backward()

@@ -665,8 +665,7 @@ def test_float_mask_built_only_by_sqft():
         tape.forward(model.layers, small_data(model).head(8))
         for layer, (_, ctx, _) in zip(model.layers, tape._links):
             fmask = layer.original_mask.astype(np.float64).tobytes()
-            saved = ctx.saved
-            masks = [t for t in saved if t.data.tobytes() == fmask]
+            masks = [t for t in ctx if t.data.tobytes() == fmask]
             assert len(masks) == (variant == "sqft"), (variant, layer.name)
 
 
